@@ -187,11 +187,6 @@ def se3_log(pose: Pose) -> np.ndarray:
     return np.concatenate([upsilon, omega])
 
 
-def se3_log_norm(a: Pose, b: Pose) -> float:
-    """Squared norm of the twist taking pose ``a`` to pose ``b``."""
-    return float(np.dot(*(2 * [se3_log(a.inverse().compose(b))])))
-
-
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole camera with a 3x4 intrinsic matrix.
@@ -243,11 +238,10 @@ def project(point3: np.ndarray, pose: Pose, cam: CameraModel) -> np.ndarray:
 
     Raises BehindCameraError when the point has non-positive depth.
     """
-    z = pose.apply(np.asarray(point3, dtype=float).reshape(3))
-    h = cam.intrinsics @ np.append(z, 1.0)
-    if h[2] <= 0.0:
-        raise BehindCameraError(f"point at depth {h[2]:.6g} is behind the camera")
-    return h[:2] / h[2]
+    pix, depth = project_points(point3, pose, cam)
+    if depth[0] <= 0.0:
+        raise BehindCameraError(f"point at depth {depth[0]:.6g} is behind the camera")
+    return pix[0]
 
 
 def project_points(points3: np.ndarray, pose: Pose, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
@@ -256,10 +250,17 @@ def project_points(points3: np.ndarray, pose: Pose, cam: CameraModel) -> tuple[n
     Returns (pixels (N,2), depth (N,)). Rows with depth <= 0 hold NaN pixels;
     callers filter on depth instead of catching exceptions.
     """
+    _, pix, depth = _project_homogeneous(points3, pose, cam)
+    return pix, depth
+
+
+def _project_homogeneous(points3: np.ndarray, pose: Pose, cam: CameraModel):
+    """Homogeneous image coordinates ``h = K [R x + t; 1]`` (N,3) with the
+    pixels and depths of project_points."""
     z = pose.apply(np.asarray(points3, dtype=float).reshape(-1, 3))
     h = z @ cam.intrinsics[:, :3].T + cam.intrinsics[:, 3]
     depth = h[:, 2].copy()
     pix = np.full((len(h), 2), np.nan)
     ok = depth > 0.0
     pix[ok] = h[ok, :2] / depth[ok, None]
-    return pix, depth
+    return h, pix, depth

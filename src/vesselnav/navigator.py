@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraModel, Pose, project_points
+from .geometry import CameraModel, project, project_points
 from .lifting import OffVesselError, lift
 from .perception import (
     FrameRenderer,
@@ -35,7 +35,7 @@ from .registration import (
     reprojection_rmse,
     solve,
 )
-from .simulator import ActuationNoise, ControlCommand, GuidewireState, initial_wire, step, true_tip
+from .simulator import ActuationNoise, ControlCommand, initial_wire, step, true_tip
 from .vessel_model import VesselTree, resample_centerlines
 
 
@@ -221,7 +221,7 @@ def run_episode(
         reg_state: RegistrationState | None = None
         tip_track: TrackedEndpoint | None = None
         prev_tip3: np.ndarray | None = None
-        introducer_px = true_pixel_tip(cam, view, tree.position(wire.body[0]))
+        introducer_px = project(tree.position(wire.body[0]), view, cam)
 
     report = EpisodeReport(start=tuple(start), dest=tuple(dest), success=False, loops=0)
     for loop_index in range(config.max_loops):
@@ -262,7 +262,7 @@ def run_episode(
                 if config.tip_seed_px is not None:
                     boot = np.asarray(config.tip_seed_px, dtype=float)
                 else:
-                    boot = true_pixel_tip(cam, view, tip_pos_true)
+                    boot = project(tip_pos_true, view, cam)
                 tip_track = TrackedEndpoint(boot, 1.0, -1)
             tip_track = track(candidates, tip_track, frame_index=loop_index)
             tip_px = (float(tip_track.position2[0]), float(tip_track.position2[1]))
@@ -295,7 +295,7 @@ def run_episode(
                     loop_index,
                     frame,
                     {
-                        "true_tip_px": true_pixel_tip(cam, view, tip_pos_true),
+                        "true_tip_px": project(tip_pos_true, view, cam),
                         "lifted_tip_px": np.asarray(tip_track.position2, dtype=float),
                         "lifted_tip_mm": np.asarray(est_pos, dtype=float),
                         "registration_rmse_px": float(rmse),
@@ -324,12 +324,6 @@ def run_episode(
         wire = step(tree, wire, cmd, rng, noise=noise)
     report.replans = nav.replans
     return report
-
-
-def true_pixel_tip(cam: CameraModel, view: Pose, tip_position: np.ndarray) -> np.ndarray:
-    z = view.rotation @ np.asarray(tip_position, dtype=float) + view.translation
-    h = cam.intrinsics[:, :3] @ z + cam.intrinsics[:, 3]
-    return h[:2] / h[2]
 
 
 def nearest_tree_address(tree: VesselTree, position3: np.ndarray) -> Address:

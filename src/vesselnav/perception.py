@@ -8,8 +8,7 @@ low-contrast dark tubes, the instrument as a high-contrast dark curve.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +47,11 @@ class RenderStyle:
 
 @dataclass
 class FluoroFrame:
-    """One synthetic fluoroscopy image plus acquisition metadata."""
+    """One synthetic fluoroscopy image with its camera and loop index."""
 
     pixels: np.ndarray
     cam: CameraModel
     frame_index: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.pixels.dtype != np.uint8:
@@ -181,20 +179,6 @@ class FrameRenderer:
         return FluoroFrame(canvas, self.cam, frame_index)
 
 
-def render(
-    tree: VesselTree,
-    wire: np.ndarray | None,
-    pose: Pose,
-    cam: CameraModel,
-    noise: NoiseSpec | None = None,
-    seed: int | np.random.Generator = 0,
-    style: RenderStyle | None = None,
-    frame_index: int = 0,
-) -> FluoroFrame:
-    """One-shot render. Episode loops should reuse a FrameRenderer instead."""
-    return FrameRenderer(tree, pose, cam, style).render(wire, noise, seed, frame_index)
-
-
 # ---------------------------------------------------------------------------
 # segmentation
 
@@ -258,10 +242,6 @@ def segment_layers(
 # ---------------------------------------------------------------------------
 # thinning
 
-_thin_cache: dict[tuple, np.ndarray] = {}
-_THIN_CACHE_MAX = 8
-
-
 def _neighbors(p: np.ndarray):
     # p is the padded image; classic clockwise neighborhood starting north.
     p2 = p[:-2, 1:-1]
@@ -303,29 +283,20 @@ def thin(mask: np.ndarray) -> np.ndarray:
     are peeled, alternating the compass conditions between subiterations.
     """
     mask = np.asarray(mask).astype(bool)
-    key = (mask.shape, hashlib.blake2b(np.packbits(mask).tobytes(), digest_size=16).digest())
-    cached = _thin_cache.get(key)
-    if cached is not None:
-        return cached.copy()
     if not mask.any():
-        out = mask.copy()
-    else:
-        rows = np.any(mask, axis=1)
-        cols = np.any(mask, axis=0)
-        r0, r1 = np.argmax(rows), len(rows) - np.argmax(rows[::-1])
-        c0, c1 = np.argmax(cols), len(cols) - np.argmax(cols[::-1])
-        crop = mask[r0:r1, c0:c1]
-        img = crop.copy()
-        changed = True
-        while changed:
-            img, ch1 = _thin_subiteration(img, second=False)
-            img, ch2 = _thin_subiteration(img, second=True)
-            changed = ch1 or ch2
-        out = np.zeros_like(mask)
-        out[r0:r1, c0:c1] = img
-    if len(_thin_cache) >= _THIN_CACHE_MAX:
-        _thin_cache.pop(next(iter(_thin_cache)))
-    _thin_cache[key] = out.copy()
+        return mask
+    rows = np.any(mask, axis=1)
+    cols = np.any(mask, axis=0)
+    r0, r1 = np.argmax(rows), len(rows) - np.argmax(rows[::-1])
+    c0, c1 = np.argmax(cols), len(cols) - np.argmax(cols[::-1])
+    img = mask[r0:r1, c0:c1].copy()
+    changed = True
+    while changed:
+        img, ch1 = _thin_subiteration(img, second=False)
+        img, ch2 = _thin_subiteration(img, second=True)
+        changed = ch1 or ch2
+    out = np.zeros_like(mask)
+    out[r0:r1, c0:c1] = img
     return out
 
 

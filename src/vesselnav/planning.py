@@ -23,10 +23,6 @@ class AddressError(KeyError):
     """Address does not exist in the tree."""
 
 
-class OffPathError(RuntimeError):
-    """Queried position is not on the planned route."""
-
-
 @dataclass(frozen=True)
 class RoutePlan:
     addresses: tuple[Address, ...]
@@ -66,16 +62,15 @@ def parent_address(tree: VesselTree, addr: Address) -> Address | None:
     return (branch.parent_link, branch.attach_index)
 
 
-def child_addresses(tree: VesselTree, addr: Address) -> list[Address]:
-    """Addresses one step away from the root, same-branch continuation first."""
+def advance_options(tree: VesselTree, addr: Address) -> list[Address]:
+    """Addresses one step away from the root: attached children in link
+    order, then the same-branch continuation. The wire picks among them by
+    rotation phase; Dijkstra's result does not depend on the order."""
     bid, idx = addr
     branch = tree.branches[bid]
-    out: list[Address] = []
+    out = [(cid, 0) for cid in branch.child_links if tree.branches[cid].attach_index == idx]
     if idx + 1 < len(branch.points):
         out.append((bid, idx + 1))
-    for cid in branch.child_links:
-        if tree.branches[cid].attach_index == idx:
-            out.append((cid, 0))
     return out
 
 
@@ -144,7 +139,7 @@ def dijkstra_route_length(tree: VesselTree, start: Address, dest: Address) -> fl
         if node == dest:
             return d
         done.add(node)
-        neighbors = child_addresses(tree, node)
+        neighbors = advance_options(tree, node)
         up = parent_address(tree, node)
         if up is not None:
             neighbors.append(up)
@@ -159,30 +154,5 @@ def dijkstra_route_length(tree: VesselTree, start: Address, dest: Address) -> fl
     raise AddressError(f"no route from {start!r} to {dest!r}")
 
 
-def progress(route: RoutePlan, addr: Address) -> int:
-    """Index of addr along the route; raises OffPathError when absent."""
-    try:
-        return route.addresses.index(tuple(addr))
-    except ValueError:
-        raise OffPathError(f"{addr!r} is not on the route") from None
-
-
 def on_path(route: RoutePlan, addr: Address) -> bool:
     return tuple(addr) in route.addresses
-
-
-def nearest_on_route(tree: VesselTree, route: RoutePlan, position3: np.ndarray) -> tuple[int, float]:
-    """Route index and distance of the route point nearest a 3D position."""
-    pos = np.asarray(position3, dtype=float).reshape(3)
-    pts = np.array([tree.position(a) for a in route.addresses])
-    d = np.linalg.norm(pts - pos, axis=1)
-    i = int(np.argmin(d))
-    return i, float(d[i])
-
-
-def within_route_corridor(
-    tree: VesselTree, route: RoutePlan, position3: np.ndarray, slack_mm: float = 0.0
-) -> bool:
-    """Spatial on-path test: inside the lumen of the nearest route point."""
-    i, d = nearest_on_route(tree, route, position3)
-    return d <= tree.radius(route.addresses[i]) + slack_mm

@@ -23,7 +23,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
-from .geometry import CameraModel, Pose, se3_exp, se3_log, se3_right_jacobian_inv
+from .geometry import CameraModel, Pose, _project_homogeneous, project_points, se3_exp, se3_log, se3_right_jacobian_inv
 from .vessel_model import VesselTree
 
 
@@ -63,30 +63,23 @@ class SolverConfig:
     lm_damping_down: float = 10.0
     lm_damping_cap: float = 1e8
     optimize_deformation: bool = True
-    translation_first: bool = True
 
 
 @dataclass
 class DeformationField:
-    """Per-point displacements stored as 4-vectors whose last component is 0."""
+    """Per-point displacements, shape (N, 3)."""
 
     displacements: np.ndarray
 
     def __post_init__(self) -> None:
         d = np.asarray(self.displacements, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 4:
-            raise ValueError("displacements must have shape (N, 4)")
-        if np.any(d[:, 3] != 0.0):
-            raise ValueError("last displacement component must stay 0")
+        if d.ndim != 2 or d.shape[1] != 3:
+            raise ValueError("displacements must have shape (N, 3)")
         self.displacements = d
 
     @staticmethod
     def zeros(n: int) -> "DeformationField":
-        return DeformationField(np.zeros((n, 4)))
-
-    @property
-    def xyz(self) -> np.ndarray:
-        return self.displacements[:, :3]
+        return DeformationField(np.zeros((n, 3)))
 
 
 @dataclass
@@ -111,24 +104,6 @@ class EnergyBreakdown:
 
     def composite(self, weights: Weights) -> float:
         return -self.data + weights.pose_prior * self.pose_prior + weights.deform * self.deform
-
-
-@dataclass(frozen=True)
-class CorrespondenceMap:
-    """Per-model-point nearest 2D match; -1 marks points behind the camera."""
-
-    matched: np.ndarray
-    distances_px: np.ndarray
-
-    @property
-    def excluded(self) -> np.ndarray:
-        return np.flatnonzero(self.matched < 0)
-
-    def mean_distance_px(self) -> float:
-        ok = self.matched >= 0
-        if not np.any(ok):
-            return float("nan")
-        return float(self.distances_px[ok].mean())
 
 
 class RegistrationProblem:
@@ -254,26 +229,8 @@ class RegistrationProblem:
     def pose_to_world(self, centered_pose: Pose) -> Pose:
         return Pose(centered_pose.rotation, centered_pose.translation - centered_pose.rotation @ self.center)
 
-    def initial_state(self, bandwidth_px: float | None = None) -> RegistrationState:
-        bw = self._initial_bandwidth() if bandwidth_px is None else bandwidth_px
-        return RegistrationState(self.init_pose, DeformationField.zeros(len(self.points3)), bw)
-
-    def _initial_bandwidth(self, floor: float = 2.0) -> float:
-        pix, depth = self._project(self.init_pose, np.zeros((len(self.points3), 3)))
-        ok = depth > 0
-        if not np.any(ok):
-            return floor
-        d, _ = self.kd2.query(pix[ok], k=self.k_corr)
-        return max(float(np.max(d)), floor)
-
-    def _project(self, pose: Pose, disp_xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = (self.points3 + disp_xyz) @ pose.rotation.T + pose.translation
-        h = z @ self.cam.intrinsics[:, :3].T + self.cam.intrinsics[:, 3]
-        depth = h[:, 2].copy()
-        pix = np.full((len(h), 2), np.nan)
-        ok = depth > 0
-        pix[ok] = h[ok, :2] / depth[ok, None]
-        return pix, depth
+    def _project(self, pose: Pose, disp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return project_points(self.points3 + disp, pose, self.cam)
 
 
 def _pose_from_world(world_pose: Pose, center: np.ndarray) -> Pose:
@@ -299,15 +256,12 @@ def _match_neighbors(prob: RegistrationProblem, pix: np.ndarray, depth: np.ndarr
     return idx, dist, ok
 
 
-def eval_objective(prob: RegistrationProblem, state: RegistrationState) -> EnergyBreakdown:
-    """Energy terms at the given state, using its kernel bandwidth."""
-    disp = state.deformation.xyz
-    pix, depth = prob._project(state.pose, disp)
-    idx, dist, ok = _match_neighbors(prob, pix, depth)
-    ell2 = 2.0 * state.bandwidth_px ** 2
-    data = float(np.sum(prob.per_point[ok, None] * np.exp(-dist[ok] ** 2 / ell2)))
-    psi = _PRIOR_SCALE * se3_log(prob.init_pose.inverse().compose(state.pose))
-    prior = float(psi @ psi)
+def _log_to_init(prob: RegistrationProblem, pose: Pose) -> np.ndarray:
+    return se3_log(prob.init_pose.inverse().compose(pose))
+
+
+def _regularizer(prob: RegistrationProblem, disp: np.ndarray) -> float:
+    """Deformation penalty: magnitude plus chain and cross smoothness."""
     w = prob.weights
     reg = w.deform_magnitude * float(np.sum(disp * disp))
     if len(prob.chain_pairs):
@@ -316,25 +270,23 @@ def eval_objective(prob: RegistrationProblem, state: RegistrationState) -> Energ
     if len(prob.cross_pairs):
         diff = disp[prob.cross_pairs[:, 0]] - disp[prob.cross_pairs[:, 1]]
         reg += w.deform_cross * float(np.sum(diff * diff))
-    return EnergyBreakdown(data, prior, reg, tuple(np.flatnonzero(~ok)))
+    return reg
 
 
-def correspondences(prob: RegistrationProblem, state: RegistrationState) -> CorrespondenceMap:
-    """Nearest 2D point for every visible model point at the current state."""
-    pix, depth = prob._project(state.pose, state.deformation.xyz)
-    ok = depth > 0
-    matched = np.full(len(pix), -1, dtype=int)
-    distances = np.full(len(pix), np.nan)
-    if np.any(ok):
-        d, j = prob.kd2.query(pix[ok], k=1)
-        matched[ok] = j
-        distances[ok] = d
-    return CorrespondenceMap(matched, distances)
+def eval_objective(prob: RegistrationProblem, state: RegistrationState) -> EnergyBreakdown:
+    """Energy terms at the given state, using its kernel bandwidth."""
+    disp = state.deformation.displacements
+    pix, depth = prob._project(state.pose, disp)
+    idx, dist, ok = _match_neighbors(prob, pix, depth)
+    ell2 = 2.0 * state.bandwidth_px ** 2
+    data = float(np.sum(prob.per_point[ok, None] * np.exp(-dist[ok] ** 2 / ell2)))
+    psi = _PRIOR_SCALE * _log_to_init(prob, state.pose)
+    return EnergyBreakdown(data, float(psi @ psi), _regularizer(prob, disp), tuple(np.flatnonzero(~ok)))
 
 
 def reprojection_rmse(prob: RegistrationProblem, state: RegistrationState, reference_pix: np.ndarray) -> float:
     """RMSE between current projections and reference pixels over visible points."""
-    pix, depth = prob._project(state.pose, state.deformation.xyz)
+    pix, depth = prob._project(state.pose, state.deformation.displacements)
     ok = depth > 0
     err = pix[ok] - np.asarray(reference_pix, dtype=float)[ok]
     return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
@@ -344,10 +296,6 @@ def reprojection_rmse(prob: RegistrationProblem, state: RegistrationState, refer
 # IRLS + Levenberg-Marquardt solver
 
 _DIAG_FLOOR = 1e-12
-
-
-def _log_to_init(prob: RegistrationProblem, pose: Pose) -> np.ndarray:
-    return se3_log(prob.init_pose.inverse().compose(pose))
 
 
 def _surrogate_cost(
@@ -366,28 +314,17 @@ def _surrogate_cost(
         diffs = pix[ok, None, :] - prob.points2[idx[ok]]
         cost += float(np.sum(gamma[ok] * np.sum(diffs * diffs, axis=2))) / (2.0 * ell * ell)
     psi = _PRIOR_SCALE * _log_to_init(prob, pose)
-    w = prob.weights
-    cost += w.pose_prior * float(psi @ psi)
-    cost += w.deform * w.deform_magnitude * float(np.sum(disp * disp))
-    if len(prob.chain_pairs):
-        diff = disp[prob.chain_pairs[:, 0]] - disp[prob.chain_pairs[:, 1]]
-        cost += w.deform * w.deform_chain * float(np.sum(diff * diff))
-    if len(prob.cross_pairs):
-        diff = disp[prob.cross_pairs[:, 0]] - disp[prob.cross_pairs[:, 1]]
-        cost += w.deform * w.deform_cross * float(np.sum(diff * diff))
+    cost += prob.weights.pose_prior * float(psi @ psi)
+    cost += prob.weights.deform * _regularizer(prob, disp)
     return cost
 
 
 def _projection_jacobians(prob: RegistrationProblem, pose: Pose, disp: np.ndarray):
     """Per-point pixel positions, depths, and 2x3 pixel-vs-camera-point blocks."""
     y = prob.points3 + disp
-    z = y @ pose.rotation.T + pose.translation
+    h, pix, depth = _project_homogeneous(y, pose, prob.cam)
     a = prob.cam.intrinsics[:, :3]
-    h = z @ a.T + prob.cam.intrinsics[:, 3]
-    depth = h[:, 2].copy()
     ok = depth > 0
-    pix = np.full((len(h), 2), np.nan)
-    pix[ok] = h[ok, :2] / depth[ok, None]
     # d(pix)/dz = (A[:2] * h2 - h[:2] outer A[2]) / h2^2
     p_blocks = np.zeros((len(h), 2, 3))
     if np.any(ok):
@@ -556,7 +493,7 @@ def solve(prob: RegistrationProblem, cfg: SolverConfig | None = None) -> Registr
         gamma = np.where(okm[:, None], prob.per_point[:, None] * np.exp(-dist ** 2 / (2.0 * ell * ell)), 0.0)
         gamma = np.nan_to_num(gamma)
         active = cfg.optimize_deformation and ell <= cfg.bandwidth_floor_px
-        rot_locked = cfg.translation_first and stage == 0
+        rot_locked = stage == 0
         first_step = None
         first_stalled = False
         for inner in range(cfg.inner_iters):
@@ -567,7 +504,9 @@ def solve(prob: RegistrationProblem, cfg: SolverConfig | None = None) -> Registr
             while True:
                 try:
                     delta_p, delta_r = _solve_step(app, apr, arr_parts, gp, gr, damping, rot_locked)
-                except Exception:
+                except (np.linalg.LinAlgError, RuntimeError):
+                    # Singular normal equations (or a singular splu factor)
+                    # count as a rejected step; anything else is a bug.
                     delta_p, delta_r = None, None
                 if delta_p is not None and np.all(np.isfinite(delta_p)):
                     cand_pose = pose.compose(se3_exp(delta_p))
@@ -618,7 +557,7 @@ def solve(prob: RegistrationProblem, cfg: SolverConfig | None = None) -> Registr
             stage += 1
     state = RegistrationState(
         pose,
-        DeformationField(np.concatenate([disp, np.zeros((n, 1))], axis=1)),
+        DeformationField(disp),
         ell,
         iteration=outer_done,
         converged=converged,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planning import Address, plan
+from .planning import Address, advance_options, plan
 from .vessel_model import VesselTree
 
 _STEP_EPS = 1e-9
@@ -60,17 +60,6 @@ def initial_wire(tree: VesselTree, start: Address, insertion: Address = (0, 0)) 
     """Wire threaded along the unique route from the insertion point to start."""
     route = plan(tree, insertion, start)
     return GuidewireState(route.addresses, rotation_phase=0)
-
-
-def advance_options(tree: VesselTree, addr: Address) -> list[Address]:
-    """Outgoing addresses at a grid point: attached children first, then the
-    same-branch continuation."""
-    bid, idx = addr
-    branch = tree.branches[bid]
-    out = [(cid, 0) for cid in branch.child_links if tree.branches[cid].attach_index == idx]
-    if idx + 1 < len(branch.points):
-        out.append((bid, idx + 1))
-    return out
 
 
 def true_tip(tree: VesselTree, state: GuidewireState) -> np.ndarray:

@@ -62,10 +62,6 @@ class Branch:
     def radii(self) -> np.ndarray:
         return np.array([p.radius for p in self.points])
 
-    def arc_length(self) -> float:
-        pos = self.positions()
-        return float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
-
 
 class VesselTree:
     """Branches keyed by id, with a single root and acyclic parent links."""
@@ -85,10 +81,6 @@ class VesselTree:
         b, i = address
         return self.branches[b].points[i].radius
 
-    def has_address(self, address: tuple[int, int]) -> bool:
-        b, i = address
-        return b in self.branches and 0 <= i < len(self.branches[b].points)
-
     def depth(self, branch_id: int) -> int:
         d = 0
         b = self.branches[branch_id]
@@ -96,13 +88,6 @@ class VesselTree:
             b = self.branches[b.parent_link]
             d += 1
         return d
-
-    def children_at(self, branch_id: int, arc_index: int) -> list[int]:
-        out = []
-        for cid in self.branches[branch_id].child_links:
-            if self.branches[cid].attach_index == arc_index:
-                out.append(cid)
-        return out
 
     def flat_points(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """All centerline positions stacked with their (branch, index) addresses."""
@@ -121,9 +106,6 @@ class VesselTree:
         if self._kdtree is None:
             self._kdtree = cKDTree(self.flat_points()[0])
         return self._kdtree
-
-    def total_arc_length(self) -> float:
-        return float(sum(b.arc_length() for b in self.branches.values()))
 
 
 def validate_tree(tree: VesselTree) -> None:

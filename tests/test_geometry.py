@@ -20,7 +20,6 @@ from vesselnav.geometry import (
     se3_left_jacobian,
     se3_left_jacobian_inv,
     se3_log,
-    se3_log_norm,
     se3_right_jacobian_inv,
     so3_exp,
     so3_log,
@@ -116,14 +115,6 @@ class TestSe3:
                 minus = se3_log(base.compose(se3_exp(-step)))
                 numeric[:, i] = (plus - minus) / (2 * h)
             assert np.allclose(se3_right_jacobian_inv(xi), numeric, atol=1e-6)
-
-    def test_log_norm_is_squared_twist(self):
-        rng = np.random.default_rng(8)
-        a = se3_exp(random_twists(rng, 1)[0])
-        b = se3_exp(random_twists(rng, 1)[0])
-        xi = se3_log(a.inverse().compose(b))
-        assert se3_log_norm(a, b) == pytest.approx(float(xi @ xi), rel=1e-12)
-        assert se3_log_norm(a, b) == pytest.approx(se3_log_norm(b, a), rel=1e-9)
 
 
 class TestPose:

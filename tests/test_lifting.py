@@ -10,7 +10,7 @@ import pytest
 
 from vesselnav.geometry import CameraModel, Pose, project_points
 from vesselnav.lifting import LiftedTip, OffVesselError, lateral_error_bound, lift
-from vesselnav.registration import RegistrationProblem
+from vesselnav.registration import DeformationField, RegistrationProblem, RegistrationState
 from vesselnav.simulator import initial_wire, step, ControlCommand, ActuationNoise
 from vesselnav.vessel_model import (
     Branch,
@@ -55,6 +55,11 @@ def problem_for(tree, pose):
     return RegistrationProblem.from_tree(tree, np.zeros((4, 2)), CAM, pose)
 
 
+def rigid_state(prob):
+    """The problem's initial pose with no deformation; lifting ignores the bandwidth."""
+    return RegistrationState(prob.init_pose, DeformationField.zeros(len(prob.points3)), 2.0)
+
+
 def radii_for(prob, tree):
     return np.array([tree.radius(a) for a in prob.addresses])
 
@@ -70,7 +75,7 @@ class TestLiftPicks:
         tree = ambiguous_tree()
         pose = view_pose()
         prob = problem_for(tree, pose)
-        state = prob.initial_state()
+        state = rigid_state(prob)
         radii = radii_for(prob, tree)
         target = (1, 2)
         pix, depth = project_points(tree.position(target), pose, CAM)
@@ -84,7 +89,7 @@ class TestLiftPicks:
     def test_gate_rejects_far_tips(self):
         tree = ambiguous_tree()
         prob = problem_for(tree, view_pose())
-        state = prob.initial_state()
+        state = rigid_state(prob)
         radii = radii_for(prob, tree)
         with pytest.raises(OffVesselError):
             lift(prob, state, np.array([-500.0, -500.0]), radii, gate_px=30.0)
@@ -93,7 +98,7 @@ class TestLiftPicks:
         tree = ambiguous_tree()
         behind = Pose(np.eye(3), np.array([0.0, 0.0, -5000.0]))
         prob = problem_for(tree, behind)
-        state = prob.initial_state()
+        state = rigid_state(prob)
         with pytest.raises(OffVesselError):
             lift(prob, state, np.array([256.0, 256.0]), radii_for(prob, tree))
 
@@ -101,7 +106,7 @@ class TestLiftPicks:
         tree = ambiguous_tree()
         pose = view_pose()
         prob = problem_for(tree, pose)
-        state = prob.initial_state()
+        state = rigid_state(prob)
         radii = radii_for(prob, tree)
         near_addr, far_addr = (0, 2), (1, 3)
         pix_near, _ = project_points(tree.position(near_addr), pose, CAM)
@@ -117,7 +122,7 @@ class TestLiftPicks:
         tree = ambiguous_tree()
         pose = view_pose()
         prob = problem_for(tree, pose)
-        state = prob.initial_state()
+        state = rigid_state(prob)
         radii = radii_for(prob, tree)
         # Nudge the tip toward the near point's projection by a hair so the
         # pixel argmin is unique even under the tie tolerance.
@@ -135,7 +140,7 @@ class TestEpisodeBound:
         model = resample_centerlines(tree, spacing)
         pose = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]))
         prob = RegistrationProblem.from_tree(model, np.zeros((4, 2)), CAM, pose)
-        state = prob.initial_state()
+        state = rigid_state(prob)
         radii = np.array([model.radius(a) for a in prob.addresses])
         wire = initial_wire(tree, (0, 2))
         rng = np.random.default_rng(3)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from vesselnav.geometry import CameraModel, Pose, project
+from vesselnav.geometry import CameraModel, project
 from vesselnav.perception import (
     ConstantImageError,
     FluoroFrame,
@@ -21,7 +21,6 @@ from vesselnav.perception import (
     endpoint_candidates,
     frame_view_pose,
     otsu_threshold,
-    render,
     segment_layers,
     skeleton_points,
     thin,
@@ -327,6 +326,7 @@ class TestRenderer:
         self.tree = generate_phantom(PhantomSpec(), 11)
         self.cam = CameraModel.standard()
         self.pose = frame_view_pose(self.tree)
+        self.renderer = FrameRenderer(self.tree, self.pose, self.cam)
 
     def test_view_pose_centres_tree(self):
         centroid = self.tree.flat_points()[0].mean(axis=0)
@@ -335,32 +335,31 @@ class TestRenderer:
     def test_wire_must_stay_in_lumen(self):
         wire = self.tree.flat_points()[0][:3] + np.array([40.0, 0.0, 0.0])
         with pytest.raises(SimulationIntegrityError):
-            render(self.tree, wire, self.pose, self.cam)
+            self.renderer.render(wire)
 
     def test_single_point_wire_renders(self):
         wire = self.tree.position((0, 5)).reshape(1, 3)
-        frame = render(self.tree, wire, self.pose, self.cam)
+        frame = self.renderer.render(wire)
         style = RenderStyle()
         assert np.any(frame.pixels == style.wire_value)
 
     def test_vessel_layer_cached_and_reused(self):
-        renderer = FrameRenderer(self.tree, self.pose, self.cam)
-        a = renderer.render(None)
-        b = renderer.render(None)
+        a = self.renderer.render(None)
+        b = self.renderer.render(None)
         assert np.array_equal(a.pixels, b.pixels)
-        one_shot = render(self.tree, None, self.pose, self.cam)
-        assert np.array_equal(a.pixels, one_shot.pixels)
+        fresh = FrameRenderer(self.tree, self.pose, self.cam).render(None)
+        assert np.array_equal(a.pixels, fresh.pixels)
 
     def test_noise_determinism(self):
         wire = self.tree.branches[0].positions()[:10]
         spec = NoiseSpec(2.0)
-        a = render(self.tree, wire, self.pose, self.cam, noise=spec, seed=5)
-        b = render(self.tree, wire, self.pose, self.cam, noise=spec, seed=5)
-        c = render(self.tree, wire, self.pose, self.cam, noise=spec, seed=6)
+        a = self.renderer.render(wire, noise=spec, seed=5)
+        b = self.renderer.render(wire, noise=spec, seed=5)
+        c = self.renderer.render(wire, noise=spec, seed=6)
         assert np.array_equal(a.pixels, b.pixels)
         assert not np.array_equal(a.pixels, c.pixels)
-        clean = render(self.tree, wire, self.pose, self.cam, noise=NoiseSpec.off(), seed=5)
-        quiet = render(self.tree, wire, self.pose, self.cam)
+        clean = self.renderer.render(wire, noise=NoiseSpec.off(), seed=5)
+        quiet = self.renderer.render(wire)
         assert np.array_equal(clean.pixels, quiet.pixels)
 
     def test_frame_validation(self):
@@ -373,7 +372,7 @@ class TestRenderer:
         # Wire along the root branch; the tracked endpoint nearest the
         # projected tip must land within a few pixels.
         wire = self.tree.branches[0].positions()[:20]
-        frame = render(self.tree, wire, self.pose, self.cam)
+        frame = self.renderer.render(wire)
         _, wire_mask, _, t2 = segment_layers(frame)
         assert t2 is not None
         ends = endpoint_candidates(thin(wire_mask))

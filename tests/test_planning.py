@@ -14,16 +14,12 @@ import pytest
 
 from vesselnav.planning import (
     AddressError,
-    OffPathError,
     address_depth,
-    child_addresses,
+    advance_options,
     dijkstra_route_length,
-    nearest_on_route,
     on_path,
     parent_address,
     plan,
-    progress,
-    within_route_corridor,
 )
 from vesselnav.vessel_model import (
     Branch,
@@ -116,11 +112,19 @@ class TestAddressing:
         assert parent_address(tree, (1, 0)) == (0, 1)
         assert parent_address(tree, (2, 0)) == (0, 3)
 
-    def test_children_continuation_first(self):
-        tree = y_tree()
-        assert child_addresses(tree, (0, 1)) == [(0, 2), (1, 0)]
-        assert child_addresses(tree, (0, 3)) == [(2, 0)]
-        assert child_addresses(tree, (1, 2)) == []
+    def test_advance_options_invert_parent_address(self):
+        # The simulator and Dijkstra share this one neighbor function, so pin
+        # it against parent_address on every address of a full phantom.
+        tree = generate_phantom(PhantomSpec(), seed=11)
+        _, addresses = tree.flat_points()
+        assert len(addresses) == 444
+        children = {a: set() for a in addresses}
+        for b in addresses:
+            up = parent_address(tree, b)
+            if up is not None:
+                children[up].add(b)
+        for a in addresses:
+            assert set(advance_options(tree, a)) == children[a]
 
     def test_depth_counts_parent_steps(self):
         tree = y_tree()
@@ -200,26 +204,9 @@ class TestPlanOracle:
 
 
 class TestRouteQueries:
-    def test_progress_and_membership(self):
+    def test_on_path_membership(self):
         tree = y_tree()
         route = plan(tree, (1, 2), (2, 1))
-        for i, addr in enumerate(route.addresses):
-            assert progress(route, addr) == i
+        for addr in route.addresses:
             assert on_path(route, addr)
         assert not on_path(route, (0, 0))
-        with pytest.raises(OffPathError):
-            progress(route, (0, 0))
-
-    def test_corridor_uses_local_radius(self):
-        tree = y_tree()
-        route = plan(tree, (0, 0), (0, 3))
-        anchor = tree.position((0, 2))
-        radius = tree.radius((0, 2))
-        inside = anchor + np.array([0.0, 0.4 * radius, 0.0])
-        outside = anchor + np.array([0.0, radius + 0.5, 0.0])
-        i, d = nearest_on_route(tree, route, inside)
-        assert route.addresses[i] == (0, 2)
-        assert d == pytest.approx(0.4 * radius)
-        assert within_route_corridor(tree, route, inside)
-        assert not within_route_corridor(tree, route, outside)
-        assert within_route_corridor(tree, route, outside, slack_mm=0.6)

@@ -9,12 +9,11 @@ draws the documented variates explicitly.
 import numpy as np
 import pytest
 
-from vesselnav.planning import child_addresses
+from vesselnav.planning import advance_options
 from vesselnav.simulator import (
     ActuationNoise,
     ControlCommand,
     GuidewireState,
-    advance_options,
     initial_wire,
     step,
     true_tip,
@@ -70,11 +69,8 @@ class TestStateBasics:
 class TestAdvanceOptions:
     def test_children_before_continuation(self):
         tree = y_tree()
-        # The wire turns into attached branches at phase 0; the planner's
-        # neighbor order is the opposite, which is fine because they serve
-        # different walks.
+        # The wire turns into attached branches at phase 0.
         assert advance_options(tree, (0, 1)) == [(1, 0), (0, 2)]
-        assert child_addresses(tree, (0, 1)) == [(0, 2), (1, 0)]
 
     def test_plain_point_and_leaf(self):
         tree = y_tree()
