@@ -244,8 +244,10 @@ def run_episode(
             )
             vessel_mask, wire_mask, _, wire_thresh = segment_layers(frame)
             q = skeleton_points(thin(vessel_mask))
+            # Camera and tree are static: each frame starts from the previous
+            # frame's optimum, and only the first frame anneals.
             problem = base_problem.with_frame(q, pose_world)
-            reg_state = solve(problem, solver_cfg)
+            reg_state = solve(problem, solver_cfg, warm=reg_state)
             pose_world = problem.pose_to_world(reg_state.pose)
             rmse = reprojection_rmse(problem, reg_state, true_reference)
             if wire_thresh is None:

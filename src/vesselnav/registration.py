@@ -57,7 +57,6 @@ class SolverConfig:
     inner_iters: int = 2
     tol: float = 1e-6
     bandwidth_floor_px: float = 2.0
-    bandwidth_init_scale: float = 1.0
     lm_damping_init: float = 1e-3
     lm_damping_up: float = 10.0
     lm_damping_down: float = 10.0
@@ -138,6 +137,7 @@ class RegistrationProblem:
             raise ValueError("need at least one 2D point")
         self.cam = cam
         self.init_pose = init_pose
+        self._init_pose_inv = init_pose.inverse()
         self.weights = weights or Weights()
         self.per_point = np.ones(n) if per_point is None else np.asarray(per_point, dtype=float).reshape(n)
         if np.any(self.per_point < 0.0):
@@ -208,7 +208,13 @@ class RegistrationProblem:
         )
 
     def with_frame(self, points2: np.ndarray, init_pose_world: Pose) -> "RegistrationProblem":
-        """Same model rebound to a new image and initialization (warm start)."""
+        """Same model rebound to a new image and initialization.
+
+        A frame-to-frame tracker passes the previous frame's registered pose
+        here and that frame's state to ``solve(..., warm=...)``: the solve
+        then starts at the previous optimum and its bandwidth, and only the
+        first frame anneals.
+        """
         return RegistrationProblem(
             self.points3,
             points2,
@@ -257,7 +263,7 @@ def _match_neighbors(prob: RegistrationProblem, pix: np.ndarray, depth: np.ndarr
 
 
 def _log_to_init(prob: RegistrationProblem, pose: Pose) -> np.ndarray:
-    return se3_log(prob.init_pose.inverse().compose(pose))
+    return se3_log(prob._init_pose_inv.compose(pose))
 
 
 def _regularizer(prob: RegistrationProblem, disp: np.ndarray) -> float:
@@ -305,8 +311,13 @@ def _surrogate_cost(
     idx: np.ndarray,
     gamma: np.ndarray,
     ell: float,
+    reg: float,
 ) -> float:
-    """Weighted least-squares surrogate with frozen kernel weights."""
+    """Weighted least-squares surrogate with frozen kernel weights.
+
+    ``reg`` is ``_regularizer(prob, disp)``, passed in so that trial steps
+    which leave ``disp`` unchanged do not recompute it.
+    """
     pix, depth = prob._project(pose, disp)
     ok = (depth > 0) & np.all(idx >= 0, axis=1)
     cost = 0.0
@@ -315,7 +326,7 @@ def _surrogate_cost(
         cost += float(np.sum(gamma[ok] * np.sum(diffs * diffs, axis=2))) / (2.0 * ell * ell)
     psi = _PRIOR_SCALE * _log_to_init(prob, pose)
     cost += prob.weights.pose_prior * float(psi @ psi)
-    cost += prob.weights.deform * _regularizer(prob, disp)
+    cost += prob.weights.deform * reg
     return cost
 
 
@@ -464,26 +475,64 @@ def _solve_step(app, apr, arr_parts, gp, gr, damping, rotation_locked=False):
     return delta_p, delta_r.reshape(n, 3)
 
 
-def solve(prob: RegistrationProblem, cfg: SolverConfig | None = None) -> RegistrationState:
+def _predicted_decrease(app, apr, arr_parts, gp, gr, rotation_locked) -> float:
+    """Surrogate decrease the undamped Gauss-Newton step promises, g'A^-1 g / 2.
+
+    inf when the normal equations are singular.
+    """
+    try:
+        delta_p, delta_r = _solve_step(app, apr, arr_parts, gp, gr, 0.0, rotation_locked)
+    except (np.linalg.LinAlgError, RuntimeError):
+        return np.inf
+    return -0.5 * float(gp @ delta_p + (0.0 if delta_r is None else np.sum(gr * delta_r)))
+
+
+def solve(
+    prob: RegistrationProblem,
+    cfg: SolverConfig | None = None,
+    warm: RegistrationState | None = None,
+) -> RegistrationState:
     """Run IRLS with LM inner steps and bandwidth annealing.
 
     The deformation field stays frozen until the first bandwidth halving, then
     is optimized jointly with the pose (when cfg.optimize_deformation). The
     surrogate cost never increases across accepted LM steps; each converged
     bandwidth stage advances the annealing schedule immediately.
+
+    A cold solve (``warm`` is None) starts at a bandwidth equal to the largest
+    initial neighbour distance and keeps the rotation locked for the first
+    stage. A warm solve continues from ``warm``, the state the previous frame
+    returned: it starts at ``warm.bandwidth_px`` (not below the floor) with the
+    rotation free, so a frame whose ``prob`` was built by ``with_frame`` from
+    the previous pose does not anneal again. Only the first frame of a
+    sequence anneals. The pose still starts at ``prob.init_pose`` and the
+    displacements at zero.
+
+    ``converged`` is True when the solve stopped at the floor bandwidth with
+    the freshly reweighted surrogate solved: either its first LM step was
+    shorter than ``cfg.tol``, or no LM step lowered it and the undamped
+    Gauss-Newton step promises a relative decrease of at most ``cfg.tol``. A
+    solve that runs out of ``cfg.max_outer_iters`` reports False.
     """
     cfg = cfg or SolverConfig()
     n = len(prob.points3)
     pose = prob.init_pose
     disp = np.zeros((n, 3))
-    pix, depth = prob._project(pose, disp)
-    idx0, dist0, ok0 = _match_neighbors(prob, pix, depth)
-    ell = cfg.bandwidth_floor_px
-    if np.any(ok0):
-        ell = max(cfg.bandwidth_init_scale * float(np.nanmax(dist0[ok0])), cfg.bandwidth_floor_px)
+    if warm is None:
+        pix, depth = prob._project(pose, disp)
+        idx0, dist0, ok0 = _match_neighbors(prob, pix, depth)
+        ell = cfg.bandwidth_floor_px
+        if np.any(ok0):
+            ell = max(float(np.nanmax(dist0[ok0])), cfg.bandwidth_floor_px)
+        stage = 0
+    else:
+        if not (np.isfinite(warm.bandwidth_px) and warm.bandwidth_px > 0.0):
+            raise ValueError("warm-start bandwidth must be positive and finite")
+        ell = max(float(warm.bandwidth_px), cfg.bandwidth_floor_px)
+        stage = 1
     damping = cfg.lm_damping_init
     history: list[dict] = []
-    stage = 0
+    reg = _regularizer(prob, disp)
     converged = False
     outer_done = 0
     for outer in range(cfg.max_outer_iters):
@@ -496,8 +545,10 @@ def solve(prob: RegistrationProblem, cfg: SolverConfig | None = None) -> Registr
         rot_locked = stage == 0
         first_step = None
         first_stalled = False
+        # An accepted candidate's cost is the next inner iteration's starting
+        # cost: same pose, displacements and frozen weights.
+        cost0 = _surrogate_cost(prob, pose, disp, idx, gamma, ell, reg)
         for inner in range(cfg.inner_iters):
-            cost0 = _surrogate_cost(prob, pose, disp, idx, gamma, ell)
             app, apr, arr_parts, gp, gr = _normal_equations(prob, pose, disp, idx, gamma, ell, active)
             accepted = False
             step = 0.0
@@ -510,8 +561,12 @@ def solve(prob: RegistrationProblem, cfg: SolverConfig | None = None) -> Registr
                     delta_p, delta_r = None, None
                 if delta_p is not None and np.all(np.isfinite(delta_p)):
                     cand_pose = pose.compose(se3_exp(delta_p))
-                    cand_disp = disp if delta_r is None else disp + delta_r
-                    cost1 = _surrogate_cost(prob, cand_pose, cand_disp, idx, gamma, ell)
+                    if delta_r is None:
+                        cand_disp, cand_reg = disp, reg
+                    else:
+                        cand_disp = disp + delta_r
+                        cand_reg = _regularizer(prob, cand_disp)
+                    cost1 = _surrogate_cost(prob, cand_pose, cand_disp, idx, gamma, ell, cand_reg)
                 else:
                     cost1 = np.inf
                 if np.isfinite(cost1) and cost1 < cost0:
@@ -527,7 +582,7 @@ def solve(prob: RegistrationProblem, cfg: SolverConfig | None = None) -> Registr
                             "accepted": True,
                         }
                     )
-                    pose, disp = cand_pose, cand_disp
+                    pose, disp, reg, cost0 = cand_pose, cand_disp, cand_reg, cost1
                     damping = max(damping / cfg.lm_damping_down, 1e-12)
                     accepted = True
                     break
@@ -545,7 +600,12 @@ def solve(prob: RegistrationProblem, cfg: SolverConfig | None = None) -> Registr
         # just mean this one surrogate is solved.
         if first_stalled or first_step < cfg.tol:
             if ell <= cfg.bandwidth_floor_px:
-                converged = not first_stalled
+                # A stall counts as convergence when the undamped Gauss-Newton
+                # model promises no relative decrease above tol, so rounding
+                # noise at the optimum is not read as failure.
+                converged = not first_stalled or (
+                    _predicted_decrease(app, apr, arr_parts, gp, gr, rot_locked) <= cfg.tol * cost0
+                )
                 break
             ell = max(ell / 2.0, cfg.bandwidth_floor_px)
             stage += 1

@@ -10,6 +10,7 @@ while backing up.
 import numpy as np
 import pytest
 
+from vesselnav.cli import parse_suite, standard_config_text
 from vesselnav.navigator import (
     EpisodeConfig,
     Navigator,
@@ -165,3 +166,14 @@ class TestEpisodes:
         config = EpisodeConfig(use_oracle_perception=True, actuation_noise=ActuationNoise.off())
         report = run_episode(tree, (0, 20), dest, seed=2, config=config)
         assert report.success
+
+    def test_standard_tasks_full_perception(self, tmp_path):
+        # Every stage runs: imaging, segmentation, thinning, warm-started
+        # registration, lifting, planning, control and actuation.
+        cfg = tmp_path / "standard.ini"
+        cfg.write_text(standard_config_text(oracle=False))
+        suite = parse_suite(cfg)
+        assert len(suite.tasks) == 5 and not suite.episode.use_oracle_perception
+        for task in suite.tasks:
+            report = run_episode(suite.tree, task.start, task.dest, seed=0, config=suite.episode)
+            assert report.success, f"task {task.name} failed after {report.loops} loops"

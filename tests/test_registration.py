@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import logm
 
 from vesselnav import registration
-from vesselnav.geometry import CameraModel, Pose, se3_exp
+from vesselnav.geometry import CameraModel, Pose, se3_exp, so3_log
 from vesselnav.registration import (
     _PRIOR_SCALE,
     DeformationField,
@@ -212,7 +212,7 @@ class TestSurrogate:
         # surrogate changes by at least as much as the true data energy term
         # for any candidate state (tangent majorization of the exponential).
         rng = np.random.default_rng(17)
-        from vesselnav.registration import _surrogate_cost
+        from vesselnav.registration import _regularizer, _surrogate_cost
 
         for _ in range(25):
             prob = small_problem(rng)
@@ -229,8 +229,12 @@ class TestSurrogate:
             e_cand = eval_objective(prob, cand)
             if e_cand.behind_camera or e_ref.behind_camera:
                 continue
-            s_ref = _surrogate_cost(prob, ref.pose, ref.deformation.displacements, idx, gamma, ell)
-            s_cand = _surrogate_cost(prob, cand.pose, cand.deformation.displacements, idx, gamma, ell)
+            def surrogate(state):
+                disp = state.deformation.displacements
+                return _surrogate_cost(prob, state.pose, disp, idx, gamma, ell, _regularizer(prob, disp))
+
+            s_ref = surrogate(ref)
+            s_cand = surrogate(cand)
             # compare only the data parts: subtract identical prior and reg rows
             def aux(state):
                 w = prob.weights
@@ -327,6 +331,93 @@ class TestRecovery:
         ha = [(h["cost_before"], h["cost_after"], h["step_norm"]) for h in a.diagnostics["history"]]
         hb = [(h["cost_before"], h["cost_after"], h["step_norm"]) for h in b.diagnostics["history"]]
         assert ha == hb
+
+
+@pytest.fixture(scope="module")
+def clean_cold(scene):
+    """The first of criterion 3's perturbed clean problems, solved cold."""
+    prob0, true_c, pix = scene
+    rng = np.random.default_rng(303)
+    d = rng.normal(size=3)
+    t = rng.uniform(0.0, 10.0) * d / np.linalg.norm(d)
+    a = rng.normal(size=3)
+    r = np.deg2rad(rng.uniform(0.0, 5.0)) * a / np.linalg.norm(a)
+    prob = prob0.with_frame(pix, prob0.pose_to_world(true_c.compose(se3_exp(np.concatenate([t, r])))))
+    return prob, solve(prob, SolverConfig(optimize_deformation=False))
+
+
+def rotation_angle_deg(a, b):
+    return float(np.degrees(np.linalg.norm(so3_log(a.rotation.T @ b.rotation))))
+
+
+class TestConvergedFlag:
+    def test_stall_at_optimum_is_converged(self, clean_cold):
+        _, st = clean_cold
+        hist = st.diagnostics["history"]
+        # The solve ends in a stall at the floor bandwidth: its last outer
+        # iteration accepted no LM step, with the pose at the optimum up to
+        # rounding.
+        assert hist[-1]["outer"] < st.iteration - 1
+        assert st.bandwidth_px == SolverConfig().bandwidth_floor_px
+        assert st.converged
+
+    def test_exhausted_iteration_budget_is_not_converged(self, clean_cold):
+        prob, _ = clean_cold
+        st = solve(prob, SolverConfig(optimize_deformation=False, max_outer_iters=1))
+        assert st.iteration == 1
+        assert not st.converged
+
+
+class TestWarmStart:
+    cfg = SolverConfig(optimize_deformation=False)
+
+    def test_unchanged_frame_stays_at_optimum(self, scene, clean_cold):
+        prob0, _, pix = scene
+        prob, prev = clean_cold
+        # Frame-to-frame re-solves of one image, as run_episode does. The pose
+        # prior is anchored at each frame's start pose, so each re-solve drops
+        # part of the pull of the cold start's anchor and moves a little less
+        # than the one before, until a re-solve leaves the pose where it is.
+        iters, moves = [], []
+        for _ in range(3):
+            frame = prob0.with_frame(pix, prob.pose_to_world(prev.pose))
+            st = solve(frame, self.cfg, warm=prev)
+            assert st.converged
+            iters.append(st.iteration)
+            moves.append(np.abs(st.pose.matrix() - prev.pose.matrix()).max())
+            prob, prev = frame, st
+        assert moves[0] < 1e-4
+        assert moves[0] > moves[1] > moves[2]
+        assert iters[-1] <= 2 and moves[-1] < 1e-6
+
+    def test_rotation_offset_is_recovered(self, scene, clean_cold):
+        prob0, _, pix = scene
+        _, prev = clean_cold
+        axis = np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0)
+        start = prev.pose.compose(se3_exp(np.concatenate([np.zeros(3), np.deg2rad(1.0) * axis])))
+        frame = prob0.with_frame(pix, prob0.pose_to_world(start))
+        st = solve(frame, self.cfg, warm=prev)
+        # A rotation-locked first stage would keep the 1 degree offset.
+        assert rotation_angle_deg(st.pose, prev.pose) < 0.2
+        assert max(h["bandwidth"] for h in st.diagnostics["history"]) <= prev.bandwidth_px
+
+    def test_bandwidth_starts_at_warm_state(self, scene):
+        prob0, true_c, pix = scene
+        start = true_c.compose(se3_exp(np.array([1.0, -0.5, 2.0, 0.0, 0.0, 0.0])))
+        frame = prob0.with_frame(pix, prob0.pose_to_world(start))
+        prev = RegistrationState(start, DeformationField.zeros(len(frame.points3)), 4.0)
+        st = solve(frame, self.cfg, warm=prev)
+        bws = [h["bandwidth"] for h in st.diagnostics["history"]]
+        assert bws[0] == prev.bandwidth_px
+        assert max(bws) <= prev.bandwidth_px
+        assert st.bandwidth_px == self.cfg.bandwidth_floor_px
+
+    def test_rejects_unusable_bandwidth(self, scene):
+        prob0, true_c, pix = scene
+        frame = prob0.with_frame(pix, prob0.pose_to_world(true_c))
+        prev = RegistrationState(true_c, DeformationField.zeros(len(frame.points3)), float("nan"))
+        with pytest.raises(ValueError):
+            solve(frame, self.cfg, warm=prev)
 
 
 class TestStepFailures:
