@@ -16,6 +16,12 @@ import numpy as np
 
 _SMALL_ANGLE = 1e-6
 
+# Pose accepts R when every entry of R R^T is within these bounds of the
+# identity: np.allclose(R R^T, I, atol=1e-9) written out, whose per-entry
+# tolerance is atol + rtol * |I| with rtol = 1e-5. NaN entries fail.
+_EYE3 = np.eye(3)
+_ORTHONORMAL_TOL = 1e-9 + 1e-5 * _EYE3
+
 
 class BehindCameraError(ValueError):
     """Point has non-positive depth in the camera frame."""
@@ -146,9 +152,10 @@ class Pose:
         tra = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)
-        if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9):
+        if not (np.abs(rot @ rot.T - _EYE3) <= _ORTHONORMAL_TOL).all():
             raise ValueError("rotation is not orthonormal")
-        if abs(float(np.linalg.det(rot)) - 1.0) > 1e-9:
+        (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
+        if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > 1e-9:
             raise ValueError("rotation determinant is not +1")
 
     @staticmethod
@@ -250,17 +257,10 @@ def project_points(points3: np.ndarray, pose: Pose, cam: CameraModel) -> tuple[n
     Returns (pixels (N,2), depth (N,)). Rows with depth <= 0 hold NaN pixels;
     callers filter on depth instead of catching exceptions.
     """
-    _, pix, depth = _project_homogeneous(points3, pose, cam)
-    return pix, depth
-
-
-def _project_homogeneous(points3: np.ndarray, pose: Pose, cam: CameraModel):
-    """Homogeneous image coordinates ``h = K [R x + t; 1]`` (N,3) with the
-    pixels and depths of project_points."""
     z = pose.apply(np.asarray(points3, dtype=float).reshape(-1, 3))
     h = z @ cam.intrinsics[:, :3].T + cam.intrinsics[:, 3]
     depth = h[:, 2].copy()
     pix = np.full((len(h), 2), np.nan)
     ok = depth > 0.0
     pix[ok] = h[ok, :2] / depth[ok, None]
-    return h, pix, depth
+    return pix, depth

@@ -12,18 +12,25 @@ is minimized by iteratively reweighted least squares: kernel weights are
 frozen at the current state, the resulting weighted least-squares surrogate is
 stepped by Levenberg-Marquardt, and the kernel bandwidth is halved on a fixed
 schedule down to a floor.
+
+With the weights frozen, a point's k-neighbour surrogate term equals a
+weighted squared distance to one target point plus a constant (see _Targets;
+the "virtual point" of EM-ICP, Granger & Pennec, ECCV 2002), so each LM trial
+costs O(n) in the model points, not O(nk). ``_dense_residuals`` and
+``_dense_jacobian`` keep the k-neighbour form as the reference path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
-from .geometry import CameraModel, Pose, _project_homogeneous, project_points, se3_exp, se3_log, se3_right_jacobian_inv
+from .geometry import CameraModel, Pose, project_points, se3_exp, se3_log, se3_right_jacobian_inv
 from .vessel_model import VesselTree
 
 
@@ -304,91 +311,118 @@ def reprojection_rmse(prob: RegistrationProblem, state: RegistrationState, refer
 _DIAG_FLOOR = 1e-12
 
 
+class _Projection(NamedTuple):
+    """Deformed model points ``y`` with their pixels and depths at one state."""
+
+    y: np.ndarray
+    pix: np.ndarray
+    depth: np.ndarray
+
+
+def _projection(prob: RegistrationProblem, pose: Pose, disp: np.ndarray) -> _Projection:
+    y = prob.points3 + disp
+    return _Projection(y, *project_points(y, pose, prob.cam))
+
+
+class _Targets(NamedTuple):
+    """One weighted target per model point for frozen kernel weights.
+
+    For a row whose k matches all exist, with weights gamma_ij on 2D points
+    q_ij:
+    s_i    = sum_j gamma_ij
+    qbar_i = sum_j gamma_ij q_ij / s_i
+    c_i    = sum_j gamma_ij |q_ij - qbar_i|^2
+    so that sum_j gamma_ij |u - q_ij|^2 = s_i |u - qbar_i|^2 + c_i for any
+    pixel u. A row with an unmatched neighbour (idx -1) counts as having no
+    matches: it and every row whose weights all underflowed hold s_i = 0,
+    qbar_i = 0 and c_i = 0, so it adds nothing to the surrogate.
+    """
+
+    s: np.ndarray
+    qbar: np.ndarray
+    c: np.ndarray
+
+
+def _weighted_targets(prob: RegistrationProblem, idx: np.ndarray, gamma: np.ndarray) -> _Targets:
+    matched = np.all(idx >= 0, axis=1)
+    g = np.where(matched[:, None], gamma, 0.0)
+    q = prob.points2[idx]  # rows with idx == -1 gather a real point and weigh it by 0
+    s = g.sum(axis=1)
+    qbar = np.einsum("nk,nkd->nd", g, q) / np.where(s > 0.0, s, 1.0)[:, None]
+    # centred spread, so that large pixel coordinates do not cancel
+    dq = q - qbar[:, None, :]
+    c = np.einsum("nk,nk->n", g, np.einsum("nkd,nkd->nk", dq, dq))
+    return _Targets(s, qbar, c)
+
+
 def _surrogate_cost(
     prob: RegistrationProblem,
     pose: Pose,
-    disp: np.ndarray,
-    idx: np.ndarray,
-    gamma: np.ndarray,
+    proj: _Projection,
+    targets: _Targets,
     ell: float,
     reg: float,
 ) -> float:
     """Weighted least-squares surrogate with frozen kernel weights.
 
-    ``reg`` is ``_regularizer(prob, disp)``, passed in so that trial steps
-    which leave ``disp`` unchanged do not recompute it.
+    ``proj`` is ``_projection(prob, pose, disp)`` and ``reg`` is
+    ``_regularizer(prob, disp)``; both are passed in so that the solver
+    computes each once per state.
     """
-    pix, depth = prob._project(pose, disp)
-    ok = (depth > 0) & np.all(idx >= 0, axis=1)
-    cost = 0.0
-    if np.any(ok):
-        diffs = pix[ok, None, :] - prob.points2[idx[ok]]
-        cost += float(np.sum(gamma[ok] * np.sum(diffs * diffs, axis=2))) / (2.0 * ell * ell)
+    r = proj.pix - targets.qbar
+    per_point = targets.s * np.einsum("ij,ij->i", r, r) + targets.c
+    data = float(np.sum(per_point, where=proj.depth > 0))
     psi = _PRIOR_SCALE * _log_to_init(prob, pose)
-    cost += prob.weights.pose_prior * float(psi @ psi)
-    cost += prob.weights.deform * reg
-    return cost
+    return data / (2.0 * ell * ell) + prob.weights.pose_prior * float(psi @ psi) + prob.weights.deform * reg
 
 
-def _projection_jacobians(prob: RegistrationProblem, pose: Pose, disp: np.ndarray):
-    """Per-point pixel positions, depths, and 2x3 pixel-vs-camera-point blocks."""
-    y = prob.points3 + disp
-    h, pix, depth = _project_homogeneous(y, pose, prob.cam)
-    a = prob.cam.intrinsics[:, :3]
-    ok = depth > 0
-    # d(pix)/dz = (A[:2] * h2 - h[:2] outer A[2]) / h2^2
-    p_blocks = np.zeros((len(h), 2, 3))
-    if np.any(ok):
-        h2 = depth[ok]
-        p_blocks[ok] = (a[None, :2, :] * h2[:, None, None] - h[ok][:, :2, None] * a[None, 2, :]) / (
-            h2 ** 2
-        )[:, None, None]
-    return y, pix, depth, p_blocks
+def _pixel_jacobians(prob: RegistrationProblem, pose: Pose, proj: _Projection):
+    """2x6 pose (twist) and 2x3 displacement Jacobians of every pixel.
+
+    Rows behind the camera get zero blocks.
+    """
+    ok = proj.depth > 0
+    m = prob.cam.intrinsics[:, :3] @ pose.rotation
+    pix = np.where(ok[:, None], proj.pix, 0.0)
+    inv_depth = np.divide(1.0, proj.depth, out=np.zeros(len(ok)), where=ok)
+    # d(pix)/dy = (M[:2] - pix outer M[2]) / depth with M = A R
+    h_blocks = (m[:2] - pix[:, :, None] * m[2]) * inv_depth[:, None, None]
+    g_blocks = np.empty((len(ok), 2, 6))
+    g_blocks[:, :, :3] = h_blocks
+    # rotation columns: -H skew(y), i.e. y x (each row of H)
+    y = proj.y[:, None, :]
+    g_blocks[:, :, 3] = y[..., 1] * h_blocks[..., 2] - y[..., 2] * h_blocks[..., 1]
+    g_blocks[:, :, 4] = y[..., 2] * h_blocks[..., 0] - y[..., 0] * h_blocks[..., 2]
+    g_blocks[:, :, 5] = y[..., 0] * h_blocks[..., 1] - y[..., 1] * h_blocks[..., 0]
+    return g_blocks, h_blocks
 
 
-def _data_blocks(prob, pose, disp, idx, gamma, ell):
+def _data_blocks(prob, pose, proj, targets, ell):
     """Per-point quantities entering the normal equations for the data term.
 
-    Returns (s, gvec, G, H, ok) where for each visible matched point i:
+    Returns (s, gvec, G, H) where for each visible matched point i (zero
+    s and gvec elsewhere):
     s_i    = sum_j gamma_ij / (2 ell^2)
-    gvec_i = sum_j gamma_ij (u_i - q_j) / (2 ell^2)
+    gvec_i = sum_j gamma_ij (u_i - q_ij) / (2 ell^2) = s_i (u_i - qbar_i)
     G_i    = 2x6 pose Jacobian of u_i,  H_i = 2x3 displacement Jacobian.
     """
-    y, pix, depth, p_blocks = _projection_jacobians(prob, pose, disp)
-    n = len(y)
-    ok = (depth > 0) & np.all(idx >= 0, axis=1)
-    inv2l2 = 1.0 / (2.0 * ell * ell)
-    s = np.zeros(n)
-    gvec = np.zeros((n, 2))
-    if np.any(ok):
-        g = gamma[ok] * inv2l2
-        s[ok] = g.sum(axis=1)
-        diffs = pix[ok, None, :] - prob.points2[idx[ok]]
-        gvec[ok] = np.sum(g[:, :, None] * diffs, axis=1)
-    rot = pose.rotation
-    h_blocks = p_blocks @ rot
-    g_blocks = np.zeros((n, 2, 6))
-    g_blocks[:, :, :3] = h_blocks
-    # column block for rotation: -R skew(y) applied through the pixel Jacobian
-    ys = np.zeros((n, 3, 3))
-    ys[:, 0, 1] = -y[:, 2]
-    ys[:, 0, 2] = y[:, 1]
-    ys[:, 1, 0] = y[:, 2]
-    ys[:, 1, 2] = -y[:, 0]
-    ys[:, 2, 0] = -y[:, 1]
-    ys[:, 2, 1] = y[:, 0]
-    g_blocks[:, :, 3:] = -np.einsum("nij,njk->nik", h_blocks, ys)
-    return s, gvec, g_blocks, h_blocks, ok
+    ok = proj.depth > 0
+    s = np.where(ok, targets.s, 0.0) / (2.0 * ell * ell)
+    gvec = s[:, None] * np.where(ok[:, None], proj.pix - targets.qbar, 0.0)
+    g_blocks, h_blocks = _pixel_jacobians(prob, pose, proj)
+    return s, gvec, g_blocks, h_blocks
 
 
-def _normal_equations(prob, pose, disp, idx, gamma, ell, active_deform):
+def _normal_equations(prob, pose, disp, proj, targets, ell, active_deform):
     """Gauss-Newton blocks App, Apr, Arr, gp, gr of the surrogate at the state."""
-    s, gvec, g_blocks, h_blocks, ok = _data_blocks(prob, pose, disp, idx, gamma, ell)
+    s, gvec, g_blocks, h_blocks = _data_blocks(prob, pose, proj, targets, ell)
     n = len(prob.points3)
     w = prob.weights
 
-    app = np.einsum("nai,n,naj->ij", g_blocks, s, g_blocks)
-    gp = np.einsum("nai,na->i", g_blocks, gvec)
+    gs = g_blocks * s[:, None, None]
+    g_rows = g_blocks.reshape(2 * n, 6)
+    app = gs.reshape(2 * n, 6).T @ g_rows
+    gp = g_rows.T @ gvec.reshape(2 * n)
     psi = _log_to_init(prob, pose)
     jr = _PRIOR_SCALE[:, None] * se3_right_jacobian_inv(psi)
     app += w.pose_prior * jr.T @ jr
@@ -397,8 +431,8 @@ def _normal_equations(prob, pose, disp, idx, gamma, ell, active_deform):
     if not active_deform:
         return app, None, None, gp, None
 
-    apr = np.einsum("nai,n,naj->nij", g_blocks, s, h_blocks)  # (n, 6, 3)
-    arr_diag = np.einsum("nai,n,naj->nij", h_blocks, s, h_blocks)  # (n, 3, 3)
+    apr = np.transpose(gs, (0, 2, 1)) @ h_blocks  # (n, 6, 3)
+    arr_diag = np.transpose(h_blocks * s[:, None, None], (0, 2, 1)) @ h_blocks  # (n, 3, 3)
     gr = np.einsum("nai,na->ni", h_blocks, gvec)
 
     lm = w.deform * w.deform_magnitude
@@ -518,9 +552,10 @@ def solve(
     n = len(prob.points3)
     pose = prob.init_pose
     disp = np.zeros((n, 3))
+    # projection of the current (pose, disp); an accepted candidate brings its own
+    proj = _projection(prob, pose, disp)
     if warm is None:
-        pix, depth = prob._project(pose, disp)
-        idx0, dist0, ok0 = _match_neighbors(prob, pix, depth)
+        idx0, dist0, ok0 = _match_neighbors(prob, proj.pix, proj.depth)
         ell = cfg.bandwidth_floor_px
         if np.any(ok0):
             ell = max(float(np.nanmax(dist0[ok0])), cfg.bandwidth_floor_px)
@@ -537,19 +572,18 @@ def solve(
     outer_done = 0
     for outer in range(cfg.max_outer_iters):
         outer_done = outer + 1
-        pix, depth = prob._project(pose, disp)
-        idx, dist, okm = _match_neighbors(prob, pix, depth)
+        idx, dist, okm = _match_neighbors(prob, proj.pix, proj.depth)
         gamma = np.where(okm[:, None], prob.per_point[:, None] * np.exp(-dist ** 2 / (2.0 * ell * ell)), 0.0)
-        gamma = np.nan_to_num(gamma)
+        targets = _weighted_targets(prob, idx, np.nan_to_num(gamma))
         active = cfg.optimize_deformation and ell <= cfg.bandwidth_floor_px
         rot_locked = stage == 0
         first_step = None
         first_stalled = False
         # An accepted candidate's cost is the next inner iteration's starting
         # cost: same pose, displacements and frozen weights.
-        cost0 = _surrogate_cost(prob, pose, disp, idx, gamma, ell, reg)
+        cost0 = _surrogate_cost(prob, pose, proj, targets, ell, reg)
         for inner in range(cfg.inner_iters):
-            app, apr, arr_parts, gp, gr = _normal_equations(prob, pose, disp, idx, gamma, ell, active)
+            app, apr, arr_parts, gp, gr = _normal_equations(prob, pose, disp, proj, targets, ell, active)
             accepted = False
             step = 0.0
             while True:
@@ -566,7 +600,8 @@ def solve(
                     else:
                         cand_disp = disp + delta_r
                         cand_reg = _regularizer(prob, cand_disp)
-                    cost1 = _surrogate_cost(prob, cand_pose, cand_disp, idx, gamma, ell, cand_reg)
+                    cand_proj = _projection(prob, cand_pose, cand_disp)
+                    cost1 = _surrogate_cost(prob, cand_pose, cand_proj, targets, ell, cand_reg)
                 else:
                     cost1 = np.inf
                 if np.isfinite(cost1) and cost1 < cost0:
@@ -582,7 +617,7 @@ def solve(
                             "accepted": True,
                         }
                     )
-                    pose, disp, reg, cost0 = cand_pose, cand_disp, cand_reg, cost1
+                    pose, disp, proj, reg, cost0 = cand_pose, cand_disp, cand_proj, cand_reg, cost1
                     damping = max(damping / cfg.lm_damping_down, 1e-12)
                     accepted = True
                     break
@@ -663,7 +698,9 @@ def _dense_jacobian(prob, pose, disp, idx, gamma, ell, active_deform=True):
     """Analytic Jacobian of _dense_residuals w.r.t. [pose twist, displacements]."""
     n = len(prob.points3)
     ncols = 6 + (3 * n if active_deform else 0)
-    s, gvec, g_blocks, h_blocks, ok_mask = _data_blocks(prob, pose, disp, idx, gamma, ell)
+    proj = _projection(prob, pose, disp)
+    g_blocks, h_blocks = _pixel_jacobians(prob, pose, proj)
+    ok_mask = np.all(idx >= 0, axis=1) & (proj.depth > 0)
     blocks = []
     inv = 1.0 / np.sqrt(2.0 * ell * ell)
     for i in np.flatnonzero(ok_mask):

@@ -136,6 +136,32 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(reflection, np.zeros(3))
 
+    def test_tolerance_boundaries(self):
+        # Orthonormality allows 1e-9 off the diagonal of R R^T and 1e-5 more
+        # on it; the determinant must be +1 to 1e-9.
+        for err, accepted in ((0.9e-9, True), (1.1e-9, False)):
+            shear = np.eye(3)
+            shear[0, 1] = err  # R R^T is off by err at (0, 1), det stays 1
+            if accepted:
+                Pose(shear, np.zeros(3))
+            else:
+                with pytest.raises(ValueError):
+                    Pose(shear, np.zeros(3))
+        for stretch, accepted in ((4e-6, True), (6e-6, False)):
+            # R R^T is off by about 2 * stretch on the diagonal, det stays 1
+            squeeze = np.diag([1.0 + stretch, 1.0 / (1.0 + stretch), 1.0])
+            if accepted:
+                Pose(squeeze, np.zeros(3))
+            else:
+                with pytest.raises(ValueError):
+                    Pose(squeeze, np.zeros(3))
+        nan_rotation = np.eye(3)
+        nan_rotation[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            Pose(nan_rotation, np.zeros(3))
+        with pytest.raises(ValueError):
+            Pose(np.diag([1.0, -1.0, 1.0]), np.zeros(3))
+
 
 class TestProjection:
     def test_pinhole_formula(self):

@@ -19,10 +19,15 @@ from vesselnav.registration import (
     RegistrationState,
     SolverConfig,
     Weights,
+    _data_blocks,
     _dense_jacobian,
     _dense_residuals,
     _match_neighbors,
     _normal_equations,
+    _projection,
+    _regularizer,
+    _surrogate_cost,
+    _weighted_targets,
     eval_objective,
     reprojection_rmse,
     solve,
@@ -186,7 +191,9 @@ class TestJacobian:
             gamma = np.nan_to_num(np.where(ok[:, None], np.exp(-dist ** 2 / (2 * ell * ell)), 0.0))
             j = _dense_jacobian(prob, pose, disp, idx, gamma, ell, active_deform=active)
             rho = _dense_residuals(prob, pose, disp, idx, gamma, ell)
-            app, apr, arr_parts, gp, gr = _normal_equations(prob, pose, disp, idx, gamma, ell, active)
+            proj = _projection(prob, pose, disp)
+            targets = _weighted_targets(prob, idx, gamma)
+            app, apr, arr_parts, gp, gr = _normal_equations(prob, pose, disp, proj, targets, ell, active)
             jtj = j.T @ j
             jtr = j.T @ rho
             assert np.allclose(app, jtj[:6, :6], atol=1e-9)
@@ -212,8 +219,6 @@ class TestSurrogate:
         # surrogate changes by at least as much as the true data energy term
         # for any candidate state (tangent majorization of the exponential).
         rng = np.random.default_rng(17)
-        from vesselnav.registration import _regularizer, _surrogate_cost
-
         for _ in range(25):
             prob = small_problem(rng)
             ref = random_state(prob, rng, disp_scale=0.2)
@@ -222,6 +227,7 @@ class TestSurrogate:
             idx, dist, ok = _match_neighbors(prob, pix, depth)
             assert np.all(ok)
             gamma = prob.per_point[:, None] * np.exp(-dist ** 2 / (2 * ell * ell))
+            targets = _weighted_targets(prob, idx, gamma)
 
             cand = random_state(prob, rng, disp_scale=0.2)
             cand.bandwidth_px = ell
@@ -231,7 +237,8 @@ class TestSurrogate:
                 continue
             def surrogate(state):
                 disp = state.deformation.displacements
-                return _surrogate_cost(prob, state.pose, disp, idx, gamma, ell, _regularizer(prob, disp))
+                proj = _projection(prob, state.pose, disp)
+                return _surrogate_cost(prob, state.pose, proj, targets, ell, _regularizer(prob, disp))
 
             s_ref = surrogate(ref)
             s_cand = surrogate(cand)
@@ -246,6 +253,50 @@ class TestSurrogate:
             lhs = (-e_cand.data) - (-e_ref.data)
             rhs = (s_cand - aux(cand)) - (s_ref - aux(ref))
             assert lhs <= rhs + 1e-9
+
+    def test_weighted_targets_match_k_neighbour_reference(self):
+        # The per-point targets must reproduce the k-neighbour surrogate of
+        # the reference path exactly (up to rounding), including rows that
+        # fall behind the camera after matching, unmatched rows and rows
+        # whose weights all underflow.
+        rng = np.random.default_rng(29)
+        for trial in range(20):
+            prob = small_problem(rng)
+            ref = random_state(prob, rng)
+            pix, depth = prob._project(ref.pose, ref.deformation.displacements)
+            idx, dist, ok = _match_neighbors(prob, pix, depth)
+            ell = 4.0
+            gamma = np.nan_to_num(np.where(ok[:, None], np.exp(-dist ** 2 / (2 * ell * ell)), 0.0))
+            idx[1] = -1  # unmatched row; its stale weights must not count
+            gamma[1] = rng.uniform(0.1, 1.0, prob.k_corr)
+            idx[2, 0] = -1  # partly unmatched rows count as unmatched
+            gamma[3] = np.exp(-np.full(prob.k_corr, 1e4))  # underflows to 0
+            assert np.all(gamma[3] == 0.0)
+
+            state = random_state(prob, rng)
+            pose, disp = state.pose, state.deformation.displacements.copy()
+            if trial % 2:
+                disp[4, 2] = -5000.0  # behind the camera, but matched
+            proj = _projection(prob, pose, disp)
+            assert (proj.depth[4] <= 0) == bool(trial % 2)
+            targets = _weighted_targets(prob, idx, gamma)
+            assert np.all(targets.s[1:4] == 0.0) and np.all(targets.c[1:4] == 0.0)
+
+            rho = _dense_residuals(prob, pose, disp, idx, gamma, ell)
+            got = _surrogate_cost(prob, pose, proj, targets, ell, _regularizer(prob, disp))
+            assert got == pytest.approx(float(rho @ rho), rel=1e-10)
+
+            s, gvec, _, _ = _data_blocks(prob, pose, proj, targets, ell)
+            want_s = np.zeros(len(disp))
+            want_g = np.zeros((len(disp), 2))
+            for i in range(len(disp)):
+                if np.any(idx[i] < 0) or proj.depth[i] <= 0:
+                    continue
+                for j, w in zip(idx[i], gamma[i]):
+                    want_s[i] += w / (2 * ell * ell)
+                    want_g[i] += w * (proj.pix[i] - prob.points2[j]) / (2 * ell * ell)
+            assert np.allclose(s, want_s, rtol=1e-12, atol=0.0)
+            assert np.allclose(gvec, want_g, rtol=1e-10, atol=1e-10 * np.abs(want_g).max())
 
     def test_accepted_steps_decrease_surrogate(self):
         rng = np.random.default_rng(23)
