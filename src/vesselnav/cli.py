@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import CameraModel
 from .navigator import EpisodeConfig, EpisodeReport, NavigatorParams, run_episode
-from .perception import NoiseSpec, RenderStyle
+from .perception import NoiseSpec
 from .planning import AddressError, plan
 from .simulator import ActuationNoise
 from .vessel_model import PhantomSpec, VesselTree, deserialize_tree, generate_phantom
@@ -101,6 +101,14 @@ def _get(section, key, conv, default):
         raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a {conv.__name__}") from None
 
 
+def _build(section_name: str, factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, its ValueError reported against the section."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"[{section_name}] {err}") from None
+
+
 def load_tree(cfg: configparser.ConfigParser, map_override: str | None = None) -> VesselTree:
     if map_override is not None:
         path = Path(map_override)
@@ -123,13 +131,15 @@ def load_tree(cfg: configparser.ConfigParser, map_override: str | None = None) -
         )
         if "seed" not in section:
             raise ConfigError("[phantom] needs a seed key")
-        return generate_phantom(spec, seed=_get(section, "seed", int, 0))
+        return _build("phantom", generate_phantom, spec, seed=_get(section, "seed", int, 0))
     raise ConfigError("config needs a [phantom] or [map] section")
 
 
 def _episode_config(cfg: configparser.ConfigParser, tip_seed: tuple[float, float] | None) -> EpisodeConfig:
     nav = cfg["navigator"] if cfg.has_section("navigator") else {}
-    params = NavigatorParams(
+    params = _build(
+        "navigator",
+        NavigatorParams,
         reach_threshold_mm=_get(nav, "reach_threshold_mm", float, 3.0),
         replan_after_misses=_get(nav, "replan_after_misses", int, 6),
         burst_low=_get(nav, "burst_low", int, 8),
@@ -149,7 +159,9 @@ def _episode_config(cfg: configparser.ConfigParser, tip_seed: tuple[float, float
     else:
         raise ConfigError(f"[noise] imaging = {imaging_kind!r} is not none or gaussian")
     camera_section = cfg["camera"] if cfg.has_section("camera") else {}
-    camera = CameraModel.standard(
+    camera = _build(
+        "camera",
+        CameraModel.standard,
         focal_px=_get(camera_section, "focal_px", float, 2500.0),
         image_size=(
             _get(camera_section, "width", int, 512),
@@ -158,13 +170,15 @@ def _episode_config(cfg: configparser.ConfigParser, tip_seed: tuple[float, float
         pixel_size=_get(camera_section, "pixel_size_mm", float, 0.30),
     )
     solver = cfg["solver"] if cfg.has_section("solver") else {}
+    spacing_mm = _get(solver, "spacing_mm", float, 0.5)
+    if not spacing_mm > 0.0:
+        raise ConfigError(f"[solver] spacing_mm = {spacing_mm!r} must be positive")
     return EpisodeConfig(
         max_loops=_get(solver, "max_loops", int, 500),
-        registration_spacing_mm=_get(solver, "spacing_mm", float, 0.5),
+        registration_spacing_mm=spacing_mm,
         use_oracle_perception=_get(solver, "oracle_perception", bool, False),
         actuation_noise=actuation,
         imaging_noise=imaging,
-        render_style=RenderStyle(),
         params=params,
         view_depth_mm=_get(camera_section, "view_depth_mm", float, 820.0),
         camera=camera,
@@ -208,6 +222,8 @@ def parse_suite(
         dest = parse_address(dest_override) if dest_override else parse_address(section["dest"])
         seeds = _parse_seeds(section["seeds"]) if "seeds" in section else default_seeds
         seeds = tuple(s + seed_offset for s in seeds)
+        if min(seeds) < 0:
+            raise ConfigError(f"[{section_name}] seed {min(seeds)} (after the seed offset) is negative")
         try:
             plan(tree, start, dest)
         except AddressError as err:
@@ -395,6 +411,8 @@ def dump_scene(suite: SuiteSpec, task_name: str, frame_range: range, seed: int |
     if suite.episode.use_oracle_perception:
         raise ConfigError("frame dumping needs full perception (oracle_perception = false)")
     seed = task.seeds[0] if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"seed {seed} is negative")
     directory = suite.outdir / "frames" / f"{task.name}-seed{seed}"
     dumper = _FrameDumper(directory, frame_range)
     run_episode(suite.tree, task.start, task.dest, seed=seed, config=suite.episode, frame_sink=dumper)

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registration import RegistrationProblem, RegistrationState
+from .registration import RegistrationProblem, RegistrationState, _projection
+
+# A tip farther than LIFT_GATE_PX from every projection is off the vessel;
+# model points within LIFT_TIE_PX of the best projection count as near-ties.
+LIFT_GATE_PX = 30.0
+LIFT_TIE_PX = 2.0
 
 
 class OffVesselError(RuntimeError):
@@ -43,29 +48,27 @@ def lift(
     tip2: np.ndarray,
     radii: np.ndarray,
     previous3: np.ndarray | None = None,
-    gate_px: float = 30.0,
-    tie_px: float = 2.0,
     spacing_mm: float = 1.0,
 ) -> LiftedTip:
     """Pick the model address whose projection best explains the 2D tip.
 
     ``radii`` holds the lumen radius per model point, aligned with
     ``prob.addresses``. Raises OffVesselError when no projection falls within
-    ``gate_px`` of the tip.
+    ``LIFT_GATE_PX`` of the tip.
     """
     if prob.addresses is None:
         raise ValueError("problem carries no addresses; build it with from_tree")
     tip2 = np.asarray(tip2, dtype=float).reshape(2)
-    pix, depth = prob._project(state.pose, state.deformation.displacements)
+    _, pix, depth = _projection(prob, state.pose, state.deformation.displacements)
     ok = depth > 0
     if not np.any(ok):
         raise OffVesselError("entire model is behind the camera")
     dist = np.full(len(pix), np.inf)
     dist[ok] = np.linalg.norm(pix[ok] - tip2, axis=1)
     best = float(dist.min())
-    if best > gate_px:
-        raise OffVesselError(f"nearest projection is {best:.1f}px away (gate {gate_px:.1f}px)")
-    candidates = np.flatnonzero(dist <= best + tie_px)
+    if best > LIFT_GATE_PX:
+        raise OffVesselError(f"nearest projection is {best:.1f}px away (gate {LIFT_GATE_PX:.1f}px)")
+    candidates = np.flatnonzero(dist <= best + LIFT_TIE_PX)
     if previous3 is not None and len(candidates) > 1:
         world = prob.points3[candidates] + prob.center
         d3 = np.linalg.norm(world - np.asarray(previous3, dtype=float), axis=1)

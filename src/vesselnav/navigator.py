@@ -18,7 +18,6 @@ from .lifting import OffVesselError, lift
 from .perception import (
     FrameRenderer,
     NoiseSpec,
-    RenderStyle,
     TrackedEndpoint,
     endpoint_candidates,
     frame_view_pose,
@@ -32,11 +31,17 @@ from .registration import (
     RegistrationProblem,
     RegistrationState,
     SolverConfig,
+    _projection,
     reprojection_rmse,
     solve,
 )
 from .simulator import ActuationNoise, ControlCommand, initial_wire, step, true_tip
 from .vessel_model import VesselTree, resample_centerlines
+
+# The wire's proximal end is a skeleton endpoint too, parked forever at the
+# insertion point; candidates this close to that known landmark are discarded
+# so the tracker cannot lock onto it.
+INTRODUCER_MASK_PX = 6.0
 
 
 @dataclass(frozen=True)
@@ -133,17 +138,12 @@ class EpisodeConfig:
     use_oracle_perception: bool = False
     actuation_noise: ActuationNoise | None = None
     imaging_noise: NoiseSpec | None = None
-    render_style: RenderStyle | None = None
     params: NavigatorParams | None = None
     view_depth_mm: float = 820.0
     camera: CameraModel | None = None
     # First-frame tracker seed in pixels; None bootstraps from the projected
     # true tip (the stand-in for a manually clicked endpoint).
     tip_seed_px: tuple[float, float] | None = None
-    # The wire's proximal end is a skeleton endpoint too, parked forever at
-    # the insertion point; candidates this close to that known landmark are
-    # discarded so the tracker cannot lock onto it.
-    introducer_mask_px: float = 6.0
 
 
 @dataclass(frozen=True)
@@ -184,10 +184,12 @@ def run_episode(
 ) -> EpisodeReport:
     """Drive one navigation episode through the full perception loop.
 
-    A single seeded generator drives, in fixed order per loop: the navigator's
-    burst draw, then the simulator's two actuation variates, then imaging
-    noise. With use_oracle_perception the imaging, segmentation, registration,
-    and lifting stages are bypassed and the true tip is fed to the navigator.
+    A single seeded generator drives, in fixed order per loop: the rendered
+    frame's imaging noise (when there is any), then the navigator's burst
+    draw (forward phase only; backing draws nothing), then the simulator's
+    two actuation variates. With use_oracle_perception the imaging,
+    segmentation, registration, and lifting stages are bypassed and the true
+    tip is fed to the navigator.
 
     ``frame_sink(loop_index, frame, info)`` is called once per rendered frame
     (full perception only) with the raster and a dict of overlay facts; it
@@ -203,8 +205,7 @@ def run_episode(
     if not oracle:
         cam = config.camera or CameraModel.standard()
         view = frame_view_pose(tree, depth_mm=config.view_depth_mm)
-        style = config.render_style or RenderStyle()
-        renderer = FrameRenderer(tree, view, cam, style=style)
+        renderer = FrameRenderer(tree, view, cam)
         reg_model = resample_centerlines(tree, config.registration_spacing_mm)
         reg_points, reg_addresses = reg_model.flat_points()
         reg_radii = np.array(
@@ -214,9 +215,9 @@ def run_episode(
             reg_model, np.zeros((1, 2)), cam, view
         )
         solver_cfg = SolverConfig(optimize_deformation=False)
-        true_reference = base_problem._project(
-            base_problem.pose_from_world(view), np.zeros((len(reg_points), 3))
-        )[0]
+        true_reference = _projection(
+            base_problem, base_problem.pose_from_world(view), np.zeros((len(reg_points), 3))
+        ).pix
         pose_world = view
         reg_state: RegistrationState | None = None
         tip_track: TrackedEndpoint | None = None
@@ -255,10 +256,7 @@ def run_episode(
             else:
                 candidates = endpoint_candidates(thin(wire_mask))
                 if len(candidates):
-                    away = (
-                        np.linalg.norm(candidates - introducer_px, axis=1)
-                        > config.introducer_mask_px
-                    )
+                    away = np.linalg.norm(candidates - introducer_px, axis=1) > INTRODUCER_MASK_PX
                     candidates = candidates[away]
             if tip_track is None:
                 if config.tip_seed_px is not None:

@@ -37,6 +37,8 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class RenderStyle:
+    """Gray levels and sizes of the rendered scene."""
+
     background: int = 220
     vessel_value: int = 150
     wire_value: int = 30
@@ -75,12 +77,10 @@ class TrackedEndpoint:
             raise ValueError("confidence must lie in [0, 1]")
 
 
-def frame_view_pose(tree: VesselTree, depth_mm: float = 820.0, rotation: np.ndarray | None = None) -> Pose:
-    """World-to-camera pose that centres the tree at the given depth."""
-    rot = np.eye(3) if rotation is None else np.asarray(rotation, dtype=float)
+def frame_view_pose(tree: VesselTree, depth_mm: float = 820.0) -> Pose:
+    """Unrotated world-to-camera pose that centres the tree at the given depth."""
     centroid = tree.flat_points()[0].mean(axis=0)
-    translation = np.array([0.0, 0.0, depth_mm]) - rot @ centroid
-    return Pose(rot, translation)
+    return Pose(np.eye(3), np.array([0.0, 0.0, depth_mm]) - centroid)
 
 
 def _draw_capsules(canvas: np.ndarray, pix: np.ndarray, widths: np.ndarray, value: int) -> None:
@@ -142,11 +142,11 @@ def _check_wire_in_lumen(tree: VesselTree, wire: np.ndarray, style: RenderStyle)
 class FrameRenderer:
     """Renders frames for a fixed scene; the static vessel layer is cached."""
 
-    def __init__(self, tree: VesselTree, pose: Pose, cam: CameraModel, style: RenderStyle | None = None):
+    def __init__(self, tree: VesselTree, pose: Pose, cam: CameraModel):
         self.tree = tree
         self.pose = pose
         self.cam = cam
-        self.style = style or RenderStyle()
+        self.style = RenderStyle()
         self._vessel_layer = _polyline_layers(tree, pose, cam, self.style)
 
     def render(

@@ -16,8 +16,8 @@ schedule down to a floor.
 With the weights frozen, a point's k-neighbour surrogate term equals a
 weighted squared distance to one target point plus a constant (see _Targets;
 the "virtual point" of EM-ICP, Granger & Pennec, ECCV 2002), so each LM trial
-costs O(n) in the model points, not O(nk). ``_dense_residuals`` and
-``_dense_jacobian`` keep the k-neighbour form as the reference path.
+costs O(n) in the model points, not O(nk). The tests keep the k-neighbour
+form, with its dense Jacobian, as the reference path.
 """
 
 from __future__ import annotations
@@ -40,6 +40,17 @@ from .vessel_model import VesselTree
 # overpower the data term for millimeter-scale corrections.
 _PRIOR_SCALE = np.array([1e-3, 1e-3, 1e-3, 1.0, 1.0, 1.0])
 
+# Fixed solver schedule: outer iterations per bandwidth halving, LM steps per
+# reweighting, the step length (and relative predicted decrease) that ends a
+# stage, and the Levenberg-Marquardt damping start, factors and cap.
+_ANNEAL_EVERY = 5
+_INNER_ITERS = 2
+_TOL = 1e-6
+_LM_DAMPING_INIT = 1e-3
+_LM_DAMPING_UP = 10.0
+_LM_DAMPING_DOWN = 10.0
+_LM_DAMPING_CAP = 1e8
+
 
 @dataclass(frozen=True)
 class Weights:
@@ -60,14 +71,7 @@ class Weights:
 @dataclass(frozen=True)
 class SolverConfig:
     max_outer_iters: int = 80
-    anneal_every: int = 5
-    inner_iters: int = 2
-    tol: float = 1e-6
     bandwidth_floor_px: float = 2.0
-    lm_damping_init: float = 1e-3
-    lm_damping_up: float = 10.0
-    lm_damping_down: float = 10.0
-    lm_damping_cap: float = 1e8
     optimize_deformation: bool = True
 
 
@@ -117,7 +121,7 @@ class RegistrationProblem:
 
     Model points are centered on their centroid so the rigid pose rotates the
     cloud about its own center; ``center`` restores world coordinates via
-    ``world = centered + center`` (after any calibration transform).
+    ``world = centered + center``.
     """
 
     def __init__(
@@ -127,7 +131,6 @@ class RegistrationProblem:
         cam: CameraModel,
         init_pose: Pose,
         weights: Weights | None = None,
-        per_point: np.ndarray | None = None,
         chain_pairs: np.ndarray | None = None,
         cross_pairs: np.ndarray | None = None,
         addresses: list[tuple[int, int]] | None = None,
@@ -146,9 +149,6 @@ class RegistrationProblem:
         self.init_pose = init_pose
         self._init_pose_inv = init_pose.inverse()
         self.weights = weights or Weights()
-        self.per_point = np.ones(n) if per_point is None else np.asarray(per_point, dtype=float).reshape(n)
-        if np.any(self.per_point < 0.0):
-            raise ValueError("per-point weights must be non-negative")
         self.addresses = addresses
         self.center = np.zeros(3) if center is None else np.asarray(center, dtype=float).reshape(3)
         self.k_requested = int(k_corr)
@@ -173,20 +173,13 @@ class RegistrationProblem:
         points2: np.ndarray,
         cam: CameraModel,
         init_pose_world: Pose,
-        calib: Pose | None = None,
-        weights: Weights | None = None,
-        per_point: np.ndarray | None = None,
-        k_corr: int = 8,
-        k_omega: int = 4,
     ) -> "RegistrationProblem":
         """Build a problem over every centerline point of the tree.
 
-        ``init_pose_world`` maps tree coordinates (after ``calib``) to the
-        camera frame; it is converted to act on centered points internally.
+        ``init_pose_world`` maps tree coordinates to the camera frame; it is
+        converted to act on centered points internally.
         """
         world, addresses = tree.flat_points()
-        if calib is not None:
-            world = calib.apply(world)
         center = world.mean(axis=0)
         centered = world - center
         chain: list[tuple[int, int]] = []
@@ -205,13 +198,9 @@ class RegistrationProblem:
             points2,
             cam,
             init_centered,
-            weights=weights,
-            per_point=per_point,
             chain_pairs=np.array(chain, dtype=int),
             addresses=addresses,
             center=center,
-            k_corr=k_corr,
-            k_omega=k_omega,
         )
 
     def with_frame(self, points2: np.ndarray, init_pose_world: Pose) -> "RegistrationProblem":
@@ -228,7 +217,6 @@ class RegistrationProblem:
             self.cam,
             _pose_from_world(init_pose_world, self.center),
             weights=self.weights,
-            per_point=self.per_point,
             chain_pairs=self.chain_pairs,
             cross_pairs=self.cross_pairs,
             addresses=self.addresses,
@@ -242,9 +230,6 @@ class RegistrationProblem:
     def pose_to_world(self, centered_pose: Pose) -> Pose:
         return Pose(centered_pose.rotation, centered_pose.translation - centered_pose.rotation @ self.center)
 
-    def _project(self, pose: Pose, disp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return project_points(self.points3 + disp, pose, self.cam)
-
 
 def _pose_from_world(world_pose: Pose, center: np.ndarray) -> Pose:
     return Pose(world_pose.rotation, world_pose.rotation @ center + world_pose.translation)
@@ -252,6 +237,19 @@ def _pose_from_world(world_pose: Pose, center: np.ndarray) -> Pose:
 
 # ---------------------------------------------------------------------------
 # energies
+
+
+class _Projection(NamedTuple):
+    """Deformed model points ``y`` with their pixels and depths at one state."""
+
+    y: np.ndarray
+    pix: np.ndarray
+    depth: np.ndarray
+
+
+def _projection(prob: RegistrationProblem, pose: Pose, disp: np.ndarray) -> _Projection:
+    y = prob.points3 + disp
+    return _Projection(y, *project_points(y, pose, prob.cam))
 
 
 def _match_neighbors(prob: RegistrationProblem, pix: np.ndarray, depth: np.ndarray):
@@ -289,19 +287,19 @@ def _regularizer(prob: RegistrationProblem, disp: np.ndarray) -> float:
 def eval_objective(prob: RegistrationProblem, state: RegistrationState) -> EnergyBreakdown:
     """Energy terms at the given state, using its kernel bandwidth."""
     disp = state.deformation.displacements
-    pix, depth = prob._project(state.pose, disp)
-    idx, dist, ok = _match_neighbors(prob, pix, depth)
+    proj = _projection(prob, state.pose, disp)
+    idx, dist, ok = _match_neighbors(prob, proj.pix, proj.depth)
     ell2 = 2.0 * state.bandwidth_px ** 2
-    data = float(np.sum(prob.per_point[ok, None] * np.exp(-dist[ok] ** 2 / ell2)))
+    data = float(np.sum(np.exp(-dist[ok] ** 2 / ell2)))
     psi = _PRIOR_SCALE * _log_to_init(prob, state.pose)
     return EnergyBreakdown(data, float(psi @ psi), _regularizer(prob, disp), tuple(np.flatnonzero(~ok)))
 
 
 def reprojection_rmse(prob: RegistrationProblem, state: RegistrationState, reference_pix: np.ndarray) -> float:
     """RMSE between current projections and reference pixels over visible points."""
-    pix, depth = prob._project(state.pose, state.deformation.displacements)
-    ok = depth > 0
-    err = pix[ok] - np.asarray(reference_pix, dtype=float)[ok]
+    proj = _projection(prob, state.pose, state.deformation.displacements)
+    ok = proj.depth > 0
+    err = proj.pix[ok] - np.asarray(reference_pix, dtype=float)[ok]
     return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
 
 
@@ -309,19 +307,6 @@ def reprojection_rmse(prob: RegistrationProblem, state: RegistrationState, refer
 # IRLS + Levenberg-Marquardt solver
 
 _DIAG_FLOOR = 1e-12
-
-
-class _Projection(NamedTuple):
-    """Deformed model points ``y`` with their pixels and depths at one state."""
-
-    y: np.ndarray
-    pix: np.ndarray
-    depth: np.ndarray
-
-
-def _projection(prob: RegistrationProblem, pose: Pose, disp: np.ndarray) -> _Projection:
-    y = prob.points3 + disp
-    return _Projection(y, *project_points(y, pose, prob.cam))
 
 
 class _Targets(NamedTuple):
@@ -544,8 +529,8 @@ def solve(
 
     ``converged`` is True when the solve stopped at the floor bandwidth with
     the freshly reweighted surrogate solved: either its first LM step was
-    shorter than ``cfg.tol``, or no LM step lowered it and the undamped
-    Gauss-Newton step promises a relative decrease of at most ``cfg.tol``. A
+    shorter than ``_TOL``, or no LM step lowered it and the undamped
+    Gauss-Newton step promises a relative decrease of at most ``_TOL``. A
     solve that runs out of ``cfg.max_outer_iters`` reports False.
     """
     cfg = cfg or SolverConfig()
@@ -565,7 +550,7 @@ def solve(
             raise ValueError("warm-start bandwidth must be positive and finite")
         ell = max(float(warm.bandwidth_px), cfg.bandwidth_floor_px)
         stage = 1
-    damping = cfg.lm_damping_init
+    damping = _LM_DAMPING_INIT
     history: list[dict] = []
     reg = _regularizer(prob, disp)
     converged = False
@@ -573,7 +558,7 @@ def solve(
     for outer in range(cfg.max_outer_iters):
         outer_done = outer + 1
         idx, dist, okm = _match_neighbors(prob, proj.pix, proj.depth)
-        gamma = np.where(okm[:, None], prob.per_point[:, None] * np.exp(-dist ** 2 / (2.0 * ell * ell)), 0.0)
+        gamma = np.where(okm[:, None], np.exp(-dist ** 2 / (2.0 * ell * ell)), 0.0)
         targets = _weighted_targets(prob, idx, np.nan_to_num(gamma))
         active = cfg.optimize_deformation and ell <= cfg.bandwidth_floor_px
         rot_locked = stage == 0
@@ -582,7 +567,7 @@ def solve(
         # An accepted candidate's cost is the next inner iteration's starting
         # cost: same pose, displacements and frozen weights.
         cost0 = _surrogate_cost(prob, pose, proj, targets, ell, reg)
-        for inner in range(cfg.inner_iters):
+        for inner in range(_INNER_ITERS):
             app, apr, arr_parts, gp, gr = _normal_equations(prob, pose, disp, proj, targets, ell, active)
             accepted = False
             step = 0.0
@@ -618,35 +603,35 @@ def solve(
                         }
                     )
                     pose, disp, proj, reg, cost0 = cand_pose, cand_disp, cand_proj, cand_reg, cost1
-                    damping = max(damping / cfg.lm_damping_down, 1e-12)
+                    damping = max(damping / _LM_DAMPING_DOWN, 1e-12)
                     accepted = True
                     break
-                damping *= cfg.lm_damping_up
-                if damping > cfg.lm_damping_cap:
-                    damping = cfg.lm_damping_cap
+                damping *= _LM_DAMPING_UP
+                if damping > _LM_DAMPING_CAP:
+                    damping = _LM_DAMPING_CAP
                     break
             if inner == 0:
                 first_step = step if accepted else 0.0
                 first_stalled = not accepted
-            if not accepted or step < cfg.tol:
+            if not accepted or step < _TOL:
                 break
         # The stage is exhausted only when a freshly matched and reweighted
         # surrogate yields no meaningful first step; small trailing inner steps
         # just mean this one surrogate is solved.
-        if first_stalled or first_step < cfg.tol:
+        if first_stalled or first_step < _TOL:
             if ell <= cfg.bandwidth_floor_px:
                 # A stall counts as convergence when the undamped Gauss-Newton
                 # model promises no relative decrease above tol, so rounding
                 # noise at the optimum is not read as failure.
                 converged = not first_stalled or (
-                    _predicted_decrease(app, apr, arr_parts, gp, gr, rot_locked) <= cfg.tol * cost0
+                    _predicted_decrease(app, apr, arr_parts, gp, gr, rot_locked) <= _TOL * cost0
                 )
                 break
             ell = max(ell / 2.0, cfg.bandwidth_floor_px)
             stage += 1
-            damping = cfg.lm_damping_init
+            damping = _LM_DAMPING_INIT
             continue
-        if (outer + 1) % cfg.anneal_every == 0:
+        if (outer + 1) % _ANNEAL_EVERY == 0:
             if ell > cfg.bandwidth_floor_px:
                 ell = max(ell / 2.0, cfg.bandwidth_floor_px)
             stage += 1
@@ -657,83 +642,8 @@ def solve(
         iteration=outer_done,
         converged=converged,
     )
-    energies = eval_objective(prob, state)
-    state.objective = energies.composite(prob.weights)
-    state.diagnostics = {
-        "history": history,
-        "energies": energies,
-        "behind_camera": energies.behind_camera,
-    }
+    state.objective = eval_objective(prob, state).composite(prob.weights)
+    state.diagnostics = {"history": history}
     if not np.isfinite(state.objective):
         raise FloatingPointError("registration objective is not finite")
     return state
-
-
-# ---------------------------------------------------------------------------
-# dense Jacobian (reference path for verification)
-
-
-def _dense_residuals(prob, pose, disp, idx, gamma, ell):
-    """Stacked surrogate residual vector at the given state."""
-    pix, depth = prob._project(pose, disp)
-    ok = np.all(idx >= 0, axis=1) & (depth > 0)
-    rows = []
-    inv = 1.0 / np.sqrt(2.0 * ell * ell)
-    for i in np.flatnonzero(ok):
-        for col, j in enumerate(idx[i]):
-            a = np.sqrt(gamma[i, col]) * inv
-            rows.append(a * (pix[i] - prob.points2[j]))
-    psi = _log_to_init(prob, pose)
-    rows.append(np.sqrt(prob.weights.pose_prior) * _PRIOR_SCALE * psi)
-    w = prob.weights
-    rows.append((np.sqrt(w.deform * w.deform_magnitude) * disp).ravel())
-    for pairs, cw in ((prob.chain_pairs, w.deform_chain), (prob.cross_pairs, w.deform_cross)):
-        if len(pairs):
-            diff = disp[pairs[:, 0]] - disp[pairs[:, 1]]
-            rows.append((np.sqrt(w.deform * cw) * diff).ravel())
-    return np.concatenate([np.atleast_1d(r).ravel() for r in rows])
-
-
-def _dense_jacobian(prob, pose, disp, idx, gamma, ell, active_deform=True):
-    """Analytic Jacobian of _dense_residuals w.r.t. [pose twist, displacements]."""
-    n = len(prob.points3)
-    ncols = 6 + (3 * n if active_deform else 0)
-    proj = _projection(prob, pose, disp)
-    g_blocks, h_blocks = _pixel_jacobians(prob, pose, proj)
-    ok_mask = np.all(idx >= 0, axis=1) & (proj.depth > 0)
-    blocks = []
-    inv = 1.0 / np.sqrt(2.0 * ell * ell)
-    for i in np.flatnonzero(ok_mask):
-        for col in range(idx.shape[1]):
-            a = np.sqrt(gamma[i, col]) * inv
-            row = np.zeros((2, ncols))
-            row[:, :6] = a * g_blocks[i]
-            if active_deform:
-                row[:, 6 + 3 * i : 9 + 3 * i] = a * h_blocks[i]
-            blocks.append(row)
-    psi = _log_to_init(prob, pose)
-    jr = _PRIOR_SCALE[:, None] * se3_right_jacobian_inv(psi)
-    row = np.zeros((6, ncols))
-    row[:, :6] = np.sqrt(prob.weights.pose_prior) * jr
-    blocks.append(row)
-    w = prob.weights
-    if active_deform:
-        mag = np.zeros((3 * n, ncols))
-        mag[:, 6:] = np.sqrt(w.deform * w.deform_magnitude) * np.eye(3 * n)
-        blocks.append(mag)
-        for pairs, cw in ((prob.chain_pairs, w.deform_chain), (prob.cross_pairs, w.deform_cross)):
-            if len(pairs) == 0:
-                continue
-            c = np.sqrt(w.deform * cw)
-            block = np.zeros((3 * len(pairs), ncols))
-            for k, (i, j) in enumerate(pairs):
-                block[3 * k : 3 * k + 3, 6 + 3 * i : 9 + 3 * i] = c * np.eye(3)
-                block[3 * k : 3 * k + 3, 6 + 3 * j : 9 + 3 * j] = -c * np.eye(3)
-            blocks.append(block)
-    else:
-        mag = np.zeros((3 * n, ncols))
-        blocks.append(mag)
-        for pairs, cw in ((prob.chain_pairs, w.deform_chain), (prob.cross_pairs, w.deform_cross)):
-            if len(pairs):
-                blocks.append(np.zeros((3 * len(pairs), ncols)))
-    return np.vstack(blocks)

@@ -56,9 +56,9 @@ class GuidewireState:
         return self.body[-1]
 
 
-def initial_wire(tree: VesselTree, start: Address, insertion: Address = (0, 0)) -> GuidewireState:
-    """Wire threaded along the unique route from the insertion point to start."""
-    route = plan(tree, insertion, start)
+def initial_wire(tree: VesselTree, start: Address) -> GuidewireState:
+    """Wire threaded along the unique route from the insertion point (0, 0) to start."""
+    route = plan(tree, (0, 0), start)
     return GuidewireState(route.addresses, rotation_phase=0)
 
 

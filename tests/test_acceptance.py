@@ -14,6 +14,7 @@ import time
 import numpy as np
 from scipy import ndimage
 
+from registration_reference import _dense_jacobian, _fd_jacobian
 from test_perception import (
     EIGHT,
     brute_otsu,
@@ -33,9 +34,8 @@ from vesselnav.registration import (
     RegistrationProblem,
     RegistrationState,
     SolverConfig,
-    _dense_jacobian,
-    _dense_residuals,
     _match_neighbors,
+    _projection,
     reprojection_rmse,
     solve,
 )
@@ -113,30 +113,6 @@ def test_criterion_2_route_lengths_match_dijkstra(capsys):
     assert ok, (pairs, wall)
 
 
-def _fd_jacobian(prob, pose, disp, idx, gamma, ell, active, eps=1e-6):
-    def residual_at(tw, dd):
-        return _dense_residuals(prob, pose.compose(se3_exp(tw)), disp + dd, idx, gamma, ell)
-
-    n = len(prob.points3)
-    base = residual_at(np.zeros(6), np.zeros((n, 3)))
-    j = np.zeros((len(base), 6 + (3 * n if active else 0)))
-    for c in range(6):
-        tw = np.zeros(6)
-        tw[c] = eps
-        hi = residual_at(tw, np.zeros((n, 3)))
-        tw[c] = -eps
-        j[:, c] = (hi - residual_at(tw, np.zeros((n, 3)))) / (2 * eps)
-    if active:
-        for i in range(n):
-            for a in range(3):
-                dd = np.zeros((n, 3))
-                dd[i, a] = eps
-                hi = residual_at(np.zeros(6), dd)
-                dd[i, a] = -eps
-                j[:, 6 + 3 * i + a] = (hi - residual_at(np.zeros(6), dd)) / (2 * eps)
-    return j
-
-
 def test_criterion_3_registration_recovery_and_jacobian(capsys):
     cam = CameraModel.standard()
     tree = generate_phantom(PhantomSpec(), seed=11)
@@ -145,7 +121,7 @@ def test_criterion_3_registration_recovery_and_jacobian(capsys):
     world = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]) - pts.mean(axis=0))
     prob0 = RegistrationProblem.from_tree(dense, np.zeros((1, 2)), cam, world)
     true_c = prob0.pose_from_world(world)
-    pix, depth = prob0._project(true_c, np.zeros((len(pts), 3)))
+    _, pix, depth = _projection(prob0, true_c, np.zeros((len(pts), 3)))
     assert np.all(depth > 0)
 
     rng = np.random.default_rng(303)
@@ -172,7 +148,7 @@ def test_criterion_3_registration_recovery_and_jacobian(capsys):
         tw = np.concatenate([jrng.uniform(-5, 5, 3), jrng.uniform(-0.05, 0.05, 3)])
         pose = prob.init_pose.compose(se3_exp(tw))
         disp = jrng.normal(0.0, 0.5, (8, 3))
-        pixk, depthk = prob._project(pose, disp)
+        _, pixk, depthk = _projection(prob, pose, disp)
         idx, dist, okm = _match_neighbors(prob, pixk, depthk)
         gamma = np.nan_to_num(np.where(okm[:, None], np.exp(-(dist**2) / 72.0), 0.0))
         active = k % 2 == 0

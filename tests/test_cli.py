@@ -254,6 +254,31 @@ class TestMain:
         assert main(["dump", "--config", str(path), "--task", "t1", "--frames", "3:1"]) == 2
         assert main(["dump", "--config", str(path), "--task", "zz", "--frames", "0:1"]) == 2
 
+    @pytest.mark.parametrize(
+        "section, line, command",
+        [
+            ("camera", "focal_px = 0", ["run"]),
+            ("navigator", "burst_low = 20", ["run"]),
+            ("navigator", "back_step = 0", ["run"]),
+            ("phantom", "depth = 0", ["run"]),
+            ("solver", "spacing_mm = 0", ["run"]),
+            ("solver", "", ["run", "--seed-offset", "-1"]),
+            ("solver", "", ["dump", "--task", "t1", "--frames", "0:1", "--seed", "-1"]),
+        ],
+        ids=["focal_px", "burst_low", "back_step", "phantom_depth", "spacing_mm", "seed_offset", "dump_seed"],
+    )
+    def test_out_of_range_values_fail_before_running(self, tmp_path, capsys, section, line, command):
+        header = f"[{section}]\n"
+        if header in FULL_TINY:
+            text = FULL_TINY.replace(header, header + line + "\n")
+        else:
+            text = FULL_TINY + "\n" + header + line + "\n"
+        path = write_config(tmp_path, text)
+        assert main([*command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        # neither episodes/ nor frames/ was created
+        assert not (tmp_path / "out").exists()
+
     def test_init_config_round_trip(self, tmp_path):
         target = tmp_path / "std.ini"
         assert main(["init-config", str(target)]) == 0

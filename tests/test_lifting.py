@@ -92,7 +92,7 @@ class TestLiftPicks:
         state = rigid_state(prob)
         radii = radii_for(prob, tree)
         with pytest.raises(OffVesselError):
-            lift(prob, state, np.array([-500.0, -500.0]), radii, gate_px=30.0)
+            lift(prob, state, np.array([-500.0, -500.0]), radii)
 
     def test_behind_camera_model_rejected(self):
         tree = ambiguous_tree()

@@ -20,8 +20,6 @@ from vesselnav.registration import (
     SolverConfig,
     Weights,
     _data_blocks,
-    _dense_jacobian,
-    _dense_residuals,
     _match_neighbors,
     _normal_equations,
     _projection,
@@ -33,6 +31,8 @@ from vesselnav.registration import (
     solve,
 )
 from vesselnav.vessel_model import PhantomSpec, generate_phantom, resample_centerlines
+
+from registration_reference import _dense_jacobian, _dense_residuals, _fd_jacobian
 
 
 def small_problem(rng, n=14, m=40, k_corr=3, weights=None):
@@ -54,7 +54,7 @@ def random_state(prob, rng, disp_scale=0.5):
 
 def mean_nearest_px(prob, state):
     """Mean distance from each visible projected model point to its nearest 2D point."""
-    pix, depth = prob._project(state.pose, state.deformation.displacements)
+    _, pix, depth = _projection(prob, state.pose, state.deformation.displacements)
     d, _ = prob.kd2.query(pix[depth > 0], k=1)
     return float(d.mean())
 
@@ -80,7 +80,7 @@ def oracle_objective(prob, state):
             continue
         d2 = np.sum((prob.points2 - u) ** 2, axis=1)
         nearest = np.sort(d2)[: prob.k_corr]
-        data += prob.per_point[i] * np.sum(np.exp(-nearest / (2.0 * ell * ell)))
+        data += np.sum(np.exp(-nearest / (2.0 * ell * ell)))
     rel = np.linalg.inv(prob.init_pose.matrix()) @ state.pose.matrix()
     lg = logm(rel)
     psi = np.concatenate([lg[:3, 3], [lg[2, 1], lg[0, 2], lg[1, 0]]]).real
@@ -133,33 +133,6 @@ class TestObjectiveOracle:
 
 
 class TestJacobian:
-    def fd_jacobian(self, prob, pose, disp, idx, gamma, ell, active, eps=1e-6):
-        def residual_at(tw, dd):
-            p = pose.compose(se3_exp(tw))
-            return _dense_residuals(prob, p, disp + dd, idx, gamma, ell)
-
-        n = len(prob.points3)
-        ncols = 6 + (3 * n if active else 0)
-        base = residual_at(np.zeros(6), np.zeros((n, 3)))
-        j = np.zeros((len(base), ncols))
-        for c in range(6):
-            tw = np.zeros(6)
-            tw[c] = eps
-            hi = residual_at(tw, np.zeros((n, 3)))
-            tw[c] = -eps
-            lo = residual_at(tw, np.zeros((n, 3)))
-            j[:, c] = (hi - lo) / (2 * eps)
-        if active:
-            for i in range(n):
-                for a in range(3):
-                    dd = np.zeros((n, 3))
-                    dd[i, a] = eps
-                    hi = residual_at(np.zeros(6), dd)
-                    dd[i, a] = -eps
-                    lo = residual_at(np.zeros(6), dd)
-                    j[:, 6 + 3 * i + a] = (hi - lo) / (2 * eps)
-        return j
-
     @pytest.mark.parametrize("active", [True, False])
     def test_analytic_matches_finite_differences(self, active):
         rng = np.random.default_rng(11)
@@ -168,13 +141,13 @@ class TestJacobian:
             prob = small_problem(rng, n=10, m=30)
             state = random_state(prob, rng)
             pose, disp = state.pose, state.deformation.displacements
-            pix, depth = prob._project(pose, disp)
+            _, pix, depth = _projection(prob, pose, disp)
             idx, dist, ok = _match_neighbors(prob, pix, depth)
             ell = 6.0
             gamma = np.where(ok[:, None], np.exp(-dist ** 2 / (2 * ell * ell)), 0.0)
             gamma = np.nan_to_num(gamma)
             ja = _dense_jacobian(prob, pose, disp, idx, gamma, ell, active_deform=active)
-            jn = self.fd_jacobian(prob, pose, disp, idx, gamma, ell, active)
+            jn = _fd_jacobian(prob, pose, disp, idx, gamma, ell, active)
             scale = max(1.0, np.abs(jn).max())
             worst = max(worst, np.abs(ja - jn).max() / scale)
         assert worst < 1e-5
@@ -185,7 +158,7 @@ class TestJacobian:
             prob = small_problem(rng, n=9, m=25)
             state = random_state(prob, rng)
             pose, disp = state.pose, state.deformation.displacements
-            pix, depth = prob._project(pose, disp)
+            _, pix, depth = _projection(prob, pose, disp)
             idx, dist, ok = _match_neighbors(prob, pix, depth)
             ell = 5.0
             gamma = np.nan_to_num(np.where(ok[:, None], np.exp(-dist ** 2 / (2 * ell * ell)), 0.0))
@@ -223,10 +196,10 @@ class TestSurrogate:
             prob = small_problem(rng)
             ref = random_state(prob, rng, disp_scale=0.2)
             ell = ref.bandwidth_px
-            pix, depth = prob._project(ref.pose, ref.deformation.displacements)
+            _, pix, depth = _projection(prob, ref.pose, ref.deformation.displacements)
             idx, dist, ok = _match_neighbors(prob, pix, depth)
             assert np.all(ok)
-            gamma = prob.per_point[:, None] * np.exp(-dist ** 2 / (2 * ell * ell))
+            gamma = np.exp(-dist ** 2 / (2 * ell * ell))
             targets = _weighted_targets(prob, idx, gamma)
 
             cand = random_state(prob, rng, disp_scale=0.2)
@@ -263,7 +236,7 @@ class TestSurrogate:
         for trial in range(20):
             prob = small_problem(rng)
             ref = random_state(prob, rng)
-            pix, depth = prob._project(ref.pose, ref.deformation.displacements)
+            _, pix, depth = _projection(prob, ref.pose, ref.deformation.displacements)
             idx, dist, ok = _match_neighbors(prob, pix, depth)
             ell = 4.0
             gamma = np.nan_to_num(np.where(ok[:, None], np.exp(-dist ** 2 / (2 * ell * ell)), 0.0))
@@ -318,7 +291,7 @@ def scene():
     world = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]) - pts.mean(axis=0))
     prob0 = RegistrationProblem.from_tree(dense, np.zeros((1, 2)), cam, world)
     true_c = prob0.pose_from_world(world)
-    pix, depth = prob0._project(true_c, np.zeros((len(pts), 3)))
+    _, pix, depth = _projection(prob0, true_c, np.zeros((len(pts), 3)))
     assert np.all(depth > 0)
     return prob0, true_c, pix
 
@@ -494,10 +467,9 @@ class TestStepFailures:
             return real(*args)
 
         monkeypatch.setattr(registration, "_solve_step", singular_once)
-        cfg = SolverConfig(max_outer_iters=5)
-        st = solve(prob, cfg)
+        st = solve(prob, SolverConfig(max_outer_iters=5))
         # The failed solve raised the damping like any rejected trial step.
-        assert dampings[1] == dampings[0] * cfg.lm_damping_up
+        assert dampings[1] == dampings[0] * registration._LM_DAMPING_UP
         assert st.diagnostics["history"]
 
 
