@@ -155,7 +155,7 @@ def _episode_config(cfg: configparser.ConfigParser, tip_seed: tuple[float, float
     if imaging_kind == "none":
         imaging = None
     elif imaging_kind == "gaussian":
-        imaging = NoiseSpec(gaussian_std=_get(noise, "imaging_std", float, 2.0))
+        imaging = _build("noise", NoiseSpec, gaussian_std=_get(noise, "imaging_std", float, 2.0))
     else:
         raise ConfigError(f"[noise] imaging = {imaging_kind!r} is not none or gaussian")
     camera_section = cfg["camera"] if cfg.has_section("camera") else {}
@@ -173,8 +173,11 @@ def _episode_config(cfg: configparser.ConfigParser, tip_seed: tuple[float, float
     spacing_mm = _get(solver, "spacing_mm", float, 0.5)
     if not spacing_mm > 0.0:
         raise ConfigError(f"[solver] spacing_mm = {spacing_mm!r} must be positive")
+    max_loops = _get(solver, "max_loops", int, 500)
+    if max_loops < 1:
+        raise ConfigError(f"[solver] max_loops = {max_loops} must be at least 1")
     return EpisodeConfig(
-        max_loops=_get(solver, "max_loops", int, 500),
+        max_loops=max_loops,
         registration_spacing_mm=spacing_mm,
         use_oracle_perception=_get(solver, "oracle_perception", bool, False),
         actuation_noise=actuation,

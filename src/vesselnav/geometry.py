@@ -21,6 +21,8 @@ _SMALL_ANGLE = 1e-6
 # tolerance is atol + rtol * |I| with rtol = 1e-5. NaN entries fail.
 _EYE3 = np.eye(3)
 _ORTHONORMAL_TOL = 1e-9 + 1e-5 * _EYE3
+_EYE3.setflags(write=False)
+_ORTHONORMAL_TOL.setflags(write=False)
 
 
 class BehindCameraError(ValueError):
@@ -108,19 +110,6 @@ def _se3_q_matrix(upsilon: np.ndarray, omega: np.ndarray) -> np.ndarray:
     q += c2 * (p @ p @ r + r @ p @ p - 3.0 * (p @ r @ p))
     q += 0.5 * (c2 + 3.0 * c3) * (p @ r @ p @ p + p @ p @ r @ p)
     return q
-
-
-def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SE(3) at twist ``xi = [translation, rotation]``."""
-    xi = np.asarray(xi, dtype=float)
-    upsilon, omega = xi[:3], xi[3:]
-    j = _so3_left_jacobian(omega)
-    q = _se3_q_matrix(upsilon, omega)
-    out = np.zeros((6, 6))
-    out[:3, :3] = j
-    out[:3, 3:] = q
-    out[3:, 3:] = j
-    return out
 
 
 def se3_left_jacobian_inv(xi: np.ndarray) -> np.ndarray:

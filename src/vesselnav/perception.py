@@ -30,6 +30,10 @@ class NoiseSpec:
 
     gaussian_std: float = 2.0
 
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.gaussian_std) and self.gaussian_std >= 0.0):
+            raise ValueError(f"imaging noise std {self.gaussian_std!r} must be finite and non-negative")
+
     @staticmethod
     def off() -> "NoiseSpec":
         return NoiseSpec(0.0)
@@ -242,37 +246,45 @@ def segment_layers(
 # ---------------------------------------------------------------------------
 # thinning
 
-def _neighbors(p: np.ndarray):
-    # p is the padded image; classic clockwise neighborhood starting north.
-    p2 = p[:-2, 1:-1]
-    p3 = p[:-2, 2:]
-    p4 = p[1:-1, 2:]
-    p5 = p[2:, 2:]
-    p6 = p[2:, 1:-1]
-    p7 = p[2:, :-2]
-    p8 = p[1:-1, :-2]
-    p9 = p[:-2, :-2]
-    return p2, p3, p4, p5, p6, p7, p8, p9
+# A pixel's neighbour code has bit k set when neighbour p(k+2) of the classic
+# clockwise ring that starts north is on:
+#
+#     p9 p2 p3      7 0 1
+#     p8  . p4      6 . 2
+#     p7 p6 p5      5 4 3
 
 
-def _thin_subiteration(img: np.ndarray, second: bool) -> tuple[np.ndarray, bool]:
-    if not img.any():
-        return img, False
-    p = np.pad(img, 1).astype(np.uint8)
-    p2, p3, p4, p5, p6, p7, p8, p9 = _neighbors(p)
-    ring = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
-    b = sum(int_arr.astype(np.int32) for int_arr in ring[:-1])
-    a = sum(((ring[k] == 0) & (ring[k + 1] == 1)).astype(np.int32) for k in range(8))
+def _deletion_table(second: bool) -> np.ndarray:
+    """Two-subiteration deletion rule for each of the 256 neighbour codes."""
+    ring = (np.arange(256)[:, None] >> np.arange(8)) & 1  # columns p2..p9
+    p2, p3, p4, p5, p6, p7, p8, p9 = ring.T
+    b = ring.sum(axis=1)
+    a = ((ring == 0) & (np.roll(ring, -1, axis=1) == 1)).sum(axis=1)
     if not second:
         c1 = p2 * p4 * p6 == 0
         c2 = p4 * p6 * p8 == 0
     else:
         c1 = p2 * p4 * p8 == 0
         c2 = p2 * p6 * p8 == 0
-    kill = img & (b >= 2) & (b <= 6) & (a == 1) & c1 & c2
-    if not kill.any():
-        return img, False
-    return img & ~kill, True
+    table = (b >= 2) & (b <= 6) & (a == 1) & c1 & c2
+    table.setflags(write=False)
+    return table
+
+
+_DELETE = (_deletion_table(second=False), _deletion_table(second=True))
+
+
+def _neighbour_codes(flat: np.ndarray, idx: np.ndarray, stride: int) -> np.ndarray:
+    """Neighbour codes of the pixels at flat indices ``idx`` of a padded mask.
+
+    ``flat`` is the raveled bool mask, padded by one pixel on every side so
+    that no neighbour index leaves it, and ``stride`` is its row length.
+    """
+    pix = flat.view(np.uint8)
+    code = np.zeros(len(idx), dtype=np.uint8)
+    for bit, off in enumerate((-stride, 1 - stride, 1, 1 + stride, stride, stride - 1, -1, -1 - stride)):
+        code |= pix[idx + off] << bit
+    return code
 
 
 def thin(mask: np.ndarray) -> np.ndarray:
@@ -281,23 +293,24 @@ def thin(mask: np.ndarray) -> np.ndarray:
     Deletion conditions follow the classic two-pass scheme: interior border
     pixels with 2..6 neighbors and a single 0-to-1 transition around the ring
     are peeled, alternating the compass conditions between subiterations.
+    Both rules are 256-entry tables over the neighbour code, and each
+    subiteration visits only the remaining foreground pixels, so a pass costs
+    O(foreground pixels) whatever the image size. Returns a new bool array.
     """
-    mask = np.asarray(mask).astype(bool)
-    if not mask.any():
-        return mask
-    rows = np.any(mask, axis=1)
-    cols = np.any(mask, axis=0)
-    r0, r1 = np.argmax(rows), len(rows) - np.argmax(rows[::-1])
-    c0, c1 = np.argmax(cols), len(cols) - np.argmax(cols[::-1])
-    img = mask[r0:r1, c0:c1].copy()
+    padded = np.pad(np.asarray(mask, dtype=bool), 1)
+    flat = padded.ravel()
+    stride = padded.shape[1]
+    idx = np.flatnonzero(flat)
     changed = True
     while changed:
-        img, ch1 = _thin_subiteration(img, second=False)
-        img, ch2 = _thin_subiteration(img, second=True)
-        changed = ch1 or ch2
-    out = np.zeros_like(mask)
-    out[r0:r1, c0:c1] = img
-    return out
+        changed = False
+        for table in _DELETE:
+            kill = table[_neighbour_codes(flat, idx, stride)]
+            if kill.any():
+                flat[idx[kill]] = False
+                idx = idx[~kill]
+                changed = True
+    return padded[1:-1, 1:-1].copy()
 
 
 def skeleton_points(skel: np.ndarray) -> np.ndarray:
@@ -307,12 +320,19 @@ def skeleton_points(skel: np.ndarray) -> np.ndarray:
 
 
 def endpoint_candidates(skel: np.ndarray) -> np.ndarray:
-    """Skeleton pixels with exactly one 8-neighbor, as (K, 2) (x, y) coords."""
-    skel = np.asarray(skel).astype(bool)
-    p = np.pad(skel, 1).astype(np.uint8)
-    neigh = sum(n.astype(np.int32) for n in _neighbors(p))
-    rc = np.argwhere(skel & (neigh == 1))
-    return rc[:, ::-1].astype(float)
+    """Skeleton pixels with exactly one 8-neighbor, as (K, 2) (x, y) coords.
+
+    A pixel is an endpoint when its neighbour code has one bit set; only the
+    skeleton's pixels are visited. Rows come in row-major order, as
+    ``np.argwhere`` gives them, which ``track`` relies on to break ties.
+    """
+    padded = np.pad(np.asarray(skel, dtype=bool), 1)
+    flat = padded.ravel()
+    stride = padded.shape[1]
+    idx = np.flatnonzero(flat)
+    code = _neighbour_codes(flat, idx, stride)
+    row, col = np.divmod(idx[(code != 0) & (code & (code - 1) == 0)], stride)
+    return np.column_stack((col - 1, row - 1)).astype(float)
 
 
 # ---------------------------------------------------------------------------

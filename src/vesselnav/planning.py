@@ -9,7 +9,6 @@ zero-length hops between the coincident addresses (child, 0) and
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +64,7 @@ def parent_address(tree: VesselTree, addr: Address) -> Address | None:
 def advance_options(tree: VesselTree, addr: Address) -> list[Address]:
     """Addresses one step away from the root: attached children in link
     order, then the same-branch continuation. The wire picks among them by
-    rotation phase; Dijkstra's result does not depend on the order."""
+    rotation phase; route lengths do not depend on the order."""
     bid, idx = addr
     branch = tree.branches[bid]
     out = [(cid, 0) for cid in branch.child_links if tree.branches[cid].attach_index == idx]
@@ -119,39 +118,6 @@ def plan(tree: VesselTree, start: Address, dest: Address) -> RoutePlan:
         length += float(np.linalg.norm(tree.position(addr) - tree.position(prev)))
         prev = addr
     return RoutePlan(tuple(route), length, visited)
-
-
-def dijkstra_route_length(tree: VesselTree, start: Address, dest: Address) -> float:
-    """Shortest-path length by Dijkstra over the address graph.
-
-    On a tree this must agree with plan() exactly; it exists as the reference
-    the fast planner is checked against.
-    """
-    start = _check_address(tree, start)
-    dest = _check_address(tree, dest)
-    dist: dict[Address, float] = {start: 0.0}
-    done: set[Address] = set()
-    heap: list[tuple[float, Address]] = [(0.0, start)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        if node == dest:
-            return d
-        done.add(node)
-        neighbors = advance_options(tree, node)
-        up = parent_address(tree, node)
-        if up is not None:
-            neighbors.append(up)
-        pos = tree.position(node)
-        for nb in neighbors:
-            if nb in done:
-                continue
-            nd = d + float(np.linalg.norm(tree.position(nb) - pos))
-            if nd < dist.get(nb, np.inf):
-                dist[nb] = nd
-                heapq.heappush(heap, (nd, nb))
-    raise AddressError(f"no route from {start!r} to {dest!r}")
 
 
 def on_path(route: RoutePlan, addr: Address) -> bool:

@@ -39,6 +39,7 @@ from .vessel_model import VesselTree
 # scaled by 1e-3 inside the prior. Without this a 100-weighted anchor would
 # overpower the data term for millimeter-scale corrections.
 _PRIOR_SCALE = np.array([1e-3, 1e-3, 1e-3, 1.0, 1.0, 1.0])
+_PRIOR_SCALE.setflags(write=False)
 
 # Fixed solver schedule: outer iterations per bandwidth halving, LM steps per
 # reweighting, the step length (and relative predicted decrease) that ends a
@@ -342,7 +343,7 @@ def _weighted_targets(prob: RegistrationProblem, idx: np.ndarray, gamma: np.ndar
 
 def _surrogate_cost(
     prob: RegistrationProblem,
-    pose: Pose,
+    psi: np.ndarray,
     proj: _Projection,
     targets: _Targets,
     ell: float,
@@ -350,15 +351,16 @@ def _surrogate_cost(
 ) -> float:
     """Weighted least-squares surrogate with frozen kernel weights.
 
-    ``proj`` is ``_projection(prob, pose, disp)`` and ``reg`` is
-    ``_regularizer(prob, disp)``; both are passed in so that the solver
+    ``psi`` is ``_log_to_init(prob, pose)``, ``proj`` is
+    ``_projection(prob, pose, disp)`` and ``reg`` is
+    ``_regularizer(prob, disp)``; all three are passed in so that the solver
     computes each once per state.
     """
     r = proj.pix - targets.qbar
     per_point = targets.s * np.einsum("ij,ij->i", r, r) + targets.c
     data = float(np.sum(per_point, where=proj.depth > 0))
-    psi = _PRIOR_SCALE * _log_to_init(prob, pose)
-    return data / (2.0 * ell * ell) + prob.weights.pose_prior * float(psi @ psi) + prob.weights.deform * reg
+    scaled = _PRIOR_SCALE * psi
+    return data / (2.0 * ell * ell) + prob.weights.pose_prior * float(scaled @ scaled) + prob.weights.deform * reg
 
 
 def _pixel_jacobians(prob: RegistrationProblem, pose: Pose, proj: _Projection):
@@ -398,8 +400,11 @@ def _data_blocks(prob, pose, proj, targets, ell):
     return s, gvec, g_blocks, h_blocks
 
 
-def _normal_equations(prob, pose, disp, proj, targets, ell, active_deform):
-    """Gauss-Newton blocks App, Apr, Arr, gp, gr of the surrogate at the state."""
+def _normal_equations(prob, pose, disp, proj, psi, targets, ell, active_deform):
+    """Gauss-Newton blocks App, Apr, Arr, gp, gr of the surrogate at the state.
+
+    ``psi`` is ``_log_to_init(prob, pose)``.
+    """
     s, gvec, g_blocks, h_blocks = _data_blocks(prob, pose, proj, targets, ell)
     n = len(prob.points3)
     w = prob.weights
@@ -408,7 +413,6 @@ def _normal_equations(prob, pose, disp, proj, targets, ell, active_deform):
     g_rows = g_blocks.reshape(2 * n, 6)
     app = gs.reshape(2 * n, 6).T @ g_rows
     gp = g_rows.T @ gvec.reshape(2 * n)
-    psi = _log_to_init(prob, pose)
     jr = _PRIOR_SCALE[:, None] * se3_right_jacobian_inv(psi)
     app += w.pose_prior * jr.T @ jr
     gp += w.pose_prior * (jr.T @ (_PRIOR_SCALE * psi))
@@ -537,8 +541,10 @@ def solve(
     n = len(prob.points3)
     pose = prob.init_pose
     disp = np.zeros((n, 3))
-    # projection of the current (pose, disp); an accepted candidate brings its own
+    # projection and pose log of the current (pose, disp); an accepted
+    # candidate brings its own
     proj = _projection(prob, pose, disp)
+    psi = _log_to_init(prob, pose)
     if warm is None:
         idx0, dist0, ok0 = _match_neighbors(prob, proj.pix, proj.depth)
         ell = cfg.bandwidth_floor_px
@@ -566,9 +572,9 @@ def solve(
         first_stalled = False
         # An accepted candidate's cost is the next inner iteration's starting
         # cost: same pose, displacements and frozen weights.
-        cost0 = _surrogate_cost(prob, pose, proj, targets, ell, reg)
+        cost0 = _surrogate_cost(prob, psi, proj, targets, ell, reg)
         for inner in range(_INNER_ITERS):
-            app, apr, arr_parts, gp, gr = _normal_equations(prob, pose, disp, proj, targets, ell, active)
+            app, apr, arr_parts, gp, gr = _normal_equations(prob, pose, disp, proj, psi, targets, ell, active)
             accepted = False
             step = 0.0
             while True:
@@ -586,7 +592,8 @@ def solve(
                         cand_disp = disp + delta_r
                         cand_reg = _regularizer(prob, cand_disp)
                     cand_proj = _projection(prob, cand_pose, cand_disp)
-                    cost1 = _surrogate_cost(prob, cand_pose, cand_proj, targets, ell, cand_reg)
+                    cand_psi = _log_to_init(prob, cand_pose)
+                    cost1 = _surrogate_cost(prob, cand_psi, cand_proj, targets, ell, cand_reg)
                 else:
                     cost1 = np.inf
                 if np.isfinite(cost1) and cost1 < cost0:
@@ -602,7 +609,7 @@ def solve(
                             "accepted": True,
                         }
                     )
-                    pose, disp, proj, reg, cost0 = cand_pose, cand_disp, cand_proj, cand_reg, cost1
+                    pose, disp, proj, psi, reg, cost0 = cand_pose, cand_disp, cand_proj, cand_psi, cand_reg, cost1
                     damping = max(damping / _LM_DAMPING_DOWN, 1e-12)
                     accepted = True
                     break

@@ -14,6 +14,7 @@ import time
 import numpy as np
 from scipy import ndimage
 
+from planning_reference import dijkstra_route_length
 from registration_reference import _dense_jacobian, _fd_jacobian
 from test_perception import (
     EIGHT,
@@ -28,7 +29,7 @@ from vesselnav.geometry import CameraModel, Pose, project, se3_exp
 from vesselnav.lifting import lift
 from vesselnav.navigator import EpisodeConfig, Navigator, NavigatorParams, run_episode
 from vesselnav.perception import endpoint_candidates, otsu_threshold, thin
-from vesselnav.planning import address_depth, dijkstra_route_length, plan
+from vesselnav.planning import address_depth, plan
 from vesselnav.registration import (
     DeformationField,
     RegistrationProblem,

@@ -262,17 +262,32 @@ class TestMain:
             ("navigator", "back_step = 0", ["run"]),
             ("phantom", "depth = 0", ["run"]),
             ("solver", "spacing_mm = 0", ["run"]),
+            ("solver", "max_loops = -1", ["run"]),
+            ("noise", "imaging = gaussian\nimaging_std = -1", ["run"]),
             ("solver", "", ["run", "--seed-offset", "-1"]),
             ("solver", "", ["dump", "--task", "t1", "--frames", "0:1", "--seed", "-1"]),
         ],
-        ids=["focal_px", "burst_low", "back_step", "phantom_depth", "spacing_mm", "seed_offset", "dump_seed"],
+        ids=[
+            "focal_px",
+            "burst_low",
+            "back_step",
+            "phantom_depth",
+            "spacing_mm",
+            "max_loops",
+            "imaging_std",
+            "seed_offset",
+            "dump_seed",
+        ],
     )
     def test_out_of_range_values_fail_before_running(self, tmp_path, capsys, section, line, command):
         header = f"[{section}]\n"
-        if header in FULL_TINY:
-            text = FULL_TINY.replace(header, header + line + "\n")
+        # the line replaces any value FULL_TINY already sets for its key
+        key = line.partition(" = ")[0]
+        text = "".join(row for row in FULL_TINY.splitlines(True) if not (key and row.startswith(key + " = ")))
+        if header in text:
+            text = text.replace(header, header + line + "\n")
         else:
-            text = FULL_TINY + "\n" + header + line + "\n"
+            text = text + "\n" + header + line + "\n"
         path = write_config(tmp_path, text)
         assert main([*command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")

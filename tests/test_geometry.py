@@ -17,13 +17,14 @@ from vesselnav.geometry import (
     project,
     project_points,
     se3_exp,
-    se3_left_jacobian,
     se3_left_jacobian_inv,
     se3_log,
     se3_right_jacobian_inv,
     so3_exp,
     so3_log,
 )
+
+from geometry_reference import se3_left_jacobian
 
 
 def hat4(xi):

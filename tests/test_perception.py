@@ -2,7 +2,9 @@
 
 Otsu is checked against a brute-force scorer over all 256 thresholds, the
 thinner against a literal per-pixel reimplementation of the two-subiteration
-rule, and endpoint detection against an exhaustive neighbor count.
+rule, and endpoint detection against an exhaustive neighbor count. The
+table-driven thinner and endpoint finder must also agree bit for bit, and
+row for row, with the whole-array rule they replaced (thinning_reference).
 """
 
 import numpy as np
@@ -27,6 +29,8 @@ from vesselnav.perception import (
     track,
 )
 from vesselnav.vessel_model import PhantomSpec, generate_phantom
+
+from thinning_reference import reference_endpoints, reference_thin
 
 EIGHT = np.ones((3, 3), dtype=int)
 
@@ -201,6 +205,60 @@ class TestThinning:
         b = thin(mask)
         a[:] = False
         assert b.any()
+
+
+def assert_matches_array_rule(mask):
+    skel = thin(mask)
+    assert np.array_equal(skel, reference_thin(mask))
+    for image in (skel, mask):
+        got, want = endpoint_candidates(image), reference_endpoints(image)
+        # the same rows in the same order: track breaks distance ties by index
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+class TestArrayRuleReference:
+    @pytest.mark.parametrize("std", [0.0, 10.0, 30.0])
+    def test_full_frame_masks(self, std):
+        tree = generate_phantom(PhantomSpec(), 11)
+        renderer = FrameRenderer(tree, frame_view_pose(tree), CameraModel.standard())
+        frame = renderer.render(tree.branches[0].positions()[:20], noise=NoiseSpec(std), seed=3)
+        vessel, wire, _, _ = segment_layers(frame)
+        assert vessel.shape == (512, 512)
+        for mask in (vessel, wire):
+            assert_matches_array_rule(mask)
+
+    def test_masks_touching_every_border(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            h, w = (int(v) for v in rng.integers(3, 40, size=2))
+            mask = rng.random((h, w)) < rng.uniform(0.3, 0.95)
+            mask[[0, -1], int(rng.integers(w))] = True
+            mask[int(rng.integers(h)), [0, -1]] = True
+            assert_matches_array_rule(mask)
+        # a thick cross and a thick diagonal band that leave through the borders
+        yy, xx = np.mgrid[0:31, 0:44]
+        assert_matches_array_rule((np.abs(yy - 15) <= 3) | (np.abs(xx - 20) <= 4))
+        assert_matches_array_rule(np.abs(yy - 0.7 * xx) <= 4.0)
+
+    def test_single_pixel_full_and_non_square_masks(self):
+        for mask in (np.zeros((1, 1), bool), np.ones((1, 1), bool), np.ones((9, 14), bool), np.ones((1, 9), bool)):
+            assert_matches_array_rule(mask)
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            h, w = (int(v) for v in rng.integers(1, 40, size=2))
+            if h == w:
+                w += 1
+            assert_matches_array_rule(rng.random((h, w)) < rng.uniform(0.05, 0.95))
+
+    def test_input_unchanged_and_result_new_bool_array(self):
+        mask = random_blob_mask(np.random.default_rng(33))
+        for given in (mask, mask.astype(np.uint8)):
+            before = given.copy()
+            out = thin(given)
+            assert given.dtype == before.dtype and np.array_equal(given, before)
+            assert out.dtype == bool and out.shape == given.shape
+            assert not np.shares_memory(out, given)
 
 
 def exhaustive_endpoints(skel):

@@ -16,7 +16,6 @@ from vesselnav.planning import (
     AddressError,
     address_depth,
     advance_options,
-    dijkstra_route_length,
     on_path,
     parent_address,
     plan,
@@ -29,6 +28,8 @@ from vesselnav.vessel_model import (
     generate_phantom,
     validate_tree,
 )
+
+from planning_reference import dijkstra_route_length
 
 
 def _branch(bid, positions, radius=1.5, parent=None, attach=None):

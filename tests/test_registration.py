@@ -20,6 +20,7 @@ from vesselnav.registration import (
     SolverConfig,
     Weights,
     _data_blocks,
+    _log_to_init,
     _match_neighbors,
     _normal_equations,
     _projection,
@@ -166,7 +167,9 @@ class TestJacobian:
             rho = _dense_residuals(prob, pose, disp, idx, gamma, ell)
             proj = _projection(prob, pose, disp)
             targets = _weighted_targets(prob, idx, gamma)
-            app, apr, arr_parts, gp, gr = _normal_equations(prob, pose, disp, proj, targets, ell, active)
+            app, apr, arr_parts, gp, gr = _normal_equations(
+                prob, pose, disp, proj, _log_to_init(prob, pose), targets, ell, active
+            )
             jtj = j.T @ j
             jtr = j.T @ rho
             assert np.allclose(app, jtj[:6, :6], atol=1e-9)
@@ -211,7 +214,9 @@ class TestSurrogate:
             def surrogate(state):
                 disp = state.deformation.displacements
                 proj = _projection(prob, state.pose, disp)
-                return _surrogate_cost(prob, state.pose, proj, targets, ell, _regularizer(prob, disp))
+                return _surrogate_cost(
+                    prob, _log_to_init(prob, state.pose), proj, targets, ell, _regularizer(prob, disp)
+                )
 
             s_ref = surrogate(ref)
             s_cand = surrogate(cand)
@@ -256,7 +261,7 @@ class TestSurrogate:
             assert np.all(targets.s[1:4] == 0.0) and np.all(targets.c[1:4] == 0.0)
 
             rho = _dense_residuals(prob, pose, disp, idx, gamma, ell)
-            got = _surrogate_cost(prob, pose, proj, targets, ell, _regularizer(prob, disp))
+            got = _surrogate_cost(prob, _log_to_init(prob, pose), proj, targets, ell, _regularizer(prob, disp))
             assert got == pytest.approx(float(rho @ rho), rel=1e-10)
 
             s, gvec, _, _ = _data_blocks(prob, pose, proj, targets, ell)
