@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import CameraModel
 from .navigator import EpisodeConfig, EpisodeReport, NavigatorParams, run_episode
-from .perception import NoiseSpec
+from .perception import NoiseSpec, frame_view_pose
 from .planning import AddressError, plan
 from .simulator import ActuationNoise
 from .vessel_model import PhantomSpec, VesselTree, deserialize_tree, generate_phantom
@@ -101,6 +101,11 @@ def _get(section, key, conv, default):
         raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a {conv.__name__}") from None
 
 
+def _given(section, **convs) -> dict:
+    """The keys the section sets, converted; the callee's defaults fill the rest."""
+    return {key: _get(section, key, conv, None) for key, conv in convs.items() if key in section}
+
+
 def _build(section_name: str, factory, *args, **kwargs):
     """``factory(*args, **kwargs)``, its ValueError reported against the section."""
     try:
@@ -110,15 +115,12 @@ def _build(section_name: str, factory, *args, **kwargs):
 
 
 def load_tree(cfg: configparser.ConfigParser, map_override: str | None = None) -> VesselTree:
-    if map_override is not None:
-        path = Path(map_override)
-        if not path.exists():
-            raise ConfigError(f"map file {path} does not exist")
-        return deserialize_tree(path.read_bytes())
-    if cfg.has_section("map"):
+    if map_override is None and cfg.has_section("map"):
         if "path" not in cfg["map"]:
             raise ConfigError("[map] needs a path key")
-        path = Path(cfg["map"]["path"])
+        map_override = cfg["map"]["path"]
+    if map_override is not None:
+        path = Path(map_override)
         if not path.exists():
             raise ConfigError(f"map file {path} does not exist")
         return deserialize_tree(path.read_bytes())
@@ -140,50 +142,46 @@ def _episode_config(cfg: configparser.ConfigParser, tip_seed: tuple[float, float
     params = _build(
         "navigator",
         NavigatorParams,
-        reach_threshold_mm=_get(nav, "reach_threshold_mm", float, 3.0),
-        replan_after_misses=_get(nav, "replan_after_misses", int, 6),
-        burst_low=_get(nav, "burst_low", int, 8),
-        burst_high=_get(nav, "burst_high", int, 12),
-        back_step=_get(nav, "back_step", int, 10),
+        **_given(
+            nav, reach_threshold_mm=float, replan_after_misses=int, burst_low=int, burst_high=int, back_step=int
+        ),
     )
     noise = cfg["noise"] if cfg.has_section("noise") else {}
-    actuation = ActuationNoise(
-        translation_jitter=_get(noise, "translation_jitter", float, 0.1),
-        rotation_failure=_get(noise, "rotation_failure", float, 0.1),
-    )
+    actuation = ActuationNoise(**_given(noise, translation_jitter=float, rotation_failure=float))
     imaging_kind = _get(noise, "imaging", str, "none").strip().lower()
     if imaging_kind == "none":
         imaging = None
     elif imaging_kind == "gaussian":
-        imaging = _build("noise", NoiseSpec, gaussian_std=_get(noise, "imaging_std", float, 2.0))
+        imaging = _build("noise", NoiseSpec, gaussian_std=_get(noise, "imaging_std", float, NoiseSpec.gaussian_std))
     else:
         raise ConfigError(f"[noise] imaging = {imaging_kind!r} is not none or gaussian")
     camera_section = cfg["camera"] if cfg.has_section("camera") else {}
+    standard = CameraModel.standard()
     camera = _build(
         "camera",
         CameraModel.standard,
-        focal_px=_get(camera_section, "focal_px", float, 2500.0),
+        focal_px=_get(camera_section, "focal_px", float, float(standard.intrinsics[0, 0])),
         image_size=(
-            _get(camera_section, "width", int, 512),
-            _get(camera_section, "height", int, 512),
+            _get(camera_section, "width", int, standard.image_size[0]),
+            _get(camera_section, "height", int, standard.image_size[1]),
         ),
-        pixel_size=_get(camera_section, "pixel_size_mm", float, 0.30),
+        pixel_size=_get(camera_section, "pixel_size_mm", float, standard.pixel_size),
     )
     solver = cfg["solver"] if cfg.has_section("solver") else {}
-    spacing_mm = _get(solver, "spacing_mm", float, 0.5)
+    spacing_mm = _get(solver, "spacing_mm", float, EpisodeConfig.registration_spacing_mm)
     if not spacing_mm > 0.0:
         raise ConfigError(f"[solver] spacing_mm = {spacing_mm!r} must be positive")
-    max_loops = _get(solver, "max_loops", int, 500)
+    max_loops = _get(solver, "max_loops", int, EpisodeConfig.max_loops)
     if max_loops < 1:
         raise ConfigError(f"[solver] max_loops = {max_loops} must be at least 1")
     return EpisodeConfig(
         max_loops=max_loops,
         registration_spacing_mm=spacing_mm,
-        use_oracle_perception=_get(solver, "oracle_perception", bool, False),
+        use_oracle_perception=_get(solver, "oracle_perception", bool, EpisodeConfig.use_oracle_perception),
         actuation_noise=actuation,
         imaging_noise=imaging,
         params=params,
-        view_depth_mm=_get(camera_section, "view_depth_mm", float, 820.0),
+        view_depth_mm=_get(camera_section, "view_depth_mm", float, EpisodeConfig.view_depth_mm),
         camera=camera,
         tip_seed_px=tip_seed,
     )
@@ -236,6 +234,7 @@ def parse_suite(
         raise ConfigError("config defines no [task:...] sections")
 
     episode = _episode_config(cfg, tip_seed)
+    _build("camera", frame_view_pose, tree, episode.view_depth_mm)
     return SuiteSpec(name, tree, tuple(tasks), episode, outdir)
 
 

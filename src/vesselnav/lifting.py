@@ -30,31 +30,18 @@ class LiftedTip:
     address: tuple[int, int]
     position3: np.ndarray
     pixel_error: float
-    bound_mm: float
-
-
-def lateral_error_bound(radius_mm: float, spacing_mm: float) -> float:
-    """Worst-case 3D error of a lifted tip whose 2D tip is exact.
-
-    The true tip may sit anywhere in the lumen cross-section (radius) and the
-    model discretizes the centerline (spacing); both add to the bound.
-    """
-    return radius_mm + spacing_mm
 
 
 def lift(
     prob: RegistrationProblem,
     state: RegistrationState,
     tip2: np.ndarray,
-    radii: np.ndarray,
     previous3: np.ndarray | None = None,
-    spacing_mm: float = 1.0,
 ) -> LiftedTip:
     """Pick the model address whose projection best explains the 2D tip.
 
-    ``radii`` holds the lumen radius per model point, aligned with
-    ``prob.addresses``. Raises OffVesselError when no projection falls within
-    ``LIFT_GATE_PX`` of the tip.
+    Raises OffVesselError when no projection falls within ``LIFT_GATE_PX`` of
+    the tip.
     """
     if prob.addresses is None:
         raise ValueError("problem carries no addresses; build it with from_tree")
@@ -75,11 +62,4 @@ def lift(
         pick = candidates[int(np.argmin(d3))]
     else:
         pick = candidates[int(np.argmin(dist[candidates]))]
-    address = prob.addresses[pick]
-    position = prob.points3[pick] + prob.center
-    return LiftedTip(
-        address=address,
-        position3=position,
-        pixel_error=float(dist[pick]),
-        bound_mm=lateral_error_bound(float(radii[pick]), spacing_mm),
-    )
+    return LiftedTip(prob.addresses[pick], prob.points3[pick] + prob.center, float(dist[pick]))

@@ -1,4 +1,4 @@
-"""Sequential navigation strategy and the closed-loop episode harness.
+"""Sequential navigation strategy, the two tip estimators, and the episode loop.
 
 The controller is a trial-and-error scheme over the planned route. It first
 backs the wire up until the tip leaves the current route, replans from where
@@ -10,12 +10,14 @@ after too many consecutive misses. One command is issued per control loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import CameraModel, project, project_points
+from .geometry import CameraModel, Pose, project, project_points
 from .lifting import OffVesselError, lift
 from .perception import (
+    FluoroFrame,
     FrameRenderer,
     NoiseSpec,
     TrackedEndpoint,
@@ -35,7 +37,7 @@ from .registration import (
     reprojection_rmse,
     solve,
 )
-from .simulator import ActuationNoise, ControlCommand, initial_wire, step, true_tip
+from .simulator import INSERTION, ActuationNoise, ControlCommand, GuidewireState, initial_wire, step, true_tip
 from .vessel_model import VesselTree, resample_centerlines
 
 # The wire's proximal end is a skeleton endpoint too, parked forever at the
@@ -136,13 +138,13 @@ class EpisodeConfig:
     max_loops: int = 500
     registration_spacing_mm: float = 0.5
     use_oracle_perception: bool = False
-    actuation_noise: ActuationNoise | None = None
+    actuation_noise: ActuationNoise = ActuationNoise()
     imaging_noise: NoiseSpec | None = None
-    params: NavigatorParams | None = None
+    params: NavigatorParams = NavigatorParams()
     view_depth_mm: float = 820.0
-    camera: CameraModel | None = None
-    # First-frame tracker seed in pixels; None bootstraps from the projected
-    # true tip (the stand-in for a manually clicked endpoint).
+    camera: CameraModel = field(default_factory=CameraModel.standard)
+    # First-frame tracker seed in pixels; None seeds at the projected start
+    # address (the stand-in for a manually clicked endpoint).
     tip_seed_px: tuple[float, float] | None = None
 
 
@@ -174,6 +176,90 @@ class EpisodeReport:
         return float(np.mean([r.tip_error_mm for r in self.records]))
 
 
+class TipEstimate(NamedTuple):
+    """One loop's tip estimate, what its LoopRecord logs, and what the frame sink shows."""
+
+    address: Address
+    position: np.ndarray
+    rmse_px: float = 0.0
+    lift_error_px: float = 0.0
+    tip_px: tuple[float, float] | None = None
+    frame: FluoroFrame | None = None
+    pose_world: Pose | None = None
+
+
+class OracleEstimator:
+    """The simulated wire's true tip, as if perception were perfect."""
+
+    def __init__(self, tree: VesselTree):
+        self.tree = tree
+
+    def estimate(self, wire: GuidewireState, loop_index: int) -> TipEstimate:
+        return TipEstimate(wire.tip, true_tip(self.tree, wire))
+
+
+class PerceptionEstimator:
+    """Tip estimates from the rendered frames alone; the wire's tip is never read.
+
+    The tracker starts at ``tip_seed_px`` or else at the projected ``start``
+    address, and a failed lift keeps the last estimate, which starts at
+    ``start``."""
+
+    def __init__(self, tree: VesselTree, start: Address, config: EpisodeConfig, rng: np.random.Generator):
+        self.tree = tree
+        self.imaging_noise = config.imaging_noise
+        self.rng = rng
+        cam = config.camera
+        self.view = frame_view_pose(tree, depth_mm=config.view_depth_mm)
+        self.renderer = FrameRenderer(tree, self.view, cam)
+        self.model = resample_centerlines(tree, config.registration_spacing_mm)
+        self.base_problem = base = RegistrationProblem.from_tree(self.model, np.zeros((1, 2)), cam, self.view)
+        self.solver_cfg = SolverConfig(optimize_deformation=False)
+        self.reference_px = _projection(base, base.pose_from_world(self.view), np.zeros_like(base.points3)).pix
+        self.introducer_px = project(tree.position(INSERTION), self.view, cam)
+        self.pose_world = self.view
+        self.reg_state: RegistrationState | None = None
+        seed_px = config.tip_seed_px
+        if seed_px is None:
+            seed_px = project(tree.position(start), self.view, cam)
+        self.tip_track = TrackedEndpoint(np.asarray(seed_px, dtype=float), 1.0, -1)
+        # The last lifted tip breaks lift's near-ties; the last estimate is
+        # what a failed lift reports.
+        self.previous3: np.ndarray | None = None
+        self.position = tree.position(start)
+
+    def estimate(self, wire: GuidewireState, loop_index: int) -> TipEstimate:
+        polyline = np.array([self.tree.position(a) for a in wire.body])
+        frame = self.renderer.render(polyline, noise=self.imaging_noise, seed=self.rng, frame_index=loop_index)
+        vessel_mask, wire_mask, _, wire_thresh = segment_layers(frame)
+        q = skeleton_points(thin(vessel_mask))
+        # Camera and tree are static: each frame starts from the previous
+        # frame's optimum, and only the first frame anneals.
+        problem = self.base_problem.with_frame(q, self.pose_world)
+        self.reg_state = solve(problem, self.solver_cfg, warm=self.reg_state)
+        self.pose_world = problem.pose_to_world(self.reg_state.pose)
+        rmse = reprojection_rmse(problem, self.reg_state, self.reference_px)
+        if wire_thresh is None:
+            candidates = np.empty((0, 2))
+        else:
+            candidates = endpoint_candidates(thin(wire_mask))
+            if len(candidates):
+                away = np.linalg.norm(candidates - self.introducer_px, axis=1) > INTRODUCER_MASK_PX
+                candidates = candidates[away]
+        self.tip_track = track(candidates, self.tip_track, frame_index=loop_index)
+        tip_px = (float(self.tip_track.position2[0]), float(self.tip_track.position2[1]))
+        try:
+            lifted = lift(problem, self.reg_state, self.tip_track.position2, previous3=self.previous3)
+        except OffVesselError:
+            address = nearest_tree_address(self.tree, self.position)
+            lift_err = float("nan")
+        else:
+            address = model_to_tree_address(self.tree, self.model, lifted.address)
+            self.position = self.previous3 = lifted.position3
+            lift_err = lifted.pixel_error
+        return TipEstimate(address, self.position, rmse, lift_err, tip_px, frame, self.pose_world)
+
+
 def run_episode(
     tree: VesselTree,
     start: Address,
@@ -182,14 +268,18 @@ def run_episode(
     config: EpisodeConfig | None = None,
     frame_sink=None,
 ) -> EpisodeReport:
-    """Drive one navigation episode through the full perception loop.
+    """Drive one navigation episode in closed loop.
+
+    Each loop takes the tip from the episode's estimator, a
+    PerceptionEstimator or, with use_oracle_perception, an OracleEstimator;
+    the navigator decides on that estimate and the simulator steps. The true
+    tip is read here only to score the estimate (``true_address``,
+    ``tip_error_mm``) and for the frame sink's ``true_tip_px``.
 
     A single seeded generator drives, in fixed order per loop: the rendered
     frame's imaging noise (when there is any), then the navigator's burst
     draw (forward phase only; backing draws nothing), then the simulator's
-    two actuation variates. With use_oracle_perception the imaging,
-    segmentation, registration, and lifting stages are bypassed and the true
-    tip is fed to the navigator.
+    two actuation variates.
 
     ``frame_sink(loop_index, frame, info)`` is called once per rendered frame
     (full perception only) with the raster and a dict of overlay facts; it
@@ -199,111 +289,32 @@ def run_episode(
     rng = np.random.default_rng(seed)
     nav = Navigator(tree, start, dest, params=config.params, rng=rng)
     wire = initial_wire(tree, start)
-    noise = config.actuation_noise if config.actuation_noise is not None else ActuationNoise()
-
-    oracle = config.use_oracle_perception
-    if not oracle:
-        cam = config.camera or CameraModel.standard()
-        view = frame_view_pose(tree, depth_mm=config.view_depth_mm)
-        renderer = FrameRenderer(tree, view, cam)
-        reg_model = resample_centerlines(tree, config.registration_spacing_mm)
-        reg_points, reg_addresses = reg_model.flat_points()
-        reg_radii = np.array(
-            [reg_model.branches[b].points[i].radius for b, i in reg_addresses]
-        )
-        base_problem = RegistrationProblem.from_tree(
-            reg_model, np.zeros((1, 2)), cam, view
-        )
-        solver_cfg = SolverConfig(optimize_deformation=False)
-        true_reference = _projection(
-            base_problem, base_problem.pose_from_world(view), np.zeros((len(reg_points), 3))
-        ).pix
-        pose_world = view
-        reg_state: RegistrationState | None = None
-        tip_track: TrackedEndpoint | None = None
-        prev_tip3: np.ndarray | None = None
-        introducer_px = project(tree.position(wire.body[0]), view, cam)
+    if config.use_oracle_perception:
+        estimator = OracleEstimator(tree)
+    else:
+        estimator = PerceptionEstimator(tree, start, config, rng)
 
     report = EpisodeReport(start=tuple(start), dest=tuple(dest), success=False, loops=0)
     for loop_index in range(config.max_loops):
-        tip_addr_true = wire.tip
         tip_pos_true = true_tip(tree, wire)
-
-        if oracle:
-            est_addr = tip_addr_true
-            est_pos = tip_pos_true
-            rmse = 0.0
-            lift_err = 0.0
-            tip_px: tuple[float, float] | None = None
-        else:
-            wire_polyline = np.array([tree.position(a) for a in wire.body])
-            frame = renderer.render(
-                wire_polyline,
-                noise=config.imaging_noise,
-                seed=rng,
-                frame_index=loop_index,
+        est = estimator.estimate(wire, loop_index)
+        if frame_sink is not None and est.frame is not None:
+            cam = est.frame.cam
+            route_pts = np.array([tree.position(a) for a in nav.route.addresses])
+            route_px, route_depth = project_points(route_pts, est.pose_world, cam)
+            frame_sink(
+                loop_index,
+                est.frame,
+                {
+                    "true_tip_px": project(tip_pos_true, estimator.view, cam),
+                    "lifted_tip_px": np.asarray(est.tip_px, dtype=float),
+                    "lifted_tip_mm": np.asarray(est.position, dtype=float),
+                    "registration_rmse_px": float(est.rmse_px),
+                    "route_px": route_px[route_depth > 0],
+                },
             )
-            vessel_mask, wire_mask, _, wire_thresh = segment_layers(frame)
-            q = skeleton_points(thin(vessel_mask))
-            # Camera and tree are static: each frame starts from the previous
-            # frame's optimum, and only the first frame anneals.
-            problem = base_problem.with_frame(q, pose_world)
-            reg_state = solve(problem, solver_cfg, warm=reg_state)
-            pose_world = problem.pose_to_world(reg_state.pose)
-            rmse = reprojection_rmse(problem, reg_state, true_reference)
-            if wire_thresh is None:
-                candidates = np.empty((0, 2))
-            else:
-                candidates = endpoint_candidates(thin(wire_mask))
-                if len(candidates):
-                    away = np.linalg.norm(candidates - introducer_px, axis=1) > INTRODUCER_MASK_PX
-                    candidates = candidates[away]
-            if tip_track is None:
-                if config.tip_seed_px is not None:
-                    boot = np.asarray(config.tip_seed_px, dtype=float)
-                else:
-                    boot = project(tip_pos_true, view, cam)
-                tip_track = TrackedEndpoint(boot, 1.0, -1)
-            tip_track = track(candidates, tip_track, frame_index=loop_index)
-            tip_px = (float(tip_track.position2[0]), float(tip_track.position2[1]))
-            try:
-                lifted = lift(
-                    problem,
-                    reg_state,
-                    tip_track.position2,
-                    reg_radii,
-                    previous3=prev_tip3,
-                    spacing_mm=config.registration_spacing_mm,
-                )
-                est_addr_model = lifted.address
-                est_pos = lifted.position3
-                lift_err = lifted.pixel_error
-                prev_tip3 = est_pos
-            except OffVesselError:
-                est_addr_model = None
-                est_pos = prev_tip3 if prev_tip3 is not None else tip_pos_true
-                lift_err = float("nan")
-            est_addr = (
-                nearest_tree_address(tree, est_pos)
-                if est_addr_model is None
-                else model_to_tree_address(tree, reg_model, est_addr_model)
-            )
-            if frame_sink is not None:
-                route_pts = np.array([tree.position(a) for a in nav.route.addresses])
-                route_px, route_depth = project_points(route_pts, pose_world, cam)
-                frame_sink(
-                    loop_index,
-                    frame,
-                    {
-                        "true_tip_px": project(tip_pos_true, view, cam),
-                        "lifted_tip_px": np.asarray(tip_track.position2, dtype=float),
-                        "lifted_tip_mm": np.asarray(est_pos, dtype=float),
-                        "registration_rmse_px": float(rmse),
-                        "route_px": route_px[route_depth > 0],
-                    },
-                )
 
-        cmd = nav.decide(est_addr, est_pos)
+        cmd = nav.decide(est.address, est.position)
         if cmd is None:
             report.success = True
             break
@@ -311,17 +322,17 @@ def run_episode(
             LoopRecord(
                 loop_index=loop_index,
                 command=cmd,
-                true_address=tip_addr_true,
-                estimated_address=tuple(est_addr),
-                tip_error_mm=float(np.linalg.norm(np.asarray(est_pos) - tip_pos_true)),
-                on_route=on_path(nav.route, est_addr),
-                registration_rmse_px=rmse,
-                lift_pixel_error=lift_err,
-                tip_pixel_px=tip_px,
+                true_address=wire.tip,
+                estimated_address=tuple(est.address),
+                tip_error_mm=float(np.linalg.norm(np.asarray(est.position) - tip_pos_true)),
+                on_route=on_path(nav.route, est.address),
+                registration_rmse_px=est.rmse_px,
+                lift_pixel_error=est.lift_error_px,
+                tip_pixel_px=est.tip_px,
             )
         )
         report.loops += 1
-        wire = step(tree, wire, cmd, rng, noise=noise)
+        wire = step(tree, wire, cmd, rng, noise=config.actuation_noise)
     report.replans = nav.replans
     return report
 

@@ -82,9 +82,13 @@ class TrackedEndpoint:
 
 
 def frame_view_pose(tree: VesselTree, depth_mm: float = 820.0) -> Pose:
-    """Unrotated world-to-camera pose that centres the tree at the given depth."""
-    centroid = tree.flat_points()[0].mean(axis=0)
-    return Pose(np.eye(3), np.array([0.0, 0.0, depth_mm]) - centroid)
+    """Unrotated world-to-camera pose that centres the tree at the given depth;
+    ValueError unless that depth is finite and puts the whole tree in front."""
+    points = tree.flat_points()[0]
+    t = np.array([0.0, 0.0, depth_mm]) - points.mean(axis=0)
+    if not (np.isfinite(depth_mm) and np.all(points[:, 2] + t[2] > 0.0)):
+        raise ValueError(f"view depth {depth_mm!r} mm must be finite and put the whole tree in front of the camera")
+    return Pose(np.eye(3), t)
 
 
 def _draw_capsules(canvas: np.ndarray, pix: np.ndarray, widths: np.ndarray, value: int) -> None:
@@ -315,8 +319,8 @@ def thin(mask: np.ndarray) -> np.ndarray:
 
 def skeleton_points(skel: np.ndarray) -> np.ndarray:
     """Skeleton pixels as an (M, 2) float array of (x, y) coordinates."""
-    rc = np.argwhere(skel)
-    return rc[:, ::-1].astype(float)
+    y, x = np.divmod(np.flatnonzero(skel), skel.shape[1])
+    return np.column_stack((x, y)).astype(float)
 
 
 def endpoint_candidates(skel: np.ndarray) -> np.ndarray:

@@ -18,6 +18,8 @@ from .planning import Address, advance_options, plan
 from .vessel_model import VesselTree
 
 _STEP_EPS = 1e-9
+# Every wire enters the tree here and retracts no further.
+INSERTION: Address = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,8 @@ class GuidewireState:
 
 
 def initial_wire(tree: VesselTree, start: Address) -> GuidewireState:
-    """Wire threaded along the unique route from the insertion point (0, 0) to start."""
-    route = plan(tree, (0, 0), start)
+    """Wire threaded along the unique route from the insertion point to start."""
+    route = plan(tree, INSERTION, start)
     return GuidewireState(route.addresses, rotation_phase=0)
 
 

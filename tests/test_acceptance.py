@@ -14,6 +14,7 @@ import time
 import numpy as np
 from scipy import ndimage
 
+from lifting_reference import lateral_error_bound
 from planning_reference import dijkstra_route_length
 from registration_reference import _dense_jacobian, _fd_jacobian
 from test_perception import (
@@ -173,8 +174,6 @@ def test_criterion_4_lifting_bound_and_closed_loop(capsys):
     model = resample_centerlines(tree, 0.5)
     prob = RegistrationProblem.from_tree(model, np.zeros((1, 2)), cam, view)
     state = RegistrationState(prob.pose_from_world(view), DeformationField.zeros(len(prob.points3)), 2.0)
-    _, m_addrs = model.flat_points()
-    radii = np.array([model.branches[b].points[i].radius for b, i in m_addrs])
 
     route = plan(tree, (0, 20), (11, 33)).addresses
     held = 0
@@ -182,9 +181,9 @@ def test_criterion_4_lifting_bound_and_closed_loop(capsys):
     for addr in route:
         true3 = tree.position(addr)
         tip2 = project(true3, view, cam)
-        lifted = lift(prob, state, tip2, radii, previous3=prev3, spacing_mm=0.5)
+        lifted = lift(prob, state, tip2, previous3=prev3)
         err = float(np.linalg.norm(lifted.position3 - true3))
-        held += err <= lifted.bound_mm
+        held += err <= lateral_error_bound(model.radius(lifted.address), 0.5)
         prev3 = lifted.position3
     frames = len(route)
 

@@ -258,6 +258,8 @@ class TestMain:
         "section, line, command",
         [
             ("camera", "focal_px = 0", ["run"]),
+            ("camera", "view_depth_mm = 0", ["run"]),
+            ("camera", "view_depth_mm = inf", ["run"]),
             ("navigator", "burst_low = 20", ["run"]),
             ("navigator", "back_step = 0", ["run"]),
             ("phantom", "depth = 0", ["run"]),
@@ -269,6 +271,8 @@ class TestMain:
         ],
         ids=[
             "focal_px",
+            "view_depth_mm",
+            "view_depth_inf",
             "burst_low",
             "back_step",
             "phantom_depth",

