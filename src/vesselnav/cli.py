@@ -381,8 +381,15 @@ class _FrameDumper:
         (self.directory / f"frame_{loop_index:04d}.txt").write_text(_sidecar_text(loop_index, info))
 
 
+def _require_full_perception(suite: SuiteSpec) -> None:
+    if suite.episode.use_oracle_perception:
+        raise ConfigError("frame dumping needs full perception (oracle_perception = false)")
+
+
 def run_suite(suite: SuiteSpec, dump_frames: Path | None = None) -> list[TaskResult]:
     """Run every task x seed episode and write logs plus both summaries."""
+    if dump_frames is not None:
+        _require_full_perception(suite)
     episodes_dir = suite.outdir / "episodes"
     episodes_dir.mkdir(parents=True, exist_ok=True)
     results = []
@@ -410,8 +417,7 @@ def dump_scene(suite: SuiteSpec, task_name: str, frame_range: range, seed: int |
     if not matches:
         raise ConfigError(f"no task named {task_name!r} in the suite")
     task = matches[0]
-    if suite.episode.use_oracle_perception:
-        raise ConfigError("frame dumping needs full perception (oracle_perception = false)")
+    _require_full_perception(suite)
     seed = task.seeds[0] if seed is None else seed
     if seed < 0:
         raise ConfigError(f"seed {seed} is negative")
@@ -495,9 +501,12 @@ def _parse_tip_seed(text: str | None) -> tuple[float, float] | None:
         return None
     try:
         x, _, y = text.partition(",")
-        return (float(x), float(y))
+        seed = (float(x), float(y))
     except ValueError:
         raise ConfigError(f"tip seed {text!r} is not x,y") from None
+    if not np.isfinite(seed).all():
+        raise ConfigError(f"tip seed {text!r} must be finite")
+    return seed
 
 
 def main(argv: list[str] | None = None) -> int:

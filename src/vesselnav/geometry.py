@@ -147,10 +147,6 @@ class Pose:
         if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > 1e-9:
             raise ValueError("rotation determinant is not +1")
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
     def compose(self, other: "Pose") -> "Pose":
         return Pose(self.rotation @ other.rotation, self.rotation @ other.translation + self.translation)
 

@@ -28,7 +28,7 @@ from .perception import (
     thin,
     track,
 )
-from .planning import Address, RoutePlan, on_path, plan
+from .planning import Address, on_path, plan
 from .registration import (
     RegistrationProblem,
     RegistrationState,
@@ -77,7 +77,7 @@ class Navigator:
         self.dest_position = tree.position(dest)
         self.params = params or NavigatorParams()
         self.rng = rng or np.random.default_rng(0)
-        self.route: RoutePlan = plan(tree, start, dest)
+        self.route = plan(tree, start, dest)
         self.flag_back = True
         self.on_path_last = True
         self.miss_count = 0
@@ -194,7 +194,7 @@ class OracleEstimator:
     def __init__(self, tree: VesselTree):
         self.tree = tree
 
-    def estimate(self, wire: GuidewireState, loop_index: int) -> TipEstimate:
+    def estimate(self, wire: GuidewireState) -> TipEstimate:
         return TipEstimate(wire.tip, true_tip(self.tree, wire))
 
 
@@ -222,15 +222,15 @@ class PerceptionEstimator:
         seed_px = config.tip_seed_px
         if seed_px is None:
             seed_px = project(tree.position(start), self.view, cam)
-        self.tip_track = TrackedEndpoint(np.asarray(seed_px, dtype=float), 1.0, -1)
+        self.tip_track = TrackedEndpoint(np.asarray(seed_px, dtype=float), 1.0)
         # The last lifted tip breaks lift's near-ties; the last estimate is
         # what a failed lift reports.
         self.previous3: np.ndarray | None = None
         self.position = tree.position(start)
 
-    def estimate(self, wire: GuidewireState, loop_index: int) -> TipEstimate:
+    def estimate(self, wire: GuidewireState) -> TipEstimate:
         polyline = np.array([self.tree.position(a) for a in wire.body])
-        frame = self.renderer.render(polyline, noise=self.imaging_noise, seed=self.rng, frame_index=loop_index)
+        frame = self.renderer.render(polyline, noise=self.imaging_noise, seed=self.rng)
         vessel_mask, wire_mask, _, wire_thresh = segment_layers(frame)
         q = skeleton_points(thin(vessel_mask))
         # Camera and tree are static: each frame starts from the previous
@@ -246,7 +246,7 @@ class PerceptionEstimator:
             if len(candidates):
                 away = np.linalg.norm(candidates - self.introducer_px, axis=1) > INTRODUCER_MASK_PX
                 candidates = candidates[away]
-        self.tip_track = track(candidates, self.tip_track, frame_index=loop_index)
+        self.tip_track = track(candidates, self.tip_track)
         tip_px = (float(self.tip_track.position2[0]), float(self.tip_track.position2[1]))
         try:
             lifted = lift(problem, self.reg_state, self.tip_track.position2, previous3=self.previous3)
@@ -297,10 +297,10 @@ def run_episode(
     report = EpisodeReport(start=tuple(start), dest=tuple(dest), success=False, loops=0)
     for loop_index in range(config.max_loops):
         tip_pos_true = true_tip(tree, wire)
-        est = estimator.estimate(wire, loop_index)
+        est = estimator.estimate(wire)
         if frame_sink is not None and est.frame is not None:
             cam = est.frame.cam
-            route_pts = np.array([tree.position(a) for a in nav.route.addresses])
+            route_pts = np.array([tree.position(a) for a in nav.route])
             route_px, route_depth = project_points(route_pts, est.pose_world, cam)
             frame_sink(
                 loop_index,

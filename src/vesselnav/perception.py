@@ -34,10 +34,6 @@ class NoiseSpec:
         if not (np.isfinite(self.gaussian_std) and self.gaussian_std >= 0.0):
             raise ValueError(f"imaging noise std {self.gaussian_std!r} must be finite and non-negative")
 
-    @staticmethod
-    def off() -> "NoiseSpec":
-        return NoiseSpec(0.0)
-
 
 @dataclass(frozen=True)
 class RenderStyle:
@@ -53,11 +49,10 @@ class RenderStyle:
 
 @dataclass
 class FluoroFrame:
-    """One synthetic fluoroscopy image with its camera and loop index."""
+    """One synthetic fluoroscopy image with its camera."""
 
     pixels: np.ndarray
     cam: CameraModel
-    frame_index: int
 
     def __post_init__(self) -> None:
         if self.pixels.dtype != np.uint8:
@@ -73,7 +68,6 @@ class TrackedEndpoint:
 
     position2: np.ndarray
     confidence: float
-    frame_index: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "position2", np.asarray(self.position2, dtype=float).reshape(2))
@@ -162,7 +156,6 @@ class FrameRenderer:
         wire: np.ndarray | None,
         noise: NoiseSpec | None = None,
         seed: int | np.random.Generator = 0,
-        frame_index: int = 0,
     ) -> FluoroFrame:
         canvas = self._vessel_layer.copy()
         if wire is not None and len(wire) > 0:
@@ -184,7 +177,7 @@ class FrameRenderer:
                 rng.normal(0.0, noise.gaussian_std, canvas.shape)
             ).astype(np.int16)
             canvas = np.clip(noisy, 0, 255).astype(np.uint8)
-        return FluoroFrame(canvas, self.cam, frame_index)
+        return FluoroFrame(canvas, self.cam)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +320,7 @@ def endpoint_candidates(skel: np.ndarray) -> np.ndarray:
     """Skeleton pixels with exactly one 8-neighbor, as (K, 2) (x, y) coords.
 
     A pixel is an endpoint when its neighbour code has one bit set; only the
-    skeleton's pixels are visited. Rows come in row-major order, as
+    skeleton's pixels are read. Rows come in row-major order, as
     ``np.argwhere`` gives them, which ``track`` relies on to break ties.
     """
     padded = np.pad(np.asarray(skel, dtype=bool), 1)
@@ -349,7 +342,6 @@ TRACK_TAU_PX = 20.0
 def track(
     candidates: np.ndarray,
     previous: TrackedEndpoint,
-    frame_index: int | None = None,
     gate_px: float = TRACK_GATE_PX,
     tau_px: float = TRACK_TAU_PX,
 ) -> TrackedEndpoint:
@@ -358,13 +350,11 @@ def track(
     Confidence decays as exp(-distance / tau). With no candidate inside the
     gate the previous position is kept with confidence 0 (coasting).
     """
-    if frame_index is None:
-        frame_index = previous.frame_index + 1
     candidates = np.asarray(candidates, dtype=float).reshape(-1, 2)
     if len(candidates) == 0:
-        return TrackedEndpoint(previous.position2, 0.0, frame_index)
+        return TrackedEndpoint(previous.position2, 0.0)
     d = np.linalg.norm(candidates - previous.position2, axis=1)
     k = int(np.argmin(d))
     if d[k] > gate_px:
-        return TrackedEndpoint(previous.position2, 0.0, frame_index)
-    return TrackedEndpoint(candidates[k], float(np.exp(-d[k] / tau_px)), frame_index)
+        return TrackedEndpoint(previous.position2, 0.0)
+    return TrackedEndpoint(candidates[k], float(np.exp(-d[k] / tau_px)))

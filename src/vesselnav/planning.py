@@ -5,13 +5,12 @@ parent pointers: lift both endpoints to equal depth, ascend in lockstep to the
 common ancestor, and splice the two half-paths. Branch attachments are
 zero-length hops between the coincident addresses (child, 0) and
 (parent, attach index).
+
+``plan`` returns the route's addresses and nothing else; the tests fold its
+length and check it against Dijkstra.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
 
 from .vessel_model import VesselTree
 
@@ -20,26 +19,6 @@ Address = tuple[int, int]
 
 class AddressError(KeyError):
     """Address does not exist in the tree."""
-
-
-@dataclass(frozen=True)
-class RoutePlan:
-    addresses: tuple[Address, ...]
-    length_mm: float
-    # Parent steps taken while finding the common ancestor; each step enters
-    # one node, so this is bounded by depth(start) + depth(dest).
-    visited: int = 0
-
-    def __len__(self) -> int:
-        return len(self.addresses)
-
-    @property
-    def start(self) -> Address:
-        return self.addresses[0]
-
-    @property
-    def dest(self) -> Address:
-        return self.addresses[-1]
 
 
 def _check_address(tree: VesselTree, addr: Address) -> Address:
@@ -84,7 +63,7 @@ def address_depth(tree: VesselTree, addr: Address) -> int:
     return depth
 
 
-def plan(tree: VesselTree, start: Address, dest: Address) -> RoutePlan:
+def plan(tree: VesselTree, start: Address, dest: Address) -> tuple[Address, ...]:
     """Unique tree route from start to dest, inclusive of both.
 
     Runs in O(route length) using parent pointers only: both endpoints climb
@@ -96,29 +75,19 @@ def plan(tree: VesselTree, start: Address, dest: Address) -> RoutePlan:
     up_start: list[Address] = [start]
     up_dest: list[Address] = [dest]
     a, b = start, dest
-    visited = 0
     for _ in range(da - db):
         a = parent_address(tree, a)
         up_start.append(a)
-        visited += 1
     for _ in range(db - da):
         b = parent_address(tree, b)
         up_dest.append(b)
-        visited += 1
     while a != b:
         a = parent_address(tree, a)
         b = parent_address(tree, b)
         up_start.append(a)
         up_dest.append(b)
-        visited += 2
-    route = up_start + up_dest[-2::-1]
-    length = 0.0
-    prev = route[0]
-    for addr in route[1:]:
-        length += float(np.linalg.norm(tree.position(addr) - tree.position(prev)))
-        prev = addr
-    return RoutePlan(tuple(route), length, visited)
+    return tuple(up_start + up_dest[-2::-1])
 
 
-def on_path(route: RoutePlan, addr: Address) -> bool:
-    return tuple(addr) in route.addresses
+def on_path(route: tuple[Address, ...], addr: Address) -> bool:
+    return tuple(addr) in route

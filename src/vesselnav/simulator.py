@@ -39,10 +39,6 @@ class ActuationNoise:
     translation_jitter: float = 0.1
     rotation_failure: float = 0.1
 
-    @staticmethod
-    def off() -> "ActuationNoise":
-        return ActuationNoise(0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class GuidewireState:
@@ -60,8 +56,7 @@ class GuidewireState:
 
 def initial_wire(tree: VesselTree, start: Address) -> GuidewireState:
     """Wire threaded along the unique route from the insertion point to start."""
-    route = plan(tree, INSERTION, start)
-    return GuidewireState(route.addresses, rotation_phase=0)
+    return GuidewireState(plan(tree, INSERTION, start), rotation_phase=0)
 
 
 def true_tip(tree: VesselTree, state: GuidewireState) -> np.ndarray:

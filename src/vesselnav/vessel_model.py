@@ -81,14 +81,6 @@ class VesselTree:
         b, i = address
         return self.branches[b].points[i].radius
 
-    def depth(self, branch_id: int) -> int:
-        d = 0
-        b = self.branches[branch_id]
-        while b.parent_link is not None:
-            b = self.branches[b.parent_link]
-            d += 1
-        return d
-
     def flat_points(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """All centerline positions stacked with their (branch, index) addresses."""
         if self._flat is None:

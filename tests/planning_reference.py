@@ -2,15 +2,54 @@
 
 ``vesselnav.planning.plan`` walks parent pointers, which is exact only because
 the address graph is a tree. Dijkstra assumes nothing about the graph's shape,
-so agreeing with it checks the walk.
+so agreeing with it checks the walk. ``plan`` returns addresses only; the
+tests fold a route's length here and count its parent steps by wrapping
+``parent_address``.
 """
 
 import heapq
 
 import numpy as np
 
+from vesselnav import planning
 from vesselnav.planning import Address, AddressError, _check_address, advance_options, parent_address
 from vesselnav.vessel_model import VesselTree
+
+
+def route_length(tree: VesselTree, route: tuple[Address, ...]) -> float:
+    """Arc length of a route, folding its hop norms in route order."""
+    length = 0.0
+    prev = route[0]
+    for addr in route[1:]:
+        length += float(np.linalg.norm(tree.position(addr) - tree.position(prev)))
+        prev = addr
+    return length
+
+
+def counted_plan(monkeypatch):
+    """``plan`` that also returns its parent steps.
+
+    Each step is one call to ``vesselnav.planning.parent_address``, which
+    ``plan`` looks up at call time, so the count is bounded by
+    depth(start) + depth(dest).
+    """
+    calls = 0
+    inner = planning.parent_address
+
+    def counting(tree, addr):
+        nonlocal calls
+        calls += 1
+        return inner(tree, addr)
+
+    monkeypatch.setattr(planning, "parent_address", counting)
+
+    def run(tree: VesselTree, start: Address, dest: Address) -> tuple[tuple[Address, ...], int]:
+        nonlocal calls
+        calls = 0
+        route = planning.plan(tree, start, dest)
+        return route, calls
+
+    return run
 
 
 def dijkstra_route_length(tree: VesselTree, start: Address, dest: Address) -> float:

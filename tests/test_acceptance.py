@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from lifting_reference import lateral_error_bound
-from planning_reference import dijkstra_route_length
+from planning_reference import counted_plan, dijkstra_route_length, route_length
 from registration_reference import _dense_jacobian, _fd_jacobian
 from test_perception import (
     EIGHT,
@@ -81,7 +81,7 @@ def test_criterion_1_standard_suite_oracle_navigation(tmp_path, monkeypatch, cap
     assert ok, (wins, means, wall)
 
 
-def test_criterion_2_route_lengths_match_dijkstra(capsys):
+def test_criterion_2_route_lengths_match_dijkstra(capsys, monkeypatch):
     variants = [
         PhantomSpec(),
         PhantomSpec(depth=5, branching=2, segment_length=(16.0, 24.0)),
@@ -91,6 +91,7 @@ def test_criterion_2_route_lengths_match_dijkstra(capsys):
         PhantomSpec(segment_length=(20.0, 30.0), step_mm=0.75),
     ]
     rng = np.random.default_rng(2002)
+    counted = counted_plan(monkeypatch)
     t0 = time.perf_counter()
     pairs = 0
     biggest = 0
@@ -102,9 +103,9 @@ def test_criterion_2_route_lengths_match_dijkstra(capsys):
         for _ in range(2):
             i, j = rng.integers(0, len(addrs), size=2)
             a, b = addrs[int(i)], addrs[int(j)]
-            route = plan(tree, a, b)
-            assert route.length_mm == dijkstra_route_length(tree, a, b)
-            assert route.visited <= address_depth(tree, a) + address_depth(tree, b)
+            route, steps = counted(tree, a, b)
+            assert route_length(tree, route) == dijkstra_route_length(tree, a, b)
+            assert steps <= address_depth(tree, a) + address_depth(tree, b)
             pairs += 1
     wall = time.perf_counter() - t0
     ok = pairs == 400 and wall < 30.0
@@ -175,7 +176,7 @@ def test_criterion_4_lifting_bound_and_closed_loop(capsys):
     prob = RegistrationProblem.from_tree(model, np.zeros((1, 2)), cam, view)
     state = RegistrationState(prob.pose_from_world(view), DeformationField.zeros(len(prob.points3)), 2.0)
 
-    route = plan(tree, (0, 20), (11, 33)).addresses
+    route = plan(tree, (0, 20), (11, 33))
     held = 0
     prev3 = None
     for addr in route:

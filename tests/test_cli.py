@@ -298,6 +298,25 @@ class TestMain:
         # neither episodes/ nor frames/ was created
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "config, command",
+        [
+            (FULL_TINY, ["run", "--tip-seed", "nan,nan"]),
+            (FULL_TINY, ["run", "--tip-seed", "inf,0"]),
+            (FULL_TINY, ["dump", "--task", "t1", "--frames", "0:1", "--tip-seed", "nan,nan"]),
+            (FULL_TINY, ["dump", "--task", "t1", "--frames", "0:1", "--tip-seed", "inf,0"]),
+            (ORACLE_SMALL, ["run", "--dump-frames", "dump"]),
+        ],
+        ids=["run_tip_seed_nan", "run_tip_seed_inf", "dump_tip_seed_nan", "dump_tip_seed_inf", "oracle_dump_frames"],
+    )
+    def test_bad_flags_fail_before_running(self, tmp_path, capsys, monkeypatch, config, command):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, config)
+        assert main([*command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "dump").exists()
+
     def test_init_config_round_trip(self, tmp_path):
         target = tmp_path / "std.ini"
         assert main(["init-config", str(target)]) == 0

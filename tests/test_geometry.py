@@ -125,7 +125,7 @@ class TestPose:
         b = se3_exp(random_twists(rng, 1)[0])
         assert np.allclose(a.compose(b).matrix(), a.matrix() @ b.matrix(), atol=1e-12)
         assert np.allclose(a.inverse().matrix(), np.linalg.inv(a.matrix()), atol=1e-12)
-        assert np.allclose(Pose.identity().matrix(), np.eye(4))
+        assert np.allclose(Pose(np.eye(3), np.zeros(3)).matrix(), np.eye(4))
         pts = rng.normal(size=(7, 3))
         by_matrix = (a.matrix() @ np.c_[pts, np.ones(7)].T).T[:, :3]
         assert np.allclose(a.apply(pts), by_matrix, atol=1e-12)

@@ -147,5 +147,5 @@ class TestEpisodeBound:
             assert err <= lateral_error_bound(model.radius(lifted.address), spacing)
             prev3 = lifted.position3
             checked += 1
-            wire = step(tree, wire, ControlCommand(2.0, int(rng.integers(0, 2))), rng, ActuationNoise.off())
+            wire = step(tree, wire, ControlCommand(2.0, int(rng.integers(0, 2))), rng, ActuationNoise(0.0, 0.0))
         assert checked == 60

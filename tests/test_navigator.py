@@ -92,7 +92,7 @@ class TestDecisionRule:
         assert decide((0, 0)) == ControlCommand(10.0, 0)
         assert not nav.flag_back
         assert nav.replans == 1
-        assert nav.route.start == (0, 0)
+        assert nav.route[0] == (0, 0)
 
         # Forward phase. Fresh on-route contact after a miss rotates once.
         assert decide((0, 1)) == ControlCommand(burst(), 1)
@@ -113,7 +113,7 @@ class TestDecisionRule:
         assert nav.replans == 2
         assert nav.miss_count == 0
         assert nav.flag_back
-        assert nav.route.start == (1, 0)
+        assert nav.route[0] == (1, 0)
 
         # Armed backing-up phase retreats from the on-route tip, then the
         # next off-route sighting transitions forward again.
@@ -169,7 +169,7 @@ class TestEpisodes:
         tree = generate_phantom(PhantomSpec(), seed=11)
         dest_branch = sorted(b for b, br in tree.branches.items() if not br.child_links)[1]
         dest = (dest_branch, len(tree.branches[dest_branch].points) - 1)
-        config = EpisodeConfig(use_oracle_perception=True, actuation_noise=ActuationNoise.off())
+        config = EpisodeConfig(use_oracle_perception=True, actuation_noise=ActuationNoise(0.0, 0.0))
         report = run_episode(tree, (0, 20), dest, seed=2, config=config)
         assert report.success
 
@@ -197,7 +197,7 @@ class TestPerceptionEstimator:
 
         monkeypatch.setattr(navigator, "true_tip", no_truth)
         estimator = PerceptionEstimator(tree, start, config, np.random.default_rng(0))
-        est = estimator.estimate(SimpleNamespace(body=initial_wire(tree, start).body), 0)
+        est = estimator.estimate(SimpleNamespace(body=initial_wire(tree, start).body))
         assert est.address == want.estimated_address
         assert float(np.linalg.norm(est.position - tree.position(start))) == want.tip_error_mm
         assert est.rmse_px == want.registration_rmse_px

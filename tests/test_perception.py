@@ -317,25 +317,22 @@ class TestEndpoints:
 
 class TestTrack:
     def test_picks_nearest_with_exponential_confidence(self):
-        prev = TrackedEndpoint(np.array([10.0, 10.0]), 1.0, 0)
+        prev = TrackedEndpoint(np.array([10.0, 10.0]), 1.0)
         cands = np.array([[40.0, 10.0], [14.0, 13.0], [10.0, 60.0]])
         out = track(cands, prev)
         assert np.array_equal(out.position2, [14.0, 13.0])
         assert out.confidence == pytest.approx(np.exp(-5.0 / 20.0))
-        assert out.frame_index == 1
 
     def test_coasts_outside_gate_and_on_empty(self):
-        prev = TrackedEndpoint(np.array([10.0, 10.0]), 0.9, 4)
+        prev = TrackedEndpoint(np.array([10.0, 10.0]), 0.9)
         far = track(np.array([[200.0, 10.0]]), prev)
         assert np.array_equal(far.position2, prev.position2)
         assert far.confidence == 0.0
-        assert far.frame_index == 5
-        none = track(np.zeros((0, 2)), prev, frame_index=9)
+        none = track(np.zeros((0, 2)), prev)
         assert np.array_equal(none.position2, prev.position2)
-        assert none.frame_index == 9
 
     def test_custom_gate_and_tau(self):
-        prev = TrackedEndpoint(np.array([0.0, 0.0]), 1.0, 0)
+        prev = TrackedEndpoint(np.array([0.0, 0.0]), 1.0)
         out = track(np.array([[8.0, 0.0]]), prev, gate_px=5.0)
         assert out.confidence == 0.0
         out = track(np.array([[8.0, 0.0]]), prev, gate_px=10.0, tau_px=8.0)
@@ -343,14 +340,14 @@ class TestTrack:
 
     def test_confidence_bounds_enforced(self):
         with pytest.raises(ValueError):
-            TrackedEndpoint(np.zeros(2), 1.5, 0)
+            TrackedEndpoint(np.zeros(2), 1.5)
 
 
 def flat_frame(pixels):
     pixels = np.asarray(pixels, dtype=np.uint8)
     h, w = pixels.shape
     cam = CameraModel.standard(image_size=(w, h))
-    return FluoroFrame(pixels, cam, 0)
+    return FluoroFrame(pixels, cam)
 
 
 class TestSegmentLayers:
@@ -420,15 +417,15 @@ class TestRenderer:
         c = self.renderer.render(wire, noise=spec, seed=6)
         assert np.array_equal(a.pixels, b.pixels)
         assert not np.array_equal(a.pixels, c.pixels)
-        clean = self.renderer.render(wire, noise=NoiseSpec.off(), seed=5)
+        clean = self.renderer.render(wire, noise=NoiseSpec(0.0), seed=5)
         quiet = self.renderer.render(wire)
         assert np.array_equal(clean.pixels, quiet.pixels)
 
     def test_frame_validation(self):
         with pytest.raises(ValueError):
-            FluoroFrame(np.zeros((512, 512), dtype=float), self.cam, 0)
+            FluoroFrame(np.zeros((512, 512), dtype=float), self.cam)
         with pytest.raises(ValueError):
-            FluoroFrame(np.zeros((10, 512), dtype=np.uint8), self.cam, 0)
+            FluoroFrame(np.zeros((10, 512), dtype=np.uint8), self.cam)
 
     def test_pipeline_recovers_wire_tip(self):
         # Wire along the root branch; the tracked endpoint nearest the

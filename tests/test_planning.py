@@ -3,8 +3,8 @@
 The oracle adjacency is assembled straight from Branch fields (chain edges
 plus zero-length attach hops), so agreement with plan() exercises the
 parent-pointer walk end to end. On a tree the path is unique, which lets the
-tests demand exact equality, including bitwise-equal arc lengths, because all
-implementations fold the same segment norms in route order.
+tests demand exact equality, including bitwise-equal arc lengths, because
+route_length and Dijkstra fold the same segment norms in route order.
 """
 
 from collections import deque
@@ -29,7 +29,7 @@ from vesselnav.vessel_model import (
     validate_tree,
 )
 
-from planning_reference import dijkstra_route_length
+from planning_reference import counted_plan, dijkstra_route_length, route_length
 
 
 def _branch(bid, positions, radius=1.5, parent=None, attach=None):
@@ -98,13 +98,6 @@ def oracle_root_path(tree, addr):
         chain.append((bid, idx))
 
 
-def fold_length(tree, path):
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        total += float(np.linalg.norm(tree.position(b) - tree.position(a)))
-    return total
-
-
 class TestAddressing:
     def test_parent_steps(self):
         tree = y_tree()
@@ -145,26 +138,26 @@ class TestPlanHandTree:
     def test_route_across_junctions(self):
         tree = y_tree()
         route = plan(tree, (1, 2), (2, 1))
-        assert route.addresses == (
+        assert route == (
             (1, 2), (1, 1), (1, 0), (0, 1), (0, 2), (0, 3), (2, 0), (2, 1),
         )
         # Unit-spaced points, two zero-length attach hops: 5 moving segments.
-        assert route.length_mm == pytest.approx(5.0, abs=1e-12)
-        assert route.start == (1, 2) and route.dest == (2, 1)
+        assert route_length(tree, route) == pytest.approx(5.0, abs=1e-12)
+        assert route[0] == (1, 2) and route[-1] == (2, 1)
         assert len(route) == 8
 
     def test_attach_hop_is_zero_length(self):
         tree = y_tree()
         route = plan(tree, (0, 1), (1, 0))
-        assert route.addresses == ((0, 1), (1, 0))
-        assert route.length_mm == 0.0
+        assert route == ((0, 1), (1, 0))
+        assert route_length(tree, route) == 0.0
 
-    def test_single_point_route(self):
+    def test_single_point_route(self, monkeypatch):
         tree = y_tree()
-        route = plan(tree, (1, 1), (1, 1))
-        assert route.addresses == ((1, 1),)
-        assert route.length_mm == 0.0
-        assert route.visited == 0
+        route, steps = counted_plan(monkeypatch)(tree, (1, 1), (1, 1))
+        assert route == ((1, 1),)
+        assert route_length(tree, route) == 0.0
+        assert steps == 0
 
 
 class TestPlanOracle:
@@ -177,19 +170,19 @@ class TestPlanOracle:
                 start, dest = (addresses[rng.integers(len(addresses))] for _ in range(2))
                 route = plan(tree, start, dest)
                 expect = oracle_path(tree, start, dest)
-                assert route.addresses == tuple(expect)
+                assert route == tuple(expect)
                 # Same fold order over the same floats: exact, not approx.
-                assert route.length_mm == fold_length(tree, expect)
-                assert route.length_mm == dijkstra_route_length(tree, start, dest)
+                assert route_length(tree, route) == dijkstra_route_length(tree, start, dest)
 
-    def test_visited_counter_identity(self):
+    def test_visited_counter_identity(self, monkeypatch):
+        counted = counted_plan(monkeypatch)
         rng = np.random.default_rng(8)
         for trial in range(20):
             tree = generate_phantom(PhantomSpec(), seed=300 + trial)
             _, addresses = tree.flat_points()
             for _ in range(8):
                 start, dest = (addresses[rng.integers(len(addresses))] for _ in range(2))
-                route = plan(tree, start, dest)
+                _, steps = counted(tree, start, dest)
                 up_s = oracle_root_path(tree, start)
                 up_d = oracle_root_path(tree, dest)
                 shared = 0
@@ -200,14 +193,14 @@ class TestPlanOracle:
                     shared += 1
                 lca_depth = shared - 1
                 da, db = len(up_s) - 1, len(up_d) - 1
-                assert route.visited == da + db - 2 * lca_depth
-                assert route.visited <= da + db
+                assert steps == da + db - 2 * lca_depth
+                assert steps <= da + db
 
 
 class TestRouteQueries:
     def test_on_path_membership(self):
         tree = y_tree()
         route = plan(tree, (1, 2), (2, 1))
-        for addr in route.addresses:
+        for addr in route:
             assert on_path(route, addr)
         assert not on_path(route, (0, 0))

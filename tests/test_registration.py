@@ -537,7 +537,7 @@ class TestProblemConstruction:
         cam = CameraModel.standard()
         with pytest.raises(ValueError):
             RegistrationProblem(
-                np.zeros((3, 3)), np.zeros((5, 2)), cam, Pose.identity()
+                np.zeros((3, 3)), np.zeros((5, 2)), cam, Pose(np.eye(3), np.zeros(3))
             )
 
     def test_with_frame_keeps_model_and_rebinds_image(self):

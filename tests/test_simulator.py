@@ -84,35 +84,35 @@ class TestStepMotion:
         tree = chain_tree()
         wire = wire_at(tree, (0, 5))
         rng = np.random.default_rng(0)
-        out = step(tree, wire, ControlCommand(3.0, 0), rng, ActuationNoise.off())
+        out = step(tree, wire, ControlCommand(3.0, 0), rng, ActuationNoise(0.0, 0.0))
         assert out.tip == (0, 8)
         assert len(out.body) == len(wire.body) + 3
-        out = step(tree, out, ControlCommand(0.4, 0), rng, ActuationNoise.off())
+        out = step(tree, out, ControlCommand(0.4, 0), rng, ActuationNoise(0.0, 0.0))
         assert out.tip == (0, 8)
 
     def test_sub_epsilon_shortfall_still_counts(self):
         tree = chain_tree()
         wire = wire_at(tree, (0, 5))
         rng = np.random.default_rng(0)
-        out = step(tree, wire, ControlCommand(2.999999999999, 0), rng, ActuationNoise.off())
+        out = step(tree, wire, ControlCommand(2.999999999999, 0), rng, ActuationNoise(0.0, 0.0))
         assert out.tip == (0, 8)
 
     def test_retraction_pops_and_clamps(self):
         tree = chain_tree()
         wire = wire_at(tree, (0, 3))
         rng = np.random.default_rng(0)
-        out = step(tree, wire, ControlCommand(-2.0, 0), rng, ActuationNoise.off())
+        out = step(tree, wire, ControlCommand(-2.0, 0), rng, ActuationNoise(0.0, 0.0))
         assert out.body == ((0, 0), (0, 1))
-        out = step(tree, out, ControlCommand(-10.0, 0), rng, ActuationNoise.off())
+        out = step(tree, out, ControlCommand(-10.0, 0), rng, ActuationNoise(0.0, 0.0))
         assert out.body == ((0, 0),)
-        out = step(tree, out, ControlCommand(-10.0, 0), rng, ActuationNoise.off())
+        out = step(tree, out, ControlCommand(-10.0, 0), rng, ActuationNoise(0.0, 0.0))
         assert out.body == ((0, 0),)
 
     def test_leaf_pins_forward_motion(self):
         tree = y_tree()
         wire = wire_at(tree, (1, 2))
         rng = np.random.default_rng(0)
-        out = step(tree, wire, ControlCommand(5.0, 0), rng, ActuationNoise.off())
+        out = step(tree, wire, ControlCommand(5.0, 0), rng, ActuationNoise(0.0, 0.0))
         assert out.body == wire.body
 
     def test_junction_follows_phase_before_rotation(self):
@@ -120,18 +120,18 @@ class TestStepMotion:
         rng = np.random.default_rng(0)
         # Phase 0 turns into the attached branch even when the same command
         # also rotates: rotation lands after this step's translation.
-        out = step(tree, wire_at(tree, (0, 0)), ControlCommand(2.0, 1), rng, ActuationNoise.off())
+        out = step(tree, wire_at(tree, (0, 0)), ControlCommand(2.0, 1), rng, ActuationNoise(0.0, 0.0))
         assert out.tip == (1, 0)
         assert out.rotation_phase == 1
         # Phase 1 keeps to the main branch through the same junction.
-        out = step(tree, wire_at(tree, (0, 0), phase=1), ControlCommand(2.0, 0), rng, ActuationNoise.off())
+        out = step(tree, wire_at(tree, (0, 0), phase=1), ControlCommand(2.0, 0), rng, ActuationNoise(0.0, 0.0))
         assert out.tip == (0, 2)
         assert out.rotation_phase == 1
 
     def test_phase_wraps_by_option_count(self):
         tree = y_tree()
         rng = np.random.default_rng(0)
-        out = step(tree, wire_at(tree, (0, 1), phase=2), ControlCommand(1.0, 0), rng, ActuationNoise.off())
+        out = step(tree, wire_at(tree, (0, 1), phase=2), ControlCommand(1.0, 0), rng, ActuationNoise(0.0, 0.0))
         assert out.tip == (1, 0)
 
 

@@ -32,6 +32,16 @@ def tree_length(tree):
     return sum(polyline_length(b.positions()) for b in tree.branches.values())
 
 
+def branch_depth(tree, bid):
+    """Branch hops from bid up to the root, climbing parent_link."""
+    depth = 0
+    branch = tree.branches[bid]
+    while branch.parent_link is not None:
+        branch = tree.branches[branch.parent_link]
+        depth += 1
+    return depth
+
+
 def y_branches():
     root = straight_branch(0, (0, 0, 0), (1, 0, 0), 4, 2.0)
     child = straight_branch(1, (1, 0, 0), (0, 1, 0), 3, 1.0, parent=0, attach=1)
@@ -42,7 +52,7 @@ def y_branches():
 class TestStructureValidation:
     def test_valid_tree_builds(self):
         tree = VesselTree(y_branches(), 0)
-        assert tree.depth(1) == 1
+        assert branch_depth(tree, 1) == 1
         assert tree.branches[0].child_links == [1]
 
     def test_point_radius_must_be_positive(self):
@@ -143,7 +153,7 @@ class TestPhantom:
         assert sorted(tree.branches) == list(range(15))
         leaves = [b for b in tree.branches.values() if not b.child_links]
         assert len(leaves) == 8
-        assert all(tree.depth(b.branch_id) == 3 for b in leaves)
+        assert all(branch_depth(tree, b.branch_id) == 3 for b in leaves)
         for br in tree.branches.values():
             for cid in br.child_links:
                 assert tree.branches[cid].attach_index == len(br.points) - 1
