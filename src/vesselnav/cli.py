@@ -147,7 +147,7 @@ def _episode_config(cfg: configparser.ConfigParser, tip_seed: tuple[float, float
         ),
     )
     noise = cfg["noise"] if cfg.has_section("noise") else {}
-    actuation = ActuationNoise(**_given(noise, translation_jitter=float, rotation_failure=float))
+    actuation = _build("noise", ActuationNoise, **_given(noise, translation_jitter=float, rotation_failure=float))
     imaging_kind = _get(noise, "imaging", str, "none").strip().lower()
     if imaging_kind == "none":
         imaging = None

@@ -46,7 +46,7 @@ def lift(
     if prob.addresses is None:
         raise ValueError("problem carries no addresses; build it with from_tree")
     tip2 = np.asarray(tip2, dtype=float).reshape(2)
-    _, pix, depth = _projection(prob, state.pose, state.deformation.displacements)
+    _, pix, depth = _projection(prob, state.pose, state.displacements)
     ok = depth > 0
     if not np.any(ok):
         raise OffVesselError("entire model is behind the camera")

@@ -57,8 +57,10 @@ class NavigatorParams:
     def __post_init__(self) -> None:
         if self.burst_low > self.burst_high:
             raise ValueError("burst range is inverted")
-        if self.back_step <= 0 or self.reach_threshold_mm <= 0:
-            raise ValueError("back_step and reach_threshold_mm must be positive")
+        if self.back_step <= 0 or not (np.isfinite(self.reach_threshold_mm) and self.reach_threshold_mm > 0):
+            raise ValueError("back_step and reach_threshold_mm must be positive and finite")
+        if self.burst_low < 1 or self.replan_after_misses < 0:
+            raise ValueError("burst_low must be at least 1 and replan_after_misses non-negative")
 
 
 class Navigator:

@@ -214,14 +214,17 @@ def otsu_threshold(values: np.ndarray) -> tuple[int, np.ndarray]:
     return t, values <= t
 
 
-def segment_layers(
-    frame: FluoroFrame, min_wire_contrast: float = 40.0
-) -> tuple[np.ndarray, np.ndarray, int, int | None]:
+# Gray levels between the bright and dark foreground means below which the
+# foreground counts as one population and no instrument is reported.
+MIN_WIRE_CONTRAST = 40.0
+
+
+def segment_layers(frame: FluoroFrame) -> tuple[np.ndarray, np.ndarray, int, int | None]:
     """Split a frame into vessel and instrument masks.
 
     The first Otsu pass separates the dark foreground from the background; the
     second pass runs on the foreground population only. When the foreground is
-    effectively unimodal (mean separation below ``min_wire_contrast`` gray
+    effectively unimodal (mean separation below ``MIN_WIRE_CONTRAST`` gray
     levels) no instrument is reported.
 
     Returns (vessel_mask, wire_mask, threshold1, threshold2-or-None).
@@ -234,7 +237,7 @@ def segment_layers(
         t2_cand, dark_sel = otsu_threshold(fg_values)
         dark = fg_values[dark_sel]
         bright = fg_values[~dark_sel]
-        if bright.size and dark.size and float(bright.mean() - dark.mean()) >= min_wire_contrast:
+        if bright.size and dark.size and float(bright.mean() - dark.mean()) >= MIN_WIRE_CONTRAST:
             t2 = int(t2_cand)
             wire_mask = fg & (frame.pixels <= t2)
     return fg, wire_mask, t1, t2
@@ -339,22 +342,18 @@ TRACK_GATE_PX = 60.0
 TRACK_TAU_PX = 20.0
 
 
-def track(
-    candidates: np.ndarray,
-    previous: TrackedEndpoint,
-    gate_px: float = TRACK_GATE_PX,
-    tau_px: float = TRACK_TAU_PX,
-) -> TrackedEndpoint:
+def track(candidates: np.ndarray, previous: TrackedEndpoint) -> TrackedEndpoint:
     """Pick the candidate nearest the previous tip.
 
-    Confidence decays as exp(-distance / tau). With no candidate inside the
-    gate the previous position is kept with confidence 0 (coasting).
+    Confidence decays as exp(-distance / ``TRACK_TAU_PX``). With no candidate
+    within ``TRACK_GATE_PX`` the previous position is kept with confidence 0
+    (coasting).
     """
     candidates = np.asarray(candidates, dtype=float).reshape(-1, 2)
     if len(candidates) == 0:
         return TrackedEndpoint(previous.position2, 0.0)
     d = np.linalg.norm(candidates - previous.position2, axis=1)
     k = int(np.argmin(d))
-    if d[k] > gate_px:
+    if d[k] > TRACK_GATE_PX:
         return TrackedEndpoint(previous.position2, 0.0)
-    return TrackedEndpoint(candidates[k], float(np.exp(-d[k] / tau_px)))
+    return TrackedEndpoint(candidates[k], float(np.exp(-d[k] / TRACK_TAU_PX)))

@@ -2,9 +2,9 @@
 
 The data term scores each projected 3D centerline point against its nearby 2D
 points through Gaussian kernels. A pose prior anchors the rigid estimate to
-its initialization and a per-point displacement field with magnitude,
-along-branch, and cross-branch smoothness penalties captures deformation. The
-composite loss
+its initialization and a per-point displacement field captures deformation,
+penalized through one weighted difference operator (magnitude, along-branch
+and cross-branch rows; see _difference_operator). The composite loss
 
     -(data term) + pose_prior * anchor + deform * regularizer
 
@@ -22,6 +22,7 @@ form, with its dense Jacobian, as the reference path.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -77,44 +78,18 @@ class SolverConfig:
 
 
 @dataclass
-class DeformationField:
-    """Per-point displacements, shape (N, 3)."""
-
-    displacements: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.displacements, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 3:
-            raise ValueError("displacements must have shape (N, 3)")
-        self.displacements = d
-
-    @staticmethod
-    def zeros(n: int) -> "DeformationField":
-        return DeformationField(np.zeros((n, 3)))
-
-
-@dataclass
 class RegistrationState:
-    """Solver state: pose acts on centered model points, see RegistrationProblem."""
+    """Solver state: pose acts on centered model points, see RegistrationProblem.
+
+    ``displacements`` holds one 3-vector per model point, shape (N, 3).
+    """
 
     pose: Pose
-    deformation: DeformationField
+    displacements: np.ndarray
     bandwidth_px: float
     iteration: int = 0
-    objective: float = float("nan")
     converged: bool = False
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    data: float
-    pose_prior: float
-    deform: float
-    behind_camera: tuple[int, ...] = ()
-
-    def composite(self, weights: Weights) -> float:
-        return -self.data + weights.pose_prior * self.pose_prior + weights.deform * self.deform
 
 
 class RegistrationProblem:
@@ -140,32 +115,37 @@ class RegistrationProblem:
         k_omega: int = 4,
     ):
         self.points3 = np.asarray(points3, dtype=float).reshape(-1, 3)
-        self.points2 = np.asarray(points2, dtype=float).reshape(-1, 2)
         n = len(self.points3)
         if n < 6:
             raise ValueError("need at least 6 model points")
-        if len(self.points2) < 1:
-            raise ValueError("need at least one 2D point")
         self.cam = cam
-        self.init_pose = init_pose
-        self._init_pose_inv = init_pose.inverse()
-        self.weights = weights or Weights()
+        self.weights = w = weights or Weights()
         self.addresses = addresses
         self.center = np.zeros(3) if center is None else np.asarray(center, dtype=float).reshape(3)
         self.k_requested = int(k_corr)
-        self.k_corr = min(self.k_requested, len(self.points2))
         if chain_pairs is None:
             chain_pairs = np.empty((0, 2), dtype=int)
         self.chain_pairs = np.asarray(chain_pairs, dtype=int).reshape(-1, 2)
-        if cross_pairs is None and n > 1:
+        if cross_pairs is None:
             k = min(k_omega + 1, n)
             _, idx = cKDTree(self.points3).query(self.points3, k=k)
-            rows = np.repeat(np.arange(n), k - 1)
-            cols = idx[:, 1:].ravel()
-            cross_pairs = np.stack([rows, cols], axis=1)
-        self.cross_pairs = (
-            np.empty((0, 2), dtype=int) if cross_pairs is None else np.asarray(cross_pairs, dtype=int).reshape(-1, 2)
+            cross_pairs = np.stack([np.repeat(np.arange(n), k - 1), idx[:, 1:].ravel()], axis=1)
+        self.cross_pairs = np.asarray(cross_pairs, dtype=int).reshape(-1, 2)
+        self.deform_op = _difference_operator(n, w, self.chain_pairs, self.cross_pairs)
+        # Gauss-Newton block of deform * |D disp|^2 over displacements
+        # flattened point-major (index 3 i + axis)
+        self.deform_hessian = w.deform * sparse.kron(
+            self.deform_op.T @ self.deform_op, sparse.identity(3), format="csc"
         )
+        self._bind_frame(points2, init_pose)
+
+    def _bind_frame(self, points2: np.ndarray, init_pose: Pose) -> None:
+        self.points2 = np.asarray(points2, dtype=float).reshape(-1, 2)
+        if len(self.points2) < 1:
+            raise ValueError("need at least one 2D point")
+        self.init_pose = init_pose
+        self._init_pose_inv = init_pose.inverse()
+        self.k_corr = min(self.k_requested, len(self.points2))
         self.kd2 = cKDTree(self.points2)
 
     @staticmethod
@@ -183,23 +163,16 @@ class RegistrationProblem:
         world, addresses = tree.flat_points()
         center = world.mean(axis=0)
         centered = world - center
-        chain: list[tuple[int, int]] = []
-        offset = 0
-        for bid in sorted(tree.branches):
-            npts = len(tree.branches[bid].points)
-            for k in range(npts):
-                if k > 0:
-                    chain.append((offset + k, offset + k - 1))
-                if k + 1 < npts:
-                    chain.append((offset + k, offset + k + 1))
-            offset += npts
-        init_centered = _pose_from_world(init_pose_world, center)
+        # consecutive points of one branch, chained both ways, in (i, j) order
+        i = np.flatnonzero(np.diff([bid for bid, _ in addresses]) == 0)
+        chain = np.concatenate([np.stack([i, i + 1], axis=1), np.stack([i + 1, i], axis=1)])
+        chain = chain[np.lexsort((chain[:, 1], chain[:, 0]))]
         return RegistrationProblem(
             centered,
             points2,
             cam,
-            init_centered,
-            chain_pairs=np.array(chain, dtype=int),
+            _pose_from_world(init_pose_world, center),
+            chain_pairs=chain,
             addresses=addresses,
             center=center,
         )
@@ -207,23 +180,16 @@ class RegistrationProblem:
     def with_frame(self, points2: np.ndarray, init_pose_world: Pose) -> "RegistrationProblem":
         """Same model rebound to a new image and initialization.
 
-        A frame-to-frame tracker passes the previous frame's registered pose
+        The copy shares the model points, pairs and deformation operator with
+        this problem; only the image points, their k-d tree, ``k_corr`` and
+        the initial pose are its own. A frame-to-frame tracker passes the previous frame's registered pose
         here and that frame's state to ``solve(..., warm=...)``: the solve
         then starts at the previous optimum and its bandwidth, and only the
         first frame anneals.
         """
-        return RegistrationProblem(
-            self.points3,
-            points2,
-            self.cam,
-            _pose_from_world(init_pose_world, self.center),
-            weights=self.weights,
-            chain_pairs=self.chain_pairs,
-            cross_pairs=self.cross_pairs,
-            addresses=self.addresses,
-            center=self.center,
-            k_corr=self.k_requested,
-        )
+        frame = copy.copy(self)
+        frame._bind_frame(points2, _pose_from_world(init_pose_world, self.center))
+        return frame
 
     def pose_from_world(self, world_pose: Pose) -> Pose:
         return _pose_from_world(world_pose, self.center)
@@ -234,6 +200,19 @@ class RegistrationProblem:
 
 def _pose_from_world(world_pose: Pose, center: np.ndarray) -> Pose:
     return Pose(world_pose.rotation, world_pose.rotation @ center + world_pose.translation)
+
+
+def _difference_operator(n: int, w: Weights, chain_pairs: np.ndarray, cross_pairs: np.ndarray) -> sparse.csr_matrix:
+    """Sparse D with rows sqrt(deform_magnitude) e_i for every point, then
+    sqrt(deform_chain) (e_i - e_j) per chain pair and sqrt(deform_cross)
+    (e_i - e_j) per cross pair, so the deformation penalty is |D disp|^2."""
+    pairs = np.concatenate([chain_pairs, cross_pairs])
+    m = len(pairs)
+    scale = np.repeat(np.sqrt([w.deform_chain, w.deform_cross]), [len(chain_pairs), len(cross_pairs)])
+    rows = np.concatenate([np.arange(n), n + np.arange(m), n + np.arange(m)])
+    cols = np.concatenate([np.arange(n), pairs[:, 0], pairs[:, 1]])
+    vals = np.concatenate([np.full(n, np.sqrt(w.deform_magnitude)), scale, -scale])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n + m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +238,8 @@ def _match_neighbors(prob: RegistrationProblem, pix: np.ndarray, depth: np.ndarr
     idx = np.full((len(pix), prob.k_corr), -1, dtype=int)
     dist = np.full((len(pix), prob.k_corr), np.nan)
     if np.any(ok):
-        d, j = prob.kd2.query(pix[ok], k=prob.k_corr)
-        if prob.k_corr == 1:
-            d = d[:, None]
-            j = j[:, None]
-        idx[ok] = j
-        dist[ok] = d
+        # a list of ranks keeps the (m, k) shape when k_corr is 1
+        dist[ok], idx[ok] = prob.kd2.query(pix[ok], k=list(range(1, prob.k_corr + 1)))
     return idx, dist, ok
 
 
@@ -273,32 +248,14 @@ def _log_to_init(prob: RegistrationProblem, pose: Pose) -> np.ndarray:
 
 
 def _regularizer(prob: RegistrationProblem, disp: np.ndarray) -> float:
-    """Deformation penalty: magnitude plus chain and cross smoothness."""
-    w = prob.weights
-    reg = w.deform_magnitude * float(np.sum(disp * disp))
-    if len(prob.chain_pairs):
-        diff = disp[prob.chain_pairs[:, 0]] - disp[prob.chain_pairs[:, 1]]
-        reg += w.deform_chain * float(np.sum(diff * diff))
-    if len(prob.cross_pairs):
-        diff = disp[prob.cross_pairs[:, 0]] - disp[prob.cross_pairs[:, 1]]
-        reg += w.deform_cross * float(np.sum(diff * diff))
-    return reg
-
-
-def eval_objective(prob: RegistrationProblem, state: RegistrationState) -> EnergyBreakdown:
-    """Energy terms at the given state, using its kernel bandwidth."""
-    disp = state.deformation.displacements
-    proj = _projection(prob, state.pose, disp)
-    idx, dist, ok = _match_neighbors(prob, proj.pix, proj.depth)
-    ell2 = 2.0 * state.bandwidth_px ** 2
-    data = float(np.sum(np.exp(-dist[ok] ** 2 / ell2)))
-    psi = _PRIOR_SCALE * _log_to_init(prob, state.pose)
-    return EnergyBreakdown(data, float(psi @ psi), _regularizer(prob, disp), tuple(np.flatnonzero(~ok)))
+    """Deformation penalty |D disp|^2: magnitude plus chain and cross smoothness."""
+    r = prob.deform_op @ disp
+    return float(np.sum(r * r))
 
 
 def reprojection_rmse(prob: RegistrationProblem, state: RegistrationState, reference_pix: np.ndarray) -> float:
     """RMSE between current projections and reference pixels over visible points."""
-    proj = _projection(prob, state.pose, state.deformation.displacements)
+    proj = _projection(prob, state.pose, state.displacements)
     ok = proj.depth > 0
     err = proj.pix[ok] - np.asarray(reference_pix, dtype=float)[ok]
     return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
@@ -403,7 +360,9 @@ def _data_blocks(prob, pose, proj, targets, ell):
 def _normal_equations(prob, pose, disp, proj, psi, targets, ell, active_deform):
     """Gauss-Newton blocks App, Apr, Arr, gp, gr of the surrogate at the state.
 
-    ``psi`` is ``_log_to_init(prob, pose)``.
+    ``psi`` is ``_log_to_init(prob, pose)``. Arr is the sparse CSC 3n x 3n
+    displacement block: the block-diagonal data term plus
+    ``prob.deform_hessian``.
     """
     s, gvec, g_blocks, h_blocks = _data_blocks(prob, pose, proj, targets, ell)
     n = len(prob.points3)
@@ -421,72 +380,24 @@ def _normal_equations(prob, pose, disp, proj, psi, targets, ell, active_deform):
         return app, None, None, gp, None
 
     apr = np.transpose(gs, (0, 2, 1)) @ h_blocks  # (n, 6, 3)
-    arr_diag = np.transpose(h_blocks * s[:, None, None], (0, 2, 1)) @ h_blocks  # (n, 3, 3)
-    gr = np.einsum("nai,na->ni", h_blocks, gvec)
-
-    lm = w.deform * w.deform_magnitude
-    arr_diag += lm * np.eye(3)[None, :, :]
-    gr += lm * disp
-
-    rows_off = []
-    cols_off = []
-    vals_off = []
-    for pairs, coefw in ((prob.chain_pairs, w.deform_chain), (prob.cross_pairs, w.deform_cross)):
-        if len(pairs) == 0 or coefw == 0.0:
-            continue
-        c = w.deform * coefw
-        i, j = pairs[:, 0], pairs[:, 1]
-        diff = disp[i] - disp[j]
-        np.add.at(gr, i, c * diff)
-        np.add.at(gr, j, -c * diff)
-        eye_add = np.zeros((n, 3, 3))
-        counts = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-        eye_add += counts[:, None, None] * np.eye(3)[None, :, :] * c
-        arr_diag += eye_add
-        rows_off.append(i)
-        cols_off.append(j)
-        vals_off.append(np.full(len(i), -c))
-        rows_off.append(j)
-        cols_off.append(i)
-        vals_off.append(np.full(len(i), -c))
-    return app, apr, (arr_diag, rows_off, cols_off, vals_off), gp, gr
+    arr_data = np.transpose(h_blocks * s[:, None, None], (0, 2, 1)) @ h_blocks  # (n, 3, 3)
+    arr = prob.deform_hessian + sparse.bsr_matrix((arr_data, np.arange(n), np.arange(n + 1)), shape=(3 * n, 3 * n))
+    gr = np.einsum("nai,na->ni", h_blocks, gvec) + (prob.deform_hessian @ disp.ravel()).reshape(n, 3)
+    return app, apr, arr, gp, gr
 
 
-def _solve_step(app, apr, arr_parts, gp, gr, damping, rotation_locked=False):
+def _solve_step(app, apr, arr, gp, gr, damping, rotation_locked=False):
     """One damped normal-equation solve; returns (delta_pose, delta_disp)."""
-    n6 = 6
     dp_diag = np.maximum(np.diag(app), _DIAG_FLOOR)
     app_d = app + damping * np.diag(dp_diag)
     if apr is None:
-        if rotation_locked:
-            delta_p = np.zeros(6)
-            delta_p[:3] = np.linalg.solve(app_d[:3, :3], -gp[:3])
-            return delta_p, None
-        delta_p = np.linalg.solve(app_d, -gp)
+        free = slice(0, 3 if rotation_locked else 6)
+        delta_p = np.zeros(6)
+        delta_p[free] = np.linalg.solve(app_d[free, free], -gp[free])
         return delta_p, None
-    arr_diag, rows_off, cols_off, vals_off = arr_parts
-    n = arr_diag.shape[0]
-    arr_diag = arr_diag.copy()
-    diag_entries = np.maximum(np.einsum("nii->ni", arr_diag), _DIAG_FLOOR)
-    idx3 = np.arange(3)
-    arr_diag[:, idx3, idx3] += damping * diag_entries
-    # assemble sparse Arr (3n x 3n): dense 3x3 diagonal blocks + scalar couplings
-    bi = np.repeat(np.arange(n) * 3, 9)
-    oi = np.tile(np.repeat(idx3, 3), n)
-    oj = np.tile(np.tile(idx3, 3), n)
-    rows = [bi + oi]
-    cols = [bi + oj]
-    vals = [arr_diag.ravel()]
-    for r, c, v in zip(rows_off, cols_off, vals_off):
-        for d in range(3):
-            rows.append(r * 3 + d)
-            cols.append(c * 3 + d)
-            vals.append(v)
-    arr = sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(3 * n, 3 * n)
-    )
-    lu = splu(arr)
-    apr_mat = np.transpose(apr, (1, 0, 2)).reshape(n6, 3 * n)
+    n = len(gr)
+    lu = splu(arr + sparse.diags(damping * np.maximum(arr.diagonal(), _DIAG_FLOOR), format="csc"))
+    apr_mat = np.transpose(apr, (1, 0, 2)).reshape(6, 3 * n)
     rhs = np.concatenate([apr_mat.T, gr.reshape(-1, 1)], axis=1)  # (3n, 7)
     sol = lu.solve(rhs)
     x_a = sol[:, :6]
@@ -498,13 +409,13 @@ def _solve_step(app, apr, arr_parts, gp, gr, damping, rotation_locked=False):
     return delta_p, delta_r.reshape(n, 3)
 
 
-def _predicted_decrease(app, apr, arr_parts, gp, gr, rotation_locked) -> float:
+def _predicted_decrease(app, apr, arr, gp, gr, rotation_locked) -> float:
     """Surrogate decrease the undamped Gauss-Newton step promises, g'A^-1 g / 2.
 
     inf when the normal equations are singular.
     """
     try:
-        delta_p, delta_r = _solve_step(app, apr, arr_parts, gp, gr, 0.0, rotation_locked)
+        delta_p, delta_r = _solve_step(app, apr, arr, gp, gr, 0.0, rotation_locked)
     except (np.linalg.LinAlgError, RuntimeError):
         return np.inf
     return -0.5 * float(gp @ delta_p + (0.0 if delta_r is None else np.sum(gr * delta_r)))
@@ -538,6 +449,8 @@ def solve(
     solve that runs out of ``cfg.max_outer_iters`` reports False.
     """
     cfg = cfg or SolverConfig()
+    if cfg.max_outer_iters < 1:
+        raise ValueError("max_outer_iters must be at least 1")
     n = len(prob.points3)
     pose = prob.init_pose
     disp = np.zeros((n, 3))
@@ -560,26 +473,22 @@ def solve(
     history: list[dict] = []
     reg = _regularizer(prob, disp)
     converged = False
-    outer_done = 0
     for outer in range(cfg.max_outer_iters):
-        outer_done = outer + 1
         idx, dist, okm = _match_neighbors(prob, proj.pix, proj.depth)
         gamma = np.where(okm[:, None], np.exp(-dist ** 2 / (2.0 * ell * ell)), 0.0)
         targets = _weighted_targets(prob, idx, np.nan_to_num(gamma))
         active = cfg.optimize_deformation and ell <= cfg.bandwidth_floor_px
         rot_locked = stage == 0
-        first_step = None
-        first_stalled = False
         # An accepted candidate's cost is the next inner iteration's starting
         # cost: same pose, displacements and frozen weights.
         cost0 = _surrogate_cost(prob, psi, proj, targets, ell, reg)
         for inner in range(_INNER_ITERS):
-            app, apr, arr_parts, gp, gr = _normal_equations(prob, pose, disp, proj, psi, targets, ell, active)
+            app, apr, arr, gp, gr = _normal_equations(prob, pose, disp, proj, psi, targets, ell, active)
             accepted = False
             step = 0.0
             while True:
                 try:
-                    delta_p, delta_r = _solve_step(app, apr, arr_parts, gp, gr, damping, rot_locked)
+                    delta_p, delta_r = _solve_step(app, apr, arr, gp, gr, damping, rot_locked)
                 except (np.linalg.LinAlgError, RuntimeError):
                     # Singular normal equations (or a singular splu factor)
                     # count as a rejected step; anything else is a bug.
@@ -631,7 +540,7 @@ def solve(
                 # model promises no relative decrease above tol, so rounding
                 # noise at the optimum is not read as failure.
                 converged = not first_stalled or (
-                    _predicted_decrease(app, apr, arr_parts, gp, gr, rot_locked) <= _TOL * cost0
+                    _predicted_decrease(app, apr, arr, gp, gr, rot_locked) <= _TOL * cost0
                 )
                 break
             ell = max(ell / 2.0, cfg.bandwidth_floor_px)
@@ -639,18 +548,8 @@ def solve(
             damping = _LM_DAMPING_INIT
             continue
         if (outer + 1) % _ANNEAL_EVERY == 0:
-            if ell > cfg.bandwidth_floor_px:
-                ell = max(ell / 2.0, cfg.bandwidth_floor_px)
+            ell = max(ell / 2.0, cfg.bandwidth_floor_px)
             stage += 1
-    state = RegistrationState(
-        pose,
-        DeformationField(disp),
-        ell,
-        iteration=outer_done,
-        converged=converged,
-    )
-    state.objective = eval_objective(prob, state).composite(prob.weights)
-    state.diagnostics = {"history": history}
-    if not np.isfinite(state.objective):
-        raise FloatingPointError("registration objective is not finite")
-    return state
+    if not np.isfinite(cost0):
+        raise FloatingPointError("registration surrogate cost is not finite")
+    return RegistrationState(pose, disp, ell, iteration=outer + 1, converged=converged, diagnostics={"history": history})

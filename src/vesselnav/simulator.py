@@ -39,6 +39,12 @@ class ActuationNoise:
     translation_jitter: float = 0.1
     rotation_failure: float = 0.1
 
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.translation_jitter) and self.translation_jitter >= 0.0):
+            raise ValueError("translation_jitter must be finite and non-negative")
+        if not 0.0 <= self.rotation_failure <= 1.0:
+            raise ValueError("rotation_failure must lie in [0, 1]")
+
 
 @dataclass(frozen=True)
 class GuidewireState:

@@ -3,13 +3,49 @@
 The solver collapses each model point's k kernel-weighted neighbours into one
 target. These helpers keep the uncollapsed form, one residual row per
 (point, neighbour) pair, with its analytic Jacobian, and a central
-finite-difference Jacobian to check that against.
+finite-difference Jacobian to check that against. ``eval_objective`` is the
+energy oracle: the kernel data term, pose prior and deformation penalty at a
+state, which the solver itself never evaluates.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from vesselnav.geometry import se3_exp, se3_right_jacobian_inv
-from vesselnav.registration import _PRIOR_SCALE, _log_to_init, _pixel_jacobians, _projection
+from vesselnav.registration import (
+    _PRIOR_SCALE,
+    RegistrationProblem,
+    RegistrationState,
+    Weights,
+    _log_to_init,
+    _match_neighbors,
+    _pixel_jacobians,
+    _projection,
+    _regularizer,
+)
+
+
+@dataclass(frozen=True)
+class EnergyBreakdown:
+    data: float
+    pose_prior: float
+    deform: float
+    behind_camera: tuple[int, ...] = ()
+
+    def composite(self, weights: Weights) -> float:
+        return -self.data + weights.pose_prior * self.pose_prior + weights.deform * self.deform
+
+
+def eval_objective(prob: RegistrationProblem, state: RegistrationState) -> EnergyBreakdown:
+    """Energy terms at the given state, using its kernel bandwidth."""
+    disp = state.displacements
+    proj = _projection(prob, state.pose, disp)
+    idx, dist, ok = _match_neighbors(prob, proj.pix, proj.depth)
+    ell2 = 2.0 * state.bandwidth_px ** 2
+    data = float(np.sum(np.exp(-dist[ok] ** 2 / ell2)))
+    psi = _PRIOR_SCALE * _log_to_init(prob, state.pose)
+    return EnergyBreakdown(data, float(psi @ psi), _regularizer(prob, disp), tuple(np.flatnonzero(~ok)))
 
 
 def _dense_residuals(prob, pose, disp, idx, gamma, ell):

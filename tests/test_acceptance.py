@@ -32,7 +32,6 @@ from vesselnav.navigator import EpisodeConfig, Navigator, NavigatorParams, run_e
 from vesselnav.perception import endpoint_candidates, otsu_threshold, thin
 from vesselnav.planning import address_depth, plan
 from vesselnav.registration import (
-    DeformationField,
     RegistrationProblem,
     RegistrationState,
     SolverConfig,
@@ -174,7 +173,7 @@ def test_criterion_4_lifting_bound_and_closed_loop(capsys):
     view = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]) - pts.mean(axis=0))
     model = resample_centerlines(tree, 0.5)
     prob = RegistrationProblem.from_tree(model, np.zeros((1, 2)), cam, view)
-    state = RegistrationState(prob.pose_from_world(view), DeformationField.zeros(len(prob.points3)), 2.0)
+    state = RegistrationState(prob.pose_from_world(view), np.zeros_like(prob.points3), 2.0)
 
     route = plan(tree, (0, 20), (11, 33))
     held = 0

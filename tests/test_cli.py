@@ -266,6 +266,12 @@ class TestMain:
             ("solver", "spacing_mm = 0", ["run"]),
             ("solver", "max_loops = -1", ["run"]),
             ("noise", "imaging = gaussian\nimaging_std = -1", ["run"]),
+            ("noise", "translation_jitter = nan", ["run"]),
+            ("noise", "rotation_failure = nan", ["run"]),
+            ("noise", "rotation_failure = 2.0", ["run"]),
+            ("navigator", "reach_threshold_mm = nan", ["run"]),
+            ("navigator", "burst_low = -3", ["run"]),
+            ("navigator", "replan_after_misses = -1", ["run"]),
             ("solver", "", ["run", "--seed-offset", "-1"]),
             ("solver", "", ["dump", "--task", "t1", "--frames", "0:1", "--seed", "-1"]),
         ],
@@ -279,6 +285,12 @@ class TestMain:
             "spacing_mm",
             "max_loops",
             "imaging_std",
+            "translation_jitter_nan",
+            "rotation_failure_nan",
+            "rotation_failure_above_one",
+            "reach_threshold_nan",
+            "burst_low_negative",
+            "replan_after_misses_negative",
             "seed_offset",
             "dump_seed",
         ],

@@ -11,7 +11,7 @@ import pytest
 from vesselnav.geometry import CameraModel, Pose, project_points
 from lifting_reference import lateral_error_bound
 from vesselnav.lifting import LiftedTip, OffVesselError, lift
-from vesselnav.registration import DeformationField, RegistrationProblem, RegistrationState
+from vesselnav.registration import RegistrationProblem, RegistrationState
 from vesselnav.simulator import initial_wire, step, ControlCommand, ActuationNoise
 from vesselnav.vessel_model import (
     Branch,
@@ -58,7 +58,7 @@ def problem_for(tree, pose):
 
 def rigid_state(prob):
     """The problem's initial pose with no deformation; lifting ignores the bandwidth."""
-    return RegistrationState(prob.init_pose, DeformationField.zeros(len(prob.points3)), 2.0)
+    return RegistrationState(prob.init_pose, np.zeros_like(prob.points3), 2.0)
 
 
 class TestBound:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from vesselnav import perception
 from vesselnav.geometry import CameraModel, project
 from vesselnav.perception import (
     ConstantImageError,
@@ -331,11 +332,14 @@ class TestTrack:
         none = track(np.zeros((0, 2)), prev)
         assert np.array_equal(none.position2, prev.position2)
 
-    def test_custom_gate_and_tau(self):
+    def test_custom_gate_and_tau(self, monkeypatch):
         prev = TrackedEndpoint(np.array([0.0, 0.0]), 1.0)
-        out = track(np.array([[8.0, 0.0]]), prev, gate_px=5.0)
+        monkeypatch.setattr(perception, "TRACK_GATE_PX", 5.0)
+        out = track(np.array([[8.0, 0.0]]), prev)
         assert out.confidence == 0.0
-        out = track(np.array([[8.0, 0.0]]), prev, gate_px=10.0, tau_px=8.0)
+        monkeypatch.setattr(perception, "TRACK_GATE_PX", 10.0)
+        monkeypatch.setattr(perception, "TRACK_TAU_PX", 8.0)
+        out = track(np.array([[8.0, 0.0]]), prev)
         assert out.confidence == pytest.approx(np.exp(-1.0))
 
     def test_confidence_bounds_enforced(self):
@@ -370,13 +374,15 @@ class TestSegmentLayers:
         assert not wire.any()
         assert vessel.sum() == 30 * 10
 
-    def test_low_contrast_foreground_reports_no_wire(self):
+    def test_low_contrast_foreground_reports_no_wire(self, monkeypatch):
         img = np.full((40, 40), 220, dtype=np.uint8)
         img[5:35, 10:20] = 150
         img[15:25, 14:16] = 140
-        _, wire, _, t2 = segment_layers(flat_frame(img), min_wire_contrast=40.0)
+        monkeypatch.setattr(perception, "MIN_WIRE_CONTRAST", 40.0)
+        _, wire, _, t2 = segment_layers(flat_frame(img))
         assert t2 is None and not wire.any()
-        _, wire, _, t2 = segment_layers(flat_frame(img), min_wire_contrast=5.0)
+        monkeypatch.setattr(perception, "MIN_WIRE_CONTRAST", 5.0)
+        _, wire, _, t2 = segment_layers(flat_frame(img))
         assert t2 is not None and wire.sum() == 10 * 2
 
 
