@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registration import RegistrationProblem, RegistrationState, _projection
+from .geometry import project_points
+from .registration import RegistrationProblem, RegistrationState
 
 # A tip farther than LIFT_GATE_PX from every projection is off the vessel;
 # model points within LIFT_TIE_PX of the best projection count as near-ties.
@@ -46,7 +47,7 @@ def lift(
     if prob.addresses is None:
         raise ValueError("problem carries no addresses; build it with from_tree")
     tip2 = np.asarray(tip2, dtype=float).reshape(2)
-    _, pix, depth = _projection(prob, state.pose, state.displacements)
+    pix, depth = project_points(prob.points3, state.pose, prob.cam)
     ok = depth > 0
     if not np.any(ok):
         raise OffVesselError("entire model is behind the camera")

@@ -32,8 +32,6 @@ from .planning import Address, on_path, plan
 from .registration import (
     RegistrationProblem,
     RegistrationState,
-    SolverConfig,
-    _projection,
     reprojection_rmse,
     solve,
 )
@@ -216,8 +214,7 @@ class PerceptionEstimator:
         self.renderer = FrameRenderer(tree, self.view, cam)
         self.model = resample_centerlines(tree, config.registration_spacing_mm)
         self.base_problem = base = RegistrationProblem.from_tree(self.model, np.zeros((1, 2)), cam, self.view)
-        self.solver_cfg = SolverConfig(optimize_deformation=False)
-        self.reference_px = _projection(base, base.pose_from_world(self.view), np.zeros_like(base.points3)).pix
+        self.reference_px, _ = project_points(base.points3, base.pose_from_world(self.view), cam)
         self.introducer_px = project(tree.position(INSERTION), self.view, cam)
         self.pose_world = self.view
         self.reg_state: RegistrationState | None = None
@@ -238,7 +235,7 @@ class PerceptionEstimator:
         # Camera and tree are static: each frame starts from the previous
         # frame's optimum, and only the first frame anneals.
         problem = self.base_problem.with_frame(q, self.pose_world)
-        self.reg_state = solve(problem, self.solver_cfg, warm=self.reg_state)
+        self.reg_state = solve(problem, warm=self.reg_state)
         self.pose_world = problem.pose_to_world(self.reg_state.pose)
         rmse = reprojection_rmse(problem, self.reg_state, self.reference_px)
         if wire_thresh is None:

@@ -34,7 +34,6 @@ from vesselnav.planning import address_depth, plan
 from vesselnav.registration import (
     RegistrationProblem,
     RegistrationState,
-    SolverConfig,
     _match_neighbors,
     _projection,
     reprojection_rmse,
@@ -123,11 +122,10 @@ def test_criterion_3_registration_recovery_and_jacobian(capsys):
     world = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]) - pts.mean(axis=0))
     prob0 = RegistrationProblem.from_tree(dense, np.zeros((1, 2)), cam, world)
     true_c = prob0.pose_from_world(world)
-    _, pix, depth = _projection(prob0, true_c, np.zeros((len(pts), 3)))
+    pix, depth = _projection(prob0, true_c)
     assert np.all(depth > 0)
 
     rng = np.random.default_rng(303)
-    cfg = SolverConfig(optimize_deformation=False)
     sub_px = 0
     for _ in range(50):
         d = rng.normal(size=3)
@@ -135,27 +133,22 @@ def test_criterion_3_registration_recovery_and_jacobian(capsys):
         a = rng.normal(size=3)
         r = np.deg2rad(rng.uniform(0.0, 5.0)) * a / np.linalg.norm(a)
         prob = prob0.with_frame(pix, prob0.pose_to_world(true_c.compose(se3_exp(np.concatenate([t, r])))))
-        sub_px += reprojection_rmse(prob, solve(prob, cfg), pix) < 0.5
+        sub_px += reprojection_rmse(prob, solve(prob), pix) < 0.5
 
     worst = 0.0
     jrng = np.random.default_rng(304)
-    for k in range(100):
+    for _ in range(100):
         pts3 = jrng.uniform(-20, 20, (8, 3))
         q = jrng.uniform(100, 400, (24, 2))
-        chain = np.array([(i, i + 1) for i in range(7)] + [(i + 1, i) for i in range(7)])
-        prob = RegistrationProblem(
-            pts3, q, cam, Pose(np.eye(3), np.array([0.0, 0.0, 800.0])),
-            chain_pairs=chain, k_corr=3, k_omega=3,
-        )
         tw = np.concatenate([jrng.uniform(-5, 5, 3), jrng.uniform(-0.05, 0.05, 3)])
+        jitter = jrng.normal(0.0, 0.5, (8, 3))
+        prob = RegistrationProblem(pts3 + jitter, q, cam, Pose(np.eye(3), np.array([0.0, 0.0, 800.0])), k_corr=3)
         pose = prob.init_pose.compose(se3_exp(tw))
-        disp = jrng.normal(0.0, 0.5, (8, 3))
-        _, pixk, depthk = _projection(prob, pose, disp)
+        pixk, depthk = _projection(prob, pose)
         idx, dist, okm = _match_neighbors(prob, pixk, depthk)
         gamma = np.nan_to_num(np.where(okm[:, None], np.exp(-(dist**2) / 72.0), 0.0))
-        active = k % 2 == 0
-        ja = _dense_jacobian(prob, pose, disp, idx, gamma, 6.0, active_deform=active)
-        jn = _fd_jacobian(prob, pose, disp, idx, gamma, 6.0, active)
+        ja = _dense_jacobian(prob, pose, idx, gamma, 6.0)
+        jn = _fd_jacobian(prob, pose, idx, gamma, 6.0)
         worst = max(worst, np.abs(ja - jn).max() / max(1.0, np.abs(jn).max()))
 
     ok = sub_px >= 48 and worst < 1e-5
@@ -173,7 +166,7 @@ def test_criterion_4_lifting_bound_and_closed_loop(capsys):
     view = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]) - pts.mean(axis=0))
     model = resample_centerlines(tree, 0.5)
     prob = RegistrationProblem.from_tree(model, np.zeros((1, 2)), cam, view)
-    state = RegistrationState(prob.pose_from_world(view), np.zeros_like(prob.points3), 2.0)
+    state = RegistrationState(prob.pose_from_world(view), 2.0)
 
     route = plan(tree, (0, 20), (11, 33))
     held = 0

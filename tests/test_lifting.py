@@ -57,8 +57,8 @@ def problem_for(tree, pose):
 
 
 def rigid_state(prob):
-    """The problem's initial pose with no deformation; lifting ignores the bandwidth."""
-    return RegistrationState(prob.init_pose, np.zeros_like(prob.points3), 2.0)
+    """The problem's initial pose; lifting ignores the bandwidth."""
+    return RegistrationState(prob.init_pose, 2.0)
 
 
 class TestBound:

@@ -13,17 +13,15 @@ from scipy.linalg import logm
 from vesselnav import registration
 from vesselnav.geometry import CameraModel, Pose, se3_exp, so3_log
 from vesselnav.registration import (
+    _POSE_PRIOR,
     _PRIOR_SCALE,
     RegistrationProblem,
     RegistrationState,
-    SolverConfig,
-    Weights,
     _data_blocks,
     _log_to_init,
     _match_neighbors,
     _normal_equations,
     _projection,
-    _regularizer,
     _surrogate_cost,
     _weighted_targets,
     reprojection_rmse,
@@ -34,40 +32,28 @@ from vesselnav.vessel_model import PhantomSpec, generate_phantom, resample_cente
 from registration_reference import _dense_jacobian, _dense_residuals, _fd_jacobian, eval_objective
 
 
-def small_problem(rng, n=14, m=40, k_corr=3, weights=None):
+def small_problem(rng, n=14, m=40, k_corr=3):
     pts = rng.uniform(-20, 20, (n, 3))
     q = rng.uniform(100, 400, (m, 2))
     cam = CameraModel.standard()
     pose = Pose(np.eye(3), np.array([0.0, 0.0, 800.0]))
-    chain = np.array([(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)])
-    return RegistrationProblem(
-        pts, q, cam, pose, weights=weights, chain_pairs=chain, k_corr=k_corr, k_omega=3
-    )
+    return RegistrationProblem(pts, q, cam, pose, k_corr=k_corr)
 
 
-def random_state(prob, rng, disp_scale=0.5):
+def random_state(prob, rng):
     tw = np.concatenate([rng.uniform(-5, 5, 3), rng.uniform(-0.05, 0.05, 3)])
-    disp = rng.normal(0, disp_scale, (len(prob.points3), 3))
-    return RegistrationState(prob.init_pose.compose(se3_exp(tw)), disp, 6.0)
-
-
-def mean_nearest_px(prob, state):
-    """Mean distance from each visible projected model point to its nearest 2D point."""
-    _, pix, depth = _projection(prob, state.pose, state.displacements)
-    d, _ = prob.kd2.query(pix[depth > 0], k=1)
-    return float(d.mean())
+    return RegistrationState(prob.init_pose.compose(se3_exp(tw)), 6.0)
 
 
 def oracle_objective(prob, state):
     """Direct nested-loop evaluation of every energy term."""
-    disp = state.displacements
     k = prob.cam.intrinsics
     ell = state.bandwidth_px
     data = 0.0
     behind = []
     pix_all = []
     for i in range(len(prob.points3)):
-        z = state.pose.rotation @ (prob.points3[i] + disp[i]) + state.pose.translation
+        z = state.pose.rotation @ prob.points3[i] + state.pose.translation
         h = k[:, :3] @ z + k[:, 3]
         if h[2] <= 0:
             behind.append(i)
@@ -84,13 +70,7 @@ def oracle_objective(prob, state):
     lg = logm(rel)
     psi = np.concatenate([lg[:3, 3], [lg[2, 1], lg[0, 2], lg[1, 0]]]).real
     prior = float(np.sum((_PRIOR_SCALE * psi) ** 2))
-    w = prob.weights
-    reg = w.deform_magnitude * np.sum(disp ** 2)
-    for i, j in prob.chain_pairs:
-        reg += w.deform_chain * np.sum((disp[i] - disp[j]) ** 2)
-    for i, j in prob.cross_pairs:
-        reg += w.deform_cross * np.sum((disp[i] - disp[j]) ** 2)
-    return data, prior, float(reg), behind
+    return data, prior, behind
 
 
 class TestObjectiveOracle:
@@ -100,24 +80,23 @@ class TestObjectiveOracle:
             prob = small_problem(rng)
             state = random_state(prob, rng)
             got = eval_objective(prob, state)
-            data, prior, reg, behind = oracle_objective(prob, state)
+            data, prior, behind = oracle_objective(prob, state)
             assert got.data == pytest.approx(data, rel=1e-12)
             assert got.pose_prior == pytest.approx(prior, rel=1e-9, abs=1e-15)
-            assert got.deform == pytest.approx(reg, rel=1e-12)
             assert list(got.behind_camera) == behind
 
     def test_composite_combines_terms(self):
         rng = np.random.default_rng(3)
-        w = Weights(pose_prior=7.0, deform=2.5)
-        prob = small_problem(rng, weights=w)
+        prob = small_problem(rng)
         state = random_state(prob, rng)
         e = eval_objective(prob, state)
-        assert e.composite(w) == pytest.approx(-e.data + 7.0 * e.pose_prior + 2.5 * e.deform)
+        assert _POSE_PRIOR == 100.0 and e.pose_prior > 0.0
+        assert e.composite() == pytest.approx(-e.data + _POSE_PRIOR * e.pose_prior)
 
     def test_behind_camera_points_are_excluded(self):
         rng = np.random.default_rng(8)
         prob = small_problem(rng)
-        state = RegistrationState(prob.init_pose, np.zeros_like(prob.points3), 6.0)
+        state = RegistrationState(prob.init_pose, 6.0)
         # push one model point behind the projection center
         prob.points3[0, 2] = -2000.0
         e = eval_objective(prob, state)
@@ -126,52 +105,38 @@ class TestObjectiveOracle:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("active", [True, False])
-    def test_analytic_matches_finite_differences(self, active):
+    def test_analytic_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(10):
             prob = small_problem(rng, n=10, m=30)
-            state = random_state(prob, rng)
-            pose, disp = state.pose, state.displacements
-            _, pix, depth = _projection(prob, pose, disp)
+            pose = random_state(prob, rng).pose
+            pix, depth = _projection(prob, pose)
             idx, dist, ok = _match_neighbors(prob, pix, depth)
             ell = 6.0
             gamma = np.where(ok[:, None], np.exp(-dist ** 2 / (2 * ell * ell)), 0.0)
             gamma = np.nan_to_num(gamma)
-            ja = _dense_jacobian(prob, pose, disp, idx, gamma, ell, active_deform=active)
-            jn = _fd_jacobian(prob, pose, disp, idx, gamma, ell, active)
+            ja = _dense_jacobian(prob, pose, idx, gamma, ell)
+            jn = _fd_jacobian(prob, pose, idx, gamma, ell)
             scale = max(1.0, np.abs(jn).max())
             worst = max(worst, np.abs(ja - jn).max() / scale)
         assert worst < 1e-5
 
     def test_normal_equations_match_dense_jacobian(self):
         rng = np.random.default_rng(13)
-        for active in (True, False):
+        for _ in range(2):
             prob = small_problem(rng, n=9, m=25)
-            state = random_state(prob, rng)
-            pose, disp = state.pose, state.displacements
-            _, pix, depth = _projection(prob, pose, disp)
-            idx, dist, ok = _match_neighbors(prob, pix, depth)
+            pose = random_state(prob, rng).pose
+            proj = _projection(prob, pose)
+            idx, dist, ok = _match_neighbors(prob, proj.pix, proj.depth)
             ell = 5.0
             gamma = np.nan_to_num(np.where(ok[:, None], np.exp(-dist ** 2 / (2 * ell * ell)), 0.0))
-            j = _dense_jacobian(prob, pose, disp, idx, gamma, ell, active_deform=active)
-            rho = _dense_residuals(prob, pose, disp, idx, gamma, ell)
-            proj = _projection(prob, pose, disp)
+            j = _dense_jacobian(prob, pose, idx, gamma, ell)
+            rho = _dense_residuals(prob, pose, idx, gamma, ell)
             targets = _weighted_targets(prob, idx, gamma)
-            app, apr, arr, gp, gr = _normal_equations(
-                prob, pose, disp, proj, _log_to_init(prob, pose), targets, ell, active
-            )
-            jtj = j.T @ j
-            jtr = j.T @ rho
-            assert np.allclose(app, jtj[:6, :6], atol=1e-9)
-            assert np.allclose(gp, jtr[:6], atol=1e-9)
-            if active:
-                n = len(prob.points3)
-                apr_full = np.transpose(apr, (1, 0, 2)).reshape(6, 3 * n)
-                assert np.allclose(apr_full, jtj[:6, 6:], atol=1e-9)
-                assert np.allclose(gr.ravel(), jtr[6:], atol=1e-9)
-                assert np.allclose(arr.toarray(), jtj[6:, 6:], atol=1e-9)
+            app, gp = _normal_equations(prob, pose, proj, _log_to_init(prob, pose), targets, ell)
+            assert np.allclose(app, j.T @ j, atol=1e-9)
+            assert np.allclose(gp, j.T @ rho, atol=1e-9)
 
 
 class TestSurrogate:
@@ -182,39 +147,27 @@ class TestSurrogate:
         rng = np.random.default_rng(17)
         for _ in range(25):
             prob = small_problem(rng)
-            ref = random_state(prob, rng, disp_scale=0.2)
+            ref = random_state(prob, rng)
             ell = ref.bandwidth_px
-            _, pix, depth = _projection(prob, ref.pose, ref.displacements)
+            pix, depth = _projection(prob, ref.pose)
             idx, dist, ok = _match_neighbors(prob, pix, depth)
             assert np.all(ok)
             gamma = np.exp(-dist ** 2 / (2 * ell * ell))
             targets = _weighted_targets(prob, idx, gamma)
 
-            cand = random_state(prob, rng, disp_scale=0.2)
+            cand = random_state(prob, rng)
             cand.bandwidth_px = ell
             e_ref = eval_objective(prob, ref)
             e_cand = eval_objective(prob, cand)
             if e_cand.behind_camera or e_ref.behind_camera:
                 continue
-            def surrogate(state):
-                disp = state.displacements
-                proj = _projection(prob, state.pose, disp)
-                return _surrogate_cost(
-                    prob, _log_to_init(prob, state.pose), proj, targets, ell, _regularizer(prob, disp)
-                )
-
-            s_ref = surrogate(ref)
-            s_cand = surrogate(cand)
-            # compare only the data parts: subtract identical prior and reg rows
-            def aux(state):
-                w = prob.weights
-                return (
-                    w.pose_prior * eval_objective(prob, state).pose_prior
-                    + w.deform * eval_objective(prob, state).deform
-                )
+            # compare only the data parts: subtract the identical prior rows
+            def surrogate_data(state, energy):
+                cost = _surrogate_cost(_log_to_init(prob, state.pose), _projection(prob, state.pose), targets, ell)
+                return cost - _POSE_PRIOR * energy.pose_prior
 
             lhs = (-e_cand.data) - (-e_ref.data)
-            rhs = (s_cand - aux(cand)) - (s_ref - aux(ref))
+            rhs = surrogate_data(cand, e_cand) - surrogate_data(ref, e_ref)
             assert lhs <= rhs + 1e-9
 
     def test_weighted_targets_match_k_neighbour_reference(self):
@@ -226,7 +179,7 @@ class TestSurrogate:
         for trial in range(20):
             prob = small_problem(rng)
             ref = random_state(prob, rng)
-            _, pix, depth = _projection(prob, ref.pose, ref.displacements)
+            pix, depth = _projection(prob, ref.pose)
             idx, dist, ok = _match_neighbors(prob, pix, depth)
             ell = 4.0
             gamma = np.nan_to_num(np.where(ok[:, None], np.exp(-dist ** 2 / (2 * ell * ell)), 0.0))
@@ -236,23 +189,23 @@ class TestSurrogate:
             gamma[3] = np.exp(-np.full(prob.k_corr, 1e4))  # underflows to 0
             assert np.all(gamma[3] == 0.0)
 
-            state = random_state(prob, rng)
-            pose, disp = state.pose, state.displacements.copy()
+            pose = random_state(prob, rng).pose
             if trial % 2:
-                disp[4, 2] = -5000.0  # behind the camera, but matched
-            proj = _projection(prob, pose, disp)
+                prob.points3[4, 2] = -5000.0  # behind the camera, but matched
+            proj = _projection(prob, pose)
             assert (proj.depth[4] <= 0) == bool(trial % 2)
             targets = _weighted_targets(prob, idx, gamma)
             assert np.all(targets.s[1:4] == 0.0) and np.all(targets.c[1:4] == 0.0)
 
-            rho = _dense_residuals(prob, pose, disp, idx, gamma, ell)
-            got = _surrogate_cost(prob, _log_to_init(prob, pose), proj, targets, ell, _regularizer(prob, disp))
+            rho = _dense_residuals(prob, pose, idx, gamma, ell)
+            got = _surrogate_cost(_log_to_init(prob, pose), proj, targets, ell)
             assert got == pytest.approx(float(rho @ rho), rel=1e-10)
 
-            s, gvec, _, _ = _data_blocks(prob, pose, proj, targets, ell)
-            want_s = np.zeros(len(disp))
-            want_g = np.zeros((len(disp), 2))
-            for i in range(len(disp)):
+            s, gvec, _ = _data_blocks(prob, pose, proj, targets, ell)
+            n = len(prob.points3)
+            want_s = np.zeros(n)
+            want_g = np.zeros((n, 2))
+            for i in range(n):
                 if np.any(idx[i] < 0) or proj.depth[i] <= 0:
                     continue
                 for j, w in zip(idx[i], gamma[i]):
@@ -261,10 +214,11 @@ class TestSurrogate:
             assert np.allclose(s, want_s, rtol=1e-12, atol=0.0)
             assert np.allclose(gvec, want_g, rtol=1e-10, atol=1e-10 * np.abs(want_g).max())
 
-    def test_accepted_steps_decrease_surrogate(self):
+    def test_accepted_steps_decrease_surrogate(self, monkeypatch):
         rng = np.random.default_rng(23)
         prob = small_problem(rng, n=20, m=60)
-        st = solve(prob, SolverConfig(max_outer_iters=20))
+        monkeypatch.setattr(registration, "_MAX_OUTER_ITERS", 20)
+        st = solve(prob)
         hist = st.diagnostics["history"]
         assert len(hist) > 0
         for h in hist:
@@ -281,7 +235,7 @@ def scene():
     world = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]) - pts.mean(axis=0))
     prob0 = RegistrationProblem.from_tree(dense, np.zeros((1, 2)), cam, world)
     true_c = prob0.pose_from_world(world)
-    _, pix, depth = _projection(prob0, true_c, np.zeros((len(pts), 3)))
+    pix, depth = _projection(prob0, true_c)
     assert np.all(depth > 0)
     return prob0, true_c, pix
 
@@ -290,13 +244,12 @@ class TestRecovery:
     def test_identity_perturbation_is_fixed_point(self, scene):
         prob0, true_c, pix = scene
         prob = prob0.with_frame(pix, prob0.pose_to_world(true_c))
-        st = solve(prob, SolverConfig(optimize_deformation=False))
+        st = solve(prob)
         assert reprojection_rmse(prob, st, pix) < 0.35
 
     def test_pose_perturbations_recover_subpixel(self, scene):
         prob0, true_c, pix = scene
         rng = np.random.default_rng(77)
-        cfg = SolverConfig(optimize_deformation=False)
         rmses = []
         for _ in range(10):
             d = rng.normal(size=3)
@@ -305,43 +258,18 @@ class TestRecovery:
             r = np.deg2rad(rng.uniform(0, 5.0)) * a / np.linalg.norm(a)
             init = true_c.compose(se3_exp(np.concatenate([t, r])))
             prob = prob0.with_frame(pix, prob0.pose_to_world(init))
-            st = solve(prob, cfg)
+            st = solve(prob)
             rmses.append(reprojection_rmse(prob, st, pix))
         assert np.median(rmses) < 0.5
         assert sum(r < 0.5 for r in rmses) >= 9
-
-    def test_joint_solve_improves_bent_target(self, scene):
-        cam = CameraModel.standard()
-        tree = generate_phantom(PhantomSpec(), seed=11)
-        coarse = resample_centerlines(tree, 1.0)
-        pts, _ = coarse.flat_points()
-        world = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]) - pts.mean(axis=0))
-        prob0 = RegistrationProblem.from_tree(coarse, np.zeros((1, 2)), cam, world)
-        true_c = prob0.pose_from_world(world)
-        n = len(pts)
-        centered = prob0.points3
-        s = (centered[:, 1] - centered[:, 1].min()) / np.ptp(centered[:, 1])
-        bend = np.stack([6.0 * s ** 2, np.zeros(n), -3.0 * s ** 2], axis=1)
-        z = (centered + bend) @ true_c.rotation.T + true_c.translation
-        h = z @ cam.intrinsics[:, :3].T + cam.intrinsics[:, 3]
-        pix_bent = h[:, :2] / h[:, 2:]
-        rng = np.random.default_rng(5)
-        tw = np.concatenate([rng.uniform(-4, 4, 3), np.deg2rad(2.0) * rng.normal(size=3) / np.sqrt(3)])
-        prob = prob0.with_frame(pix_bent, prob0.pose_to_world(true_c.compose(se3_exp(tw))))
-        st_rigid = solve(prob, SolverConfig(optimize_deformation=False))
-        st_joint = solve(prob, SolverConfig(optimize_deformation=True))
-        assert mean_nearest_px(prob, st_joint) < mean_nearest_px(prob, st_rigid)
-        assert np.abs(st_joint.displacements).max() > 0.5
 
     def test_solver_is_deterministic(self, scene):
         prob0, true_c, pix = scene
         init = true_c.compose(se3_exp(np.array([3.0, -2.0, 5.0, 0.02, -0.01, 0.03])))
         prob = prob0.with_frame(pix, prob0.pose_to_world(init))
-        cfg = SolverConfig(optimize_deformation=False)
-        a = solve(prob, cfg)
-        b = solve(prob, cfg)
+        a = solve(prob)
+        b = solve(prob)
         assert np.array_equal(a.pose.matrix(), b.pose.matrix())
-        assert np.array_equal(a.displacements, b.displacements)
         ha = [(h["cost_before"], h["cost_after"], h["step_norm"]) for h in a.diagnostics["history"]]
         hb = [(h["cost_before"], h["cost_after"], h["step_norm"]) for h in b.diagnostics["history"]]
         assert ha == hb
@@ -357,7 +285,7 @@ def clean_cold(scene):
     a = rng.normal(size=3)
     r = np.deg2rad(rng.uniform(0.0, 5.0)) * a / np.linalg.norm(a)
     prob = prob0.with_frame(pix, prob0.pose_to_world(true_c.compose(se3_exp(np.concatenate([t, r])))))
-    return prob, solve(prob, SolverConfig(optimize_deformation=False))
+    return prob, solve(prob)
 
 
 def rotation_angle_deg(a, b):
@@ -372,21 +300,18 @@ class TestConvergedFlag:
         # iteration accepted no LM step, with the pose at the optimum up to
         # rounding.
         assert hist[-1]["outer"] < st.iteration - 1
-        assert st.bandwidth_px == SolverConfig().bandwidth_floor_px
+        assert st.bandwidth_px == registration._BANDWIDTH_FLOOR_PX
         assert st.converged
 
-    def test_exhausted_iteration_budget_is_not_converged(self, clean_cold):
+    def test_exhausted_iteration_budget_is_not_converged(self, clean_cold, monkeypatch):
         prob, _ = clean_cold
-        st = solve(prob, SolverConfig(optimize_deformation=False, max_outer_iters=1))
+        monkeypatch.setattr(registration, "_MAX_OUTER_ITERS", 1)
+        st = solve(prob)
         assert st.iteration == 1
         assert not st.converged
-        with pytest.raises(ValueError):
-            solve(prob, SolverConfig(optimize_deformation=False, max_outer_iters=0))
 
 
 class TestWarmStart:
-    cfg = SolverConfig(optimize_deformation=False)
-
     def test_unchanged_frame_stays_at_optimum(self, scene, clean_cold):
         prob0, _, pix = scene
         prob, prev = clean_cold
@@ -397,7 +322,7 @@ class TestWarmStart:
         iters, moves = [], []
         for _ in range(3):
             frame = prob0.with_frame(pix, prob.pose_to_world(prev.pose))
-            st = solve(frame, self.cfg, warm=prev)
+            st = solve(frame, warm=prev)
             assert st.converged
             iters.append(st.iteration)
             moves.append(np.abs(st.pose.matrix() - prev.pose.matrix()).max())
@@ -412,7 +337,7 @@ class TestWarmStart:
         axis = np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0)
         start = prev.pose.compose(se3_exp(np.concatenate([np.zeros(3), np.deg2rad(1.0) * axis])))
         frame = prob0.with_frame(pix, prob0.pose_to_world(start))
-        st = solve(frame, self.cfg, warm=prev)
+        st = solve(frame, warm=prev)
         # A rotation-locked first stage would keep the 1 degree offset.
         assert rotation_angle_deg(st.pose, prev.pose) < 0.2
         assert max(h["bandwidth"] for h in st.diagnostics["history"]) <= prev.bandwidth_px
@@ -421,31 +346,33 @@ class TestWarmStart:
         prob0, true_c, pix = scene
         start = true_c.compose(se3_exp(np.array([1.0, -0.5, 2.0, 0.0, 0.0, 0.0])))
         frame = prob0.with_frame(pix, prob0.pose_to_world(start))
-        prev = RegistrationState(start, np.zeros_like(frame.points3), 4.0)
-        st = solve(frame, self.cfg, warm=prev)
+        prev = RegistrationState(start, 4.0)
+        st = solve(frame, warm=prev)
         bws = [h["bandwidth"] for h in st.diagnostics["history"]]
         assert bws[0] == prev.bandwidth_px
         assert max(bws) <= prev.bandwidth_px
-        assert st.bandwidth_px == self.cfg.bandwidth_floor_px
+        assert st.bandwidth_px == registration._BANDWIDTH_FLOOR_PX
 
     def test_rejects_unusable_bandwidth(self, scene):
         prob0, true_c, pix = scene
         frame = prob0.with_frame(pix, prob0.pose_to_world(true_c))
-        prev = RegistrationState(true_c, np.zeros_like(frame.points3), float("nan"))
+        prev = RegistrationState(true_c, float("nan"))
         with pytest.raises(ValueError):
-            solve(frame, self.cfg, warm=prev)
+            solve(frame, warm=prev)
 
 
 class TestStepFailures:
-    def test_unexpected_step_error_propagates(self, monkeypatch):
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_unexpected_step_error_propagates(self, monkeypatch, error):
         prob = small_problem(np.random.default_rng(37), n=20, m=60)
 
         def broken(*args):
-            raise ValueError("shape bug in assembly")
+            raise error("shape bug in assembly")
 
         monkeypatch.setattr(registration, "_solve_step", broken)
-        with pytest.raises(ValueError, match="shape bug"):
-            solve(prob, SolverConfig(max_outer_iters=5))
+        monkeypatch.setattr(registration, "_MAX_OUTER_ITERS", 5)
+        with pytest.raises(error, match="shape bug"):
+            solve(prob)
 
     def test_singular_step_counts_as_rejected(self, monkeypatch):
         prob = small_problem(np.random.default_rng(37), n=20, m=60)
@@ -453,36 +380,42 @@ class TestStepFailures:
         dampings = []
 
         def singular_once(*args):
-            dampings.append(args[5])
+            dampings.append(args[2])
             if len(dampings) == 1:
                 raise np.linalg.LinAlgError("singular matrix")
             return real(*args)
 
         monkeypatch.setattr(registration, "_solve_step", singular_once)
-        st = solve(prob, SolverConfig(max_outer_iters=5))
+        monkeypatch.setattr(registration, "_MAX_OUTER_ITERS", 5)
+        st = solve(prob)
         # The failed solve raised the damping like any rejected trial step.
         assert dampings[1] == dampings[0] * registration._LM_DAMPING_UP
         assert st.diagnostics["history"]
 
-    def test_non_finite_cost_raises(self):
-        prob = small_problem(np.random.default_rng(41), weights=Weights(pose_prior=float("nan")))
+    def test_non_finite_cost_raises(self, monkeypatch):
+        prob = small_problem(np.random.default_rng(41))
+        monkeypatch.setattr(registration, "_POSE_PRIOR", float("nan"))
+        monkeypatch.setattr(registration, "_MAX_OUTER_ITERS", 5)
         with pytest.raises(FloatingPointError):
-            solve(prob, SolverConfig(max_outer_iters=5))
+            solve(prob)
 
 
 class TestAnnealing:
-    def test_bandwidth_never_increases_and_reaches_floor(self):
+    def test_bandwidth_never_increases_and_reaches_floor(self, monkeypatch):
         rng = np.random.default_rng(29)
         prob = small_problem(rng, n=20, m=60)
-        st = solve(prob, SolverConfig(max_outer_iters=40))
+        monkeypatch.setattr(registration, "_MAX_OUTER_ITERS", 40)
+        st = solve(prob)
         bws = [h["bandwidth"] for h in st.diagnostics["history"]]
         assert all(b2 <= b1 for b1, b2 in zip(bws, bws[1:]))
         assert st.bandwidth_px >= 2.0
 
-    def test_floor_respected(self):
+    def test_floor_respected(self, monkeypatch):
         rng = np.random.default_rng(31)
         prob = small_problem(rng, n=20, m=60)
-        st = solve(prob, SolverConfig(max_outer_iters=60, bandwidth_floor_px=3.0))
+        monkeypatch.setattr(registration, "_MAX_OUTER_ITERS", 60)
+        monkeypatch.setattr(registration, "_BANDWIDTH_FLOOR_PX", 3.0)
+        st = solve(prob)
         assert st.bandwidth_px == pytest.approx(3.0)
 
 
@@ -508,26 +441,6 @@ class TestProblemConstruction:
         pc = prob.pose_from_world(world)
         assert np.allclose(pc.apply(pts[7] - prob.center), world.apply(pts[7]), atol=1e-9)
 
-    def test_chain_pairs_follow_branch_order(self):
-        tree = generate_phantom(PhantomSpec(depth=2), seed=5)
-        cam = CameraModel.standard()
-        prob = RegistrationProblem.from_tree(
-            tree, np.zeros((1, 2)), cam, Pose(np.eye(3), np.array([0.0, 0.0, 800.0]))
-        )
-        # each point's pairs with its previous then its next point on the
-        # same branch, in flat point order
-        want = []
-        offset = 0
-        for bid in sorted(tree.branches):
-            npts = len(tree.branches[bid].points)
-            for k in range(npts):
-                if k > 0:
-                    want.append((offset + k, offset + k - 1))
-                if k + 1 < npts:
-                    want.append((offset + k, offset + k + 1))
-            offset += npts
-        assert np.array_equal(prob.chain_pairs, np.array(want))
-
     def test_rejects_tiny_problems(self):
         cam = CameraModel.standard()
         with pytest.raises(ValueError):
@@ -544,7 +457,6 @@ class TestProblemConstruction:
         other = Pose(np.eye(3), np.array([2.0, 1.0, 790.0]))
         p2 = prob.with_frame(q, other)
         assert np.shares_memory(p2.points3, prob.points3)
-        assert np.shares_memory(p2.chain_pairs, prob.chain_pairs)
         assert len(p2.points2) == 200
         assert p2.k_corr == 8
         assert np.allclose(p2.pose_to_world(p2.init_pose).matrix(), other.matrix(), atol=1e-9)
