@@ -23,7 +23,7 @@ from .navigator import EpisodeConfig, EpisodeReport, NavigatorParams, run_episod
 from .perception import NoiseSpec, frame_view_pose
 from .planning import AddressError, plan
 from .simulator import ActuationNoise
-from .vessel_model import PhantomSpec, VesselTree, deserialize_tree, generate_phantom
+from .vessel_model import PhantomSpec, TreeFormatError, VesselTree, deserialize_tree, generate_phantom
 
 Address = tuple[int, int]
 
@@ -123,7 +123,10 @@ def load_tree(cfg: configparser.ConfigParser, map_override: str | None = None) -
         path = Path(map_override)
         if not path.exists():
             raise ConfigError(f"map file {path} does not exist")
-        return deserialize_tree(path.read_bytes())
+        try:
+            return deserialize_tree(path.read_bytes())
+        except TreeFormatError as err:
+            raise ConfigError(f"map file {path}: {err}") from None
     if cfg.has_section("phantom"):
         section = cfg["phantom"]
         spec = PhantomSpec(
@@ -165,7 +168,6 @@ def _episode_config(cfg: configparser.ConfigParser, tip_seed: tuple[float, float
             _get(camera_section, "width", int, standard.image_size[0]),
             _get(camera_section, "height", int, standard.image_size[1]),
         ),
-        pixel_size=_get(camera_section, "pixel_size_mm", float, standard.pixel_size),
     )
     solver = cfg["solver"] if cfg.has_section("solver") else {}
     spacing_mm = _get(solver, "spacing_mm", float, EpisodeConfig.registration_spacing_mm)
@@ -443,7 +445,6 @@ seed = 11
 focal_px = 2500
 width = 512
 height = 512
-pixel_size_mm = 0.30
 view_depth_mm = 820
 
 [noise]

@@ -158,12 +158,6 @@ class Pose:
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
 
-    def matrix(self) -> np.ndarray:
-        out = np.eye(4)
-        out[:3, :3] = self.rotation
-        out[:3, 3] = self.translation
-        return out
-
 
 def se3_exp(xi: np.ndarray) -> Pose:
     """Pose for a twist ``[translation, rotation]``."""
@@ -183,13 +177,11 @@ def se3_log(pose: Pose) -> np.ndarray:
 class CameraModel:
     """Pinhole camera with a 3x4 intrinsic matrix.
 
-    ``image_size`` is (width, height) in pixels and ``pixel_size`` is the
-    detector pitch in mm per pixel.
+    ``image_size`` is (width, height) in pixels.
     """
 
     intrinsics: np.ndarray
     image_size: tuple[int, int]
-    pixel_size: float
 
     def __post_init__(self) -> None:
         k = np.asarray(self.intrinsics, dtype=float).reshape(3, 4)
@@ -199,14 +191,11 @@ class CameraModel:
             raise ValueError("intrinsic matrix must have full row rank")
         if self.image_size[0] <= 0 or self.image_size[1] <= 0:
             raise ValueError("image size must be positive")
-        if not self.pixel_size > 0.0:
-            raise ValueError("pixel size must be positive")
 
     @staticmethod
     def standard(
         focal_px: float = 2500.0,
         image_size: tuple[int, int] = (512, 512),
-        pixel_size: float = 0.30,
     ) -> "CameraModel":
         w, h = image_size
         k = np.array(
@@ -216,7 +205,7 @@ class CameraModel:
                 [0.0, 0.0, 1.0, 0.0],
             ]
         )
-        return CameraModel(k, image_size, pixel_size)
+        return CameraModel(k, image_size)
 
     def scale_px_per_mm(self, depth: float) -> float:
         # Image-plane magnification of a small object at the given depth.

@@ -35,16 +35,13 @@ class NoiseSpec:
             raise ValueError(f"imaging noise std {self.gaussian_std!r} must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    """Gray levels and sizes of the rendered scene."""
-
-    background: int = 220
-    vessel_value: int = 150
-    wire_value: int = 30
-    wire_radius_mm: float = 0.3
-    min_halfwidth_px: float = 0.7
-    lumen_tolerance_mm: float = 1.5
+# Gray levels and sizes of the rendered scene.
+BACKGROUND_VALUE = 220
+VESSEL_VALUE = 150
+WIRE_VALUE = 30
+WIRE_RADIUS_MM = 0.3
+MIN_HALFWIDTH_PX = 0.7
+LUMEN_TOLERANCE_MM = 1.5
 
 
 @dataclass
@@ -118,22 +115,23 @@ def _draw_capsules(canvas: np.ndarray, pix: np.ndarray, widths: np.ndarray, valu
         region[hit] = np.minimum(region[hit], value)
 
 
-def _polyline_layers(tree: VesselTree, pose: Pose, cam: CameraModel, style: RenderStyle) -> np.ndarray:
+def _polyline_layers(tree: VesselTree, pose: Pose, cam: CameraModel) -> np.ndarray:
     w, h = cam.image_size
-    canvas = np.full((h, w), style.background, dtype=np.uint8)
+    canvas = np.full((h, w), BACKGROUND_VALUE, dtype=np.uint8)
     for bid in sorted(tree.branches):
         br = tree.branches[bid]
-        pix, depth = project_points(br.positions(), pose, cam)
-        widths = np.maximum(br.radii() * cam.scale_px_per_mm(1.0) / np.maximum(depth, 1e-9), style.min_halfwidth_px)
+        pix, depth = project_points(br.positions, pose, cam)
+        widths = np.maximum(br.radii * cam.scale_px_per_mm(1.0) / np.maximum(depth, 1e-9), MIN_HALFWIDTH_PX)
         widths[depth <= 0] = 0.0
-        _draw_capsules(canvas, pix, widths, style.vessel_value)
+        _draw_capsules(canvas, pix, widths, VESSEL_VALUE)
     return canvas
 
 
-def _check_wire_in_lumen(tree: VesselTree, wire: np.ndarray, style: RenderStyle) -> None:
+def _check_wire_in_lumen(tree: VesselTree, wire: np.ndarray) -> None:
     dist, idx = tree.point_index().query(wire)
-    radii = np.array([tree.branches[b].points[i].radius for b, i in (tree.flat_points()[1][j] for j in idx)])
-    bad = dist > radii + style.lumen_tolerance_mm
+    addresses = tree.flat_points()[1]
+    radii = np.array([tree.radius(addresses[j]) for j in idx])
+    bad = dist > radii + LUMEN_TOLERANCE_MM
     if np.any(bad):
         k = int(np.argmax(bad))
         raise SimulationIntegrityError(
@@ -148,8 +146,7 @@ class FrameRenderer:
         self.tree = tree
         self.pose = pose
         self.cam = cam
-        self.style = RenderStyle()
-        self._vessel_layer = _polyline_layers(tree, pose, cam, self.style)
+        self._vessel_layer = _polyline_layers(tree, pose, cam)
 
     def render(
         self,
@@ -160,17 +157,16 @@ class FrameRenderer:
         canvas = self._vessel_layer.copy()
         if wire is not None and len(wire) > 0:
             wire = np.asarray(wire, dtype=float).reshape(-1, 3)
-            _check_wire_in_lumen(self.tree, wire, self.style)
+            _check_wire_in_lumen(self.tree, wire)
             pix, depth = project_points(wire, self.pose, self.cam)
             widths = np.maximum(
-                self.style.wire_radius_mm * self.cam.scale_px_per_mm(1.0) / np.maximum(depth, 1e-9),
-                self.style.min_halfwidth_px,
+                WIRE_RADIUS_MM * self.cam.scale_px_per_mm(1.0) / np.maximum(depth, 1e-9), MIN_HALFWIDTH_PX
             )
             widths[depth <= 0] = 0.0
             if len(pix) == 1:
                 pix = np.vstack([pix, pix])
                 widths = np.append(widths, widths[-1])
-            _draw_capsules(canvas, pix, widths, self.style.wire_value)
+            _draw_capsules(canvas, pix, widths, WIRE_VALUE)
         if noise is not None and noise.gaussian_std > 0.0:
             rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
             noisy = canvas.astype(np.int16) + np.round(

@@ -24,7 +24,7 @@ class AddressError(KeyError):
 def _check_address(tree: VesselTree, addr: Address) -> Address:
     bid, idx = addr
     branch = tree.branches.get(bid)
-    if branch is None or not 0 <= idx < len(branch.points):
+    if branch is None or not 0 <= idx < len(branch):
         raise AddressError(f"address {addr!r} not in tree")
     return (int(bid), int(idx))
 
@@ -47,7 +47,7 @@ def advance_options(tree: VesselTree, addr: Address) -> list[Address]:
     bid, idx = addr
     branch = tree.branches[bid]
     out = [(cid, 0) for cid in branch.child_links if tree.branches[cid].attach_index == idx]
-    if idx + 1 < len(branch.points):
+    if idx + 1 < len(branch):
         out.append((bid, idx + 1))
     return out
 

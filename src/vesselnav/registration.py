@@ -53,6 +53,8 @@ _LM_DAMPING_CAP = 1e8
 _POSE_PRIOR = 100.0
 _MAX_OUTER_ITERS = 80
 _BANDWIDTH_FLOOR_PX = 2.0
+# Image points matched to each projected model point (fewer if the frame has fewer).
+_K_CORR = 8
 
 
 @dataclass
@@ -82,7 +84,6 @@ class RegistrationProblem:
         init_pose: Pose,
         addresses: list[tuple[int, int]] | None = None,
         center: np.ndarray | None = None,
-        k_corr: int = 8,
     ):
         self.points3 = np.asarray(points3, dtype=float).reshape(-1, 3)
         if len(self.points3) < 6:
@@ -90,7 +91,6 @@ class RegistrationProblem:
         self.cam = cam
         self.addresses = addresses
         self.center = np.zeros(3) if center is None else np.asarray(center, dtype=float).reshape(3)
-        self.k_requested = int(k_corr)
         self._bind_frame(points2, init_pose)
 
     def _bind_frame(self, points2: np.ndarray, init_pose: Pose) -> None:
@@ -99,7 +99,7 @@ class RegistrationProblem:
             raise ValueError("need at least one 2D point")
         self.init_pose = init_pose
         self._init_pose_inv = init_pose.inverse()
-        self.k_corr = min(self.k_requested, len(self.points2))
+        self.k_corr = min(_K_CORR, len(self.points2))
         self.kd2 = cKDTree(self.points2)
 
     @staticmethod

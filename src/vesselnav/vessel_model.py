@@ -27,40 +27,28 @@ class TreeStructureError(ValueError):
     """Tree violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class CenterlinePoint:
-    """One centerline sample: position (3,), lumen radius, index along branch."""
-
-    position: np.ndarray
-    radius: float
-    arc_index: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
-        if not self.radius > 0.0:
-            raise TreeStructureError(f"radius must be positive, got {self.radius}")
-
-
 @dataclass
 class Branch:
-    """A polyline of centerline points with tree links.
+    """A polyline of centerline samples with tree links.
 
-    ``parent_link`` is None for the root. ``attach_index`` is the point index
-    on the parent where this branch departs; the branch's first point equals
-    that parent point.
+    ``positions`` is (n, 3) and ``radii`` (n,) holds the lumen radius at each
+    position; a point's index along the branch is its row. ``parent_link`` is
+    None for the root. ``attach_index`` is the point index on the parent where
+    this branch departs; the branch's first point equals that parent point.
     """
 
-    branch_id: int
-    points: list[CenterlinePoint]
+    positions: np.ndarray
+    radii: np.ndarray
     parent_link: int | None = None
     attach_index: int | None = None
     child_links: list[int] = field(default_factory=list)
 
-    def positions(self) -> np.ndarray:
-        return np.array([p.position for p in self.points])
+    def __post_init__(self) -> None:
+        self.positions = np.asarray(self.positions, dtype=float)
+        self.radii = np.asarray(self.radii, dtype=float)
 
-    def radii(self) -> np.ndarray:
-        return np.array([p.radius for p in self.points])
+    def __len__(self) -> int:
+        return len(self.radii)
 
 
 class VesselTree:
@@ -75,23 +63,18 @@ class VesselTree:
 
     def position(self, address: tuple[int, int]) -> np.ndarray:
         b, i = address
-        return self.branches[b].points[i].position
+        return self.branches[b].positions[i]
 
     def radius(self, address: tuple[int, int]) -> float:
         b, i = address
-        return self.branches[b].points[i].radius
+        return float(self.branches[b].radii[i])
 
     def flat_points(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """All centerline positions stacked with their (branch, index) addresses."""
         if self._flat is None:
-            addrs: list[tuple[int, int]] = []
-            rows = []
-            for bid in sorted(self.branches):
-                br = self.branches[bid]
-                for pt in br.points:
-                    rows.append(pt.position)
-                    addrs.append((bid, pt.arc_index))
-            self._flat = (np.array(rows), addrs)
+            ids = sorted(self.branches)
+            rows = np.concatenate([self.branches[bid].positions for bid in ids])
+            self._flat = (rows, [(bid, i) for bid in ids for i in range(len(self.branches[bid]))])
         return self._flat
 
     def point_index(self) -> cKDTree:
@@ -115,22 +98,21 @@ def validate_tree(tree: VesselTree) -> None:
             raise TreeStructureError(f"branch {bid} reached twice; links form a cycle")
         seen.add(bid)
         br = branches[bid]
-        if br.branch_id != bid:
-            raise TreeStructureError(f"branch {bid} has mismatched id {br.branch_id}")
-        if len(br.points) < 2:
+        if br.radii.ndim != 1 or br.positions.shape != (len(br), 3):
+            raise TreeStructureError(f"branch {bid} needs one (x, y, z) row per radius")
+        if len(br) < 2:
             raise TreeStructureError(f"branch {bid} has fewer than two points")
-        for k, pt in enumerate(br.points):
-            if pt.arc_index != k:
-                raise TreeStructureError(f"branch {bid} point {k} has arc_index {pt.arc_index}")
+        if not (np.isfinite(br.positions).all() and np.isfinite(br.radii).all() and (br.radii > 0.0).all()):
+            raise TreeStructureError(f"branch {bid} needs finite positions and finite positive radii")
         for cid in br.child_links:
             if cid not in branches:
                 raise TreeStructureError(f"branch {bid} links to missing child {cid}")
             child = branches[cid]
             if child.parent_link != bid:
                 raise TreeStructureError(f"child {cid} does not link back to parent {bid}")
-            if child.attach_index is None or not 0 <= child.attach_index < len(br.points):
+            if child.attach_index is None or not 0 <= child.attach_index < len(br):
                 raise TreeStructureError(f"child {cid} attach index out of range")
-            if not np.array_equal(child.points[0].position, br.points[child.attach_index].position):
+            if not np.array_equal(child.positions[0], br.positions[child.attach_index]):
                 raise TreeStructureError(f"child {cid} first point is not the parent attach point")
             stack.append(cid)
     if seen != set(branches):
@@ -202,12 +184,8 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> VesselTree:
     spec.validate()
     rng = np.random.default_rng(seed)
     branches: dict[int, Branch] = {}
-    next_id = 0
 
-    def grow(start: np.ndarray, direction: np.ndarray, radius: float, level: int) -> Branch:
-        nonlocal next_id
-        bid = next_id
-        next_id += 1
+    def grow(start: np.ndarray, direction: np.ndarray, radius: float) -> int:
         length = float(rng.uniform(*spec.segment_length))
         curv = float(np.deg2rad(rng.uniform(*spec.curvature_deg_per_mm)))
         u, w = _perp_basis(direction)
@@ -218,28 +196,29 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> VesselTree:
         tip_radius = max(spec.min_radius, radius * 0.85)
         pos = start.copy()
         d = direction.copy()
-        pts = [CenterlinePoint(pos.copy(), radius, 0)]
-        for k in range(1, n_steps + 1):
+        positions = [pos]
+        for _ in range(n_steps):
             d = _unit(_rotate_about(d, bend_axis, curv * step))
             pos = pos + d * step
-            r = radius + (tip_radius - radius) * (k / n_steps)
-            pts.append(CenterlinePoint(pos.copy(), r, k))
-        br = Branch(bid, pts)
-        branches[bid] = br
-        return br
+            positions.append(pos)
+        radii = radius + (tip_radius - radius) * (np.arange(n_steps + 1) / n_steps)
+        bid = len(branches)
+        branches[bid] = Branch(np.array(positions), radii)
+        return bid
 
     root_dir = _unit(np.array([0.15, 1.0, 0.1]))
-    root = grow(np.zeros(3), root_dir, spec.root_radius, 0)
+    root = grow(np.zeros(3), root_dir, spec.root_radius)
     frontier = [(root, 1)]
     while frontier:
-        parent, level = frontier.pop(0)
+        pid, level = frontier.pop(0)
         if level >= spec.depth or spec.branching == 0:
             continue
-        end = parent.points[-1].position
-        end_dir = _unit(end - parent.points[-2].position)
+        parent = branches[pid]
+        end = parent.positions[-1]
+        end_dir = _unit(end - parent.positions[-2])
         u, w = _perp_basis(end_dir)
         base_azimuth = float(rng.uniform(0.0, 2.0 * np.pi))
-        child_radius = max(spec.min_radius, parent.points[-1].radius * spec.radius_decay)
+        child_radius = max(spec.min_radius, parent.radii[-1] * spec.radius_decay)
         for c in range(spec.branching):
             polar = float(np.deg2rad(rng.uniform(*spec.branch_angle_deg)))
             azimuth = base_azimuth + 2.0 * np.pi * c / spec.branching + float(rng.uniform(-0.25, 0.25))
@@ -247,12 +226,12 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> VesselTree:
             d = _unit(np.cos(polar) * end_dir + np.sin(polar) * lateral)
             # Squash out-of-slab growth so the tree stays inside the field of view.
             d = _unit(d * np.array([1.0, 1.0, spec.slab_flatten]))
-            child = grow(end, d, child_radius, level)
-            child.parent_link = parent.branch_id
-            child.attach_index = len(parent.points) - 1
-            parent.child_links.append(child.branch_id)
-            frontier.append((child, level + 1))
-    return VesselTree(branches, root.branch_id)
+            cid = grow(end, d, child_radius)
+            branches[cid].parent_link = pid
+            branches[cid].attach_index = len(parent) - 1
+            parent.child_links.append(cid)
+            frontier.append((cid, level + 1))
+    return VesselTree(branches, root)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +250,9 @@ def resample_centerlines(tree: VesselTree, spacing: float) -> VesselTree:
     new_branches: dict[int, Branch] = {}
     index_maps: dict[int, dict[int, int]] = {}
     for bid, br in tree.branches.items():
-        pos = br.positions()
-        rad = br.radii()
-        out_pos: list[np.ndarray] = [pos[0]]
-        out_rad: list[float] = [float(rad[0])]
+        pos, rad = br.positions, br.radii
+        out_pos = [pos[0]]
+        out_rad = [rad[0]]
         imap = {0: 0}
         for k in range(1, len(pos)):
             gap = float(np.linalg.norm(pos[k] - pos[k - 1]))
@@ -285,10 +263,9 @@ def resample_centerlines(tree: VesselTree, spacing: float) -> VesselTree:
             for j in range(1, n_seg + 1):
                 t = j / n_seg
                 out_pos.append(pos[k - 1] + (pos[k] - pos[k - 1]) * t)
-                out_rad.append(float(rad[k - 1] + (rad[k] - rad[k - 1]) * t))
+                out_rad.append(rad[k - 1] + (rad[k] - rad[k - 1]) * t)
             imap[k] = len(out_pos) - 1
-        pts = [CenterlinePoint(p, r, i) for i, (p, r) in enumerate(zip(out_pos, out_rad))]
-        new_branches[bid] = Branch(bid, pts, br.parent_link, None, list(br.child_links))
+        new_branches[bid] = Branch(np.array(out_pos), np.array(out_rad), br.parent_link, None, list(br.child_links))
         index_maps[bid] = imap
     for bid, br in new_branches.items():
         old = tree.branches[bid]
@@ -310,9 +287,9 @@ def serialize_tree(tree: VesselTree) -> bytes:
         attach = "-" if br.attach_index is None else str(br.attach_index)
         children = ",".join(str(c) for c in br.child_links) or "-"
         lines.append(f"branch {bid} parent {parent} attach {attach} children {children}")
-        for pt in br.points:
-            x, y, z = (repr(float(v)) for v in pt.position)
-            lines.append(f"point {x} {y} {z} {repr(float(pt.radius))}")
+        for p, r in zip(br.positions, br.radii):
+            x, y, z = (repr(float(v)) for v in p)
+            lines.append(f"point {x} {y} {z} {repr(float(r))}")
         lines.append("end")
     lines.append("endtree")
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -361,7 +338,7 @@ def deserialize_tree(data: bytes) -> VesselTree:
             raise TreeFormatError(f"bad branch header field: {exc}", n) from exc
         if bid in branches:
             raise TreeFormatError(f"duplicate branch id {bid}", n)
-        pts: list[CenterlinePoint] = []
+        positions, radii = [], []
         while True:
             line = take()
             if line == "end":
@@ -373,11 +350,11 @@ def deserialize_tree(data: bytes) -> VesselTree:
                 x, y, z, r = (float(v) for v in fields[1:])
             except ValueError as exc:
                 raise TreeFormatError(f"bad point value: {exc}", n) from exc
-            try:
-                pts.append(CenterlinePoint(np.array([x, y, z]), r, len(pts)))
-            except TreeStructureError as exc:
-                raise TreeFormatError(str(exc), n) from exc
-        branches[bid] = Branch(bid, pts, parent, attach, children)
+            if not (np.isfinite([x, y, z, r]).all() and r > 0.0):
+                raise TreeFormatError(f"point needs finite coordinates and a finite positive radius, got {line!r}", n)
+            positions.append((x, y, z))
+            radii.append(r)
+        branches[bid] = Branch(np.array(positions).reshape(-1, 3), np.array(radii), parent, attach, children)
     if n < len(lines) and any(s.strip() for s in lines[n:]):
         raise TreeFormatError("trailing content after endtree", n + 1)
     try:

@@ -25,6 +25,7 @@ from test_perception import (
     random_blob_mask,
     random_image,
 )
+from vesselnav import registration
 from vesselnav.cli import parse_suite, run_suite, standard_config_text
 from vesselnav.geometry import CameraModel, Pose, project, se3_exp
 from vesselnav.lifting import lift
@@ -40,7 +41,6 @@ from vesselnav.registration import (
     solve,
 )
 from vesselnav.vessel_model import (
-    CenterlinePoint,
     Branch,
     PhantomSpec,
     VesselTree,
@@ -114,7 +114,7 @@ def test_criterion_2_route_lengths_match_dijkstra(capsys, monkeypatch):
     assert ok, (pairs, wall)
 
 
-def test_criterion_3_registration_recovery_and_jacobian(capsys):
+def test_criterion_3_registration_recovery_and_jacobian(capsys, monkeypatch):
     cam = CameraModel.standard()
     tree = generate_phantom(PhantomSpec(), seed=11)
     dense = resample_centerlines(tree, 0.25)
@@ -135,6 +135,7 @@ def test_criterion_3_registration_recovery_and_jacobian(capsys):
         prob = prob0.with_frame(pix, prob0.pose_to_world(true_c.compose(se3_exp(np.concatenate([t, r])))))
         sub_px += reprojection_rmse(prob, solve(prob), pix) < 0.5
 
+    monkeypatch.setattr(registration, "_K_CORR", 3)
     worst = 0.0
     jrng = np.random.default_rng(304)
     for _ in range(100):
@@ -142,7 +143,7 @@ def test_criterion_3_registration_recovery_and_jacobian(capsys):
         q = jrng.uniform(100, 400, (24, 2))
         tw = np.concatenate([jrng.uniform(-5, 5, 3), jrng.uniform(-0.05, 0.05, 3)])
         jitter = jrng.normal(0.0, 0.5, (8, 3))
-        prob = RegistrationProblem(pts3 + jitter, q, cam, Pose(np.eye(3), np.array([0.0, 0.0, 800.0])), k_corr=3)
+        prob = RegistrationProblem(pts3 + jitter, q, cam, Pose(np.eye(3), np.array([0.0, 0.0, 800.0])))
         pose = prob.init_pose.compose(se3_exp(tw))
         pixk, depthk = _projection(prob, pose)
         idx, dist, okm = _match_neighbors(prob, pixk, depthk)
@@ -231,14 +232,12 @@ def test_criterion_5_perception_oracles(capsys):
 
 
 def _control_tree():
-    def line(bid, origin, direction, n, parent=None, attach=None):
-        o = np.asarray(origin, dtype=float)
-        d = np.asarray(direction, dtype=float)
-        return Branch(bid, [CenterlinePoint(o + d * k, 1.2, k) for k in range(n)], parent, attach)
+    def line(origin, direction, n, parent=None, attach=None):
+        return Branch(np.outer(np.arange(n), direction) + origin, np.full(n, 1.2), parent, attach)
 
-    root = line(0, (0, 0, 0), (10, 0, 0), 4)
-    a = line(1, (10, 0, 0), (0, 10, 0), 3, parent=0, attach=1)
-    b = line(2, (30, 0, 0), (0, 0, 10), 3, parent=0, attach=3)
+    root = line((0, 0, 0), (10, 0, 0), 4)
+    a = line((10, 0, 0), (0, 10, 0), 3, parent=0, attach=1)
+    b = line((30, 0, 0), (0, 0, 10), 3, parent=0, attach=3)
     root.child_links = [1, 2]
     return VesselTree({0: root, 1: a, 2: b}, 0)
 

@@ -271,6 +271,7 @@ class TestMain:
             ("noise", "rotation_failure = 2.0", ["run"]),
             ("navigator", "reach_threshold_mm = nan", ["run"]),
             ("navigator", "burst_low = -3", ["run"]),
+            ("navigator", "burst_high = 9223372036854775808", ["run"]),
             ("navigator", "replan_after_misses = -1", ["run"]),
             ("solver", "", ["run", "--seed-offset", "-1"]),
             ("solver", "", ["dump", "--task", "t1", "--frames", "0:1", "--seed", "-1"]),
@@ -290,6 +291,7 @@ class TestMain:
             "rotation_failure_above_one",
             "reach_threshold_nan",
             "burst_low_negative",
+            "burst_high_2_pow_63",
             "replan_after_misses_negative",
             "seed_offset",
             "dump_seed",
@@ -308,6 +310,22 @@ class TestMain:
         assert main([*command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         # neither episodes/ nor frames/ was created
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "point",
+        ["point nan 0.0 0.0 1.0", "point 0.0 inf 0.0 1.0", "point 0.0 0.0 0.0 inf"],
+        ids=["nan", "inf", "inf_radius"],
+    )
+    def test_non_finite_map_point_fails_before_running(self, tmp_path, capsys, point):
+        lines = serialize_tree(generate_phantom(PhantomSpec(), seed=11)).decode().splitlines()
+        header = next(i for i, s in enumerate(lines) if s.startswith("branch 3 "))
+        lines[header + 3] = point  # point 2 of branch 3
+        map_path = tmp_path / "bad.vtree"
+        map_path.write_text("\n".join(lines) + "\n")
+        path = write_config(tmp_path, FULL_TINY)
+        assert main(["run", "--config", str(path), "--map", str(map_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

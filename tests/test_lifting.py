@@ -15,7 +15,6 @@ from vesselnav.registration import RegistrationProblem, RegistrationState
 from vesselnav.simulator import initial_wire, step, ControlCommand, ActuationNoise
 from vesselnav.vessel_model import (
     Branch,
-    CenterlinePoint,
     PhantomSpec,
     VesselTree,
     generate_phantom,
@@ -26,9 +25,8 @@ from vesselnav.vessel_model import (
 CAM = CameraModel.standard()
 
 
-def _branch(bid, positions, radius=1.5, parent=None, attach=None):
-    pts = [CenterlinePoint(p, radius, i) for i, p in enumerate(positions)]
-    return Branch(bid, pts, parent, attach, [])
+def _branch(positions, radius=1.5, parent=None, attach=None):
+    return Branch(positions, np.full(len(positions), radius), parent, attach)
 
 
 def ambiguous_tree():
@@ -38,8 +36,8 @@ def ambiguous_tree():
     camera depth 400 and world (15, 0, 100) at depth 600; both hit the same
     pixel because 10/400 == 15/600.
     """
-    root = _branch(0, [(8, 0, -100), (9, 0, -100), (10, 0, -100), (11, 0, -100)])
-    far = _branch(1, [(8, 0, -100), (11, 0, 100), (13, 0, 100), (15, 0, 100), (17, 0, 100)], parent=0, attach=0)
+    root = _branch([(8, 0, -100), (9, 0, -100), (10, 0, -100), (11, 0, -100)])
+    far = _branch([(8, 0, -100), (11, 0, 100), (13, 0, 100), (15, 0, 100), (17, 0, 100)], parent=0, attach=0)
     root.child_links = [1]
     tree = VesselTree({0: root, 1: far}, root=0)
     validate_tree(tree)

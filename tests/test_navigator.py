@@ -26,7 +26,6 @@ from vesselnav.navigator import (
 from vesselnav.simulator import ActuationNoise, ControlCommand, initial_wire
 from vesselnav.vessel_model import (
     Branch,
-    CenterlinePoint,
     PhantomSpec,
     VesselTree,
     generate_phantom,
@@ -34,16 +33,15 @@ from vesselnav.vessel_model import (
 )
 
 
-def _branch(bid, positions, radius=1.5, parent=None, attach=None):
-    pts = [CenterlinePoint(p, radius, i) for i, p in enumerate(positions)]
-    return Branch(bid, pts, parent, attach, [])
+def _branch(positions, radius=1.5, parent=None, attach=None):
+    return Branch(positions, np.full(len(positions), radius), parent, attach)
 
 
 def y_tree_10mm():
     """Y-shaped tree with 10 mm spacing so no scripted tip is within reach."""
-    root = _branch(0, [(0, 0, 0), (10, 0, 0), (20, 0, 0), (30, 0, 0)])
-    left = _branch(1, [(10, 0, 0), (10, 10, 0), (10, 20, 0)], parent=0, attach=1)
-    right = _branch(2, [(30, 0, 0), (30, 0, 10)], parent=0, attach=3)
+    root = _branch([(0, 0, 0), (10, 0, 0), (20, 0, 0), (30, 0, 0)])
+    left = _branch([(10, 0, 0), (10, 10, 0), (10, 20, 0)], parent=0, attach=1)
+    right = _branch([(30, 0, 0), (30, 0, 10)], parent=0, attach=3)
     root.child_links = [1, 2]
     tree = VesselTree({0: root, 1: left, 2: right}, root=0)
     validate_tree(tree)
@@ -146,7 +144,7 @@ class TestEpisodes:
         leaves = sorted(b for b, br in tree.branches.items() if not br.child_links)
         config = EpisodeConfig(use_oracle_perception=True)
         for leaf in leaves[:3]:
-            dest = (leaf, len(tree.branches[leaf].points) - 1)
+            dest = (leaf, len(tree.branches[leaf]) - 1)
             report = run_episode(tree, (0, 20), dest, seed=5, config=config)
             assert report.success, f"dest {dest} did not converge"
             assert report.loops <= 500
@@ -156,7 +154,7 @@ class TestEpisodes:
     def test_oracle_episode_deterministic(self):
         tree = generate_phantom(PhantomSpec(), seed=11)
         dest_branch = sorted(b for b, br in tree.branches.items() if not br.child_links)[0]
-        dest = (dest_branch, len(tree.branches[dest_branch].points) - 1)
+        dest = (dest_branch, len(tree.branches[dest_branch]) - 1)
         config = EpisodeConfig(use_oracle_perception=True)
 
         def trace():
@@ -168,7 +166,7 @@ class TestEpisodes:
     def test_noise_free_actuation_still_succeeds(self):
         tree = generate_phantom(PhantomSpec(), seed=11)
         dest_branch = sorted(b for b, br in tree.branches.items() if not br.child_links)[1]
-        dest = (dest_branch, len(tree.branches[dest_branch].points) - 1)
+        dest = (dest_branch, len(tree.branches[dest_branch]) - 1)
         config = EpisodeConfig(use_oracle_perception=True, actuation_noise=ActuationNoise(0.0, 0.0))
         report = run_episode(tree, (0, 20), dest, seed=2, config=config)
         assert report.success

@@ -14,11 +14,11 @@ from scipy import ndimage
 from vesselnav import perception
 from vesselnav.geometry import CameraModel, project
 from vesselnav.perception import (
+    WIRE_VALUE,
     ConstantImageError,
     FluoroFrame,
     FrameRenderer,
     NoiseSpec,
-    RenderStyle,
     SimulationIntegrityError,
     TrackedEndpoint,
     endpoint_candidates,
@@ -227,7 +227,7 @@ class TestArrayRuleReference:
     def test_full_frame_masks(self, std):
         tree = generate_phantom(PhantomSpec(), 11)
         renderer = FrameRenderer(tree, frame_view_pose(tree), CameraModel.standard())
-        frame = renderer.render(tree.branches[0].positions()[:20], noise=NoiseSpec(std), seed=3)
+        frame = renderer.render(tree.branches[0].positions[:20], noise=NoiseSpec(std), seed=3)
         vessel, wire, _, _ = segment_layers(frame)
         assert vessel.shape == (512, 512)
         for mask in (vessel, wire):
@@ -405,8 +405,7 @@ class TestRenderer:
     def test_single_point_wire_renders(self):
         wire = self.tree.position((0, 5)).reshape(1, 3)
         frame = self.renderer.render(wire)
-        style = RenderStyle()
-        assert np.any(frame.pixels == style.wire_value)
+        assert np.any(frame.pixels == WIRE_VALUE)
 
     def test_vessel_layer_cached_and_reused(self):
         a = self.renderer.render(None)
@@ -416,7 +415,7 @@ class TestRenderer:
         assert np.array_equal(a.pixels, fresh.pixels)
 
     def test_noise_determinism(self):
-        wire = self.tree.branches[0].positions()[:10]
+        wire = self.tree.branches[0].positions[:10]
         spec = NoiseSpec(2.0)
         a = self.renderer.render(wire, noise=spec, seed=5)
         b = self.renderer.render(wire, noise=spec, seed=5)
@@ -436,7 +435,7 @@ class TestRenderer:
     def test_pipeline_recovers_wire_tip(self):
         # Wire along the root branch; the tracked endpoint nearest the
         # projected tip must land within a few pixels.
-        wire = self.tree.branches[0].positions()[:20]
+        wire = self.tree.branches[0].positions[:20]
         frame = self.renderer.render(wire)
         _, wire_mask, _, t2 = segment_layers(frame)
         assert t2 is not None

@@ -22,7 +22,6 @@ from vesselnav.planning import (
 )
 from vesselnav.vessel_model import (
     Branch,
-    CenterlinePoint,
     PhantomSpec,
     VesselTree,
     generate_phantom,
@@ -32,16 +31,15 @@ from vesselnav.vessel_model import (
 from planning_reference import counted_plan, dijkstra_route_length, route_length
 
 
-def _branch(bid, positions, radius=1.5, parent=None, attach=None):
-    pts = [CenterlinePoint(p, radius, i) for i, p in enumerate(positions)]
-    return Branch(bid, pts, parent, attach, [])
+def _branch(positions, radius=1.5, parent=None, attach=None):
+    return Branch(positions, np.full(len(positions), radius), parent, attach)
 
 
 def y_tree():
     """Root along +x with one child at index 1 (+y) and one at index 3 (+z)."""
-    root = _branch(0, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
-    left = _branch(1, [(1, 0, 0), (1, 1, 0), (1, 2, 0)], parent=0, attach=1)
-    right = _branch(2, [(3, 0, 0), (3, 0, 1)], parent=0, attach=3)
+    root = _branch([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
+    left = _branch([(1, 0, 0), (1, 1, 0), (1, 2, 0)], parent=0, attach=1)
+    right = _branch([(3, 0, 0), (3, 0, 1)], parent=0, attach=3)
     root.child_links = [1, 2]
     tree = VesselTree({0: root, 1: left, 2: right}, root=0)
     validate_tree(tree)
@@ -51,9 +49,9 @@ def y_tree():
 def oracle_adjacency(tree):
     adj = {}
     for bid, br in tree.branches.items():
-        for i in range(len(br.points)):
+        for i in range(len(br)):
             adj.setdefault((bid, i), [])
-        for i in range(len(br.points) - 1):
+        for i in range(len(br) - 1):
             adj[(bid, i)].append((bid, i + 1))
             adj[(bid, i + 1)].append((bid, i))
     for bid, br in tree.branches.items():

@@ -29,15 +29,19 @@ from vesselnav.registration import (
 )
 from vesselnav.vessel_model import PhantomSpec, generate_phantom, resample_centerlines
 
+from geometry_reference import pose_matrix
 from registration_reference import _dense_jacobian, _dense_residuals, _fd_jacobian, eval_objective
 
 
-def small_problem(rng, n=14, m=40, k_corr=3):
+def small_problem(rng, n=14, m=40):
+    """Random problem matched with 3 image neighbours per model point."""
     pts = rng.uniform(-20, 20, (n, 3))
     q = rng.uniform(100, 400, (m, 2))
     cam = CameraModel.standard()
     pose = Pose(np.eye(3), np.array([0.0, 0.0, 800.0]))
-    return RegistrationProblem(pts, q, cam, pose, k_corr=k_corr)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(registration, "_K_CORR", 3)
+        return RegistrationProblem(pts, q, cam, pose)
 
 
 def random_state(prob, rng):
@@ -66,7 +70,7 @@ def oracle_objective(prob, state):
         d2 = np.sum((prob.points2 - u) ** 2, axis=1)
         nearest = np.sort(d2)[: prob.k_corr]
         data += np.sum(np.exp(-nearest / (2.0 * ell * ell)))
-    rel = np.linalg.inv(prob.init_pose.matrix()) @ state.pose.matrix()
+    rel = np.linalg.inv(pose_matrix(prob.init_pose)) @ pose_matrix(state.pose)
     lg = logm(rel)
     psi = np.concatenate([lg[:3, 3], [lg[2, 1], lg[0, 2], lg[1, 0]]]).real
     prior = float(np.sum((_PRIOR_SCALE * psi) ** 2))
@@ -269,7 +273,7 @@ class TestRecovery:
         prob = prob0.with_frame(pix, prob0.pose_to_world(init))
         a = solve(prob)
         b = solve(prob)
-        assert np.array_equal(a.pose.matrix(), b.pose.matrix())
+        assert np.array_equal(pose_matrix(a.pose), pose_matrix(b.pose))
         ha = [(h["cost_before"], h["cost_after"], h["step_norm"]) for h in a.diagnostics["history"]]
         hb = [(h["cost_before"], h["cost_after"], h["step_norm"]) for h in b.diagnostics["history"]]
         assert ha == hb
@@ -325,7 +329,7 @@ class TestWarmStart:
             st = solve(frame, warm=prev)
             assert st.converged
             iters.append(st.iteration)
-            moves.append(np.abs(st.pose.matrix() - prev.pose.matrix()).max())
+            moves.append(np.abs(pose_matrix(st.pose) - pose_matrix(prev.pose)).max())
             prob, prev = frame, st
         assert moves[0] < 1e-4
         assert moves[0] > moves[1] > moves[2]
@@ -435,7 +439,7 @@ class TestProblemConstruction:
         world = Pose(np.eye(3), np.array([1.0, -2.0, 800.0]))
         prob = RegistrationProblem.from_tree(tree, np.zeros((1, 2)), cam, world)
         back = prob.pose_to_world(prob.pose_from_world(world))
-        assert np.allclose(back.matrix(), world.matrix(), atol=1e-12)
+        assert np.allclose(pose_matrix(back), pose_matrix(world), atol=1e-12)
         # centered and world poses must project a given tree point identically
         pts, _ = tree.flat_points()
         pc = prob.pose_from_world(world)
@@ -459,4 +463,4 @@ class TestProblemConstruction:
         assert np.shares_memory(p2.points3, prob.points3)
         assert len(p2.points2) == 200
         assert p2.k_corr == 8
-        assert np.allclose(p2.pose_to_world(p2.init_pose).matrix(), other.matrix(), atol=1e-9)
+        assert np.allclose(pose_matrix(p2.pose_to_world(p2.init_pose)), pose_matrix(other), atol=1e-9)

@@ -18,18 +18,17 @@ from vesselnav.simulator import (
     step,
     true_tip,
 )
-from vesselnav.vessel_model import Branch, CenterlinePoint, PhantomSpec, VesselTree, generate_phantom, validate_tree
+from vesselnav.vessel_model import Branch, PhantomSpec, VesselTree, generate_phantom, validate_tree
 
 
-def _branch(bid, positions, radius=1.5, parent=None, attach=None):
-    pts = [CenterlinePoint(p, radius, i) for i, p in enumerate(positions)]
-    return Branch(bid, pts, parent, attach, [])
+def _branch(positions, radius=1.5, parent=None, attach=None):
+    return Branch(positions, np.full(len(positions), radius), parent, attach)
 
 
 def y_tree():
-    root = _branch(0, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
-    left = _branch(1, [(1, 0, 0), (1, 1, 0), (1, 2, 0)], parent=0, attach=1)
-    right = _branch(2, [(3, 0, 0), (3, 0, 1)], parent=0, attach=3)
+    root = _branch([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
+    left = _branch([(1, 0, 0), (1, 1, 0), (1, 2, 0)], parent=0, attach=1)
+    right = _branch([(3, 0, 0), (3, 0, 1)], parent=0, attach=3)
     root.child_links = [1, 2]
     tree = VesselTree({0: root, 1: left, 2: right}, root=0)
     validate_tree(tree)
@@ -37,7 +36,7 @@ def y_tree():
 
 
 def chain_tree(n=50):
-    tree = VesselTree({0: _branch(0, [(i, 0, 0) for i in range(n)])}, root=0)
+    tree = VesselTree({0: _branch([(i, 0, 0) for i in range(n)])}, root=0)
     validate_tree(tree)
     return tree
 

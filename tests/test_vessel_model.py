@@ -5,7 +5,6 @@ import pytest
 
 from vesselnav.vessel_model import (
     Branch,
-    CenterlinePoint,
     PhantomSpec,
     TreeFormatError,
     TreeStructureError,
@@ -17,11 +16,8 @@ from vesselnav.vessel_model import (
 )
 
 
-def straight_branch(bid, origin, direction, n, radius, parent=None, attach=None):
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    pts = [CenterlinePoint(origin + direction * k, radius, k) for k in range(n)]
-    return Branch(bid, pts, parent, attach)
+def straight_branch(origin, direction, n, radius, parent=None, attach=None):
+    return Branch(np.outer(np.arange(n), direction) + origin, np.full(n, radius), parent, attach)
 
 
 def polyline_length(positions):
@@ -29,7 +25,7 @@ def polyline_length(positions):
 
 
 def tree_length(tree):
-    return sum(polyline_length(b.positions()) for b in tree.branches.values())
+    return sum(polyline_length(b.positions) for b in tree.branches.values())
 
 
 def branch_depth(tree, bid):
@@ -43,8 +39,8 @@ def branch_depth(tree, bid):
 
 
 def y_branches():
-    root = straight_branch(0, (0, 0, 0), (1, 0, 0), 4, 2.0)
-    child = straight_branch(1, (1, 0, 0), (0, 1, 0), 3, 1.0, parent=0, attach=1)
+    root = straight_branch((0, 0, 0), (1, 0, 0), 4, 2.0)
+    child = straight_branch((1, 0, 0), (0, 1, 0), 3, 1.0, parent=0, attach=1)
     root.child_links.append(1)
     return {0: root, 1: child}
 
@@ -56,8 +52,20 @@ class TestStructureValidation:
         assert tree.branches[0].child_links == [1]
 
     def test_point_radius_must_be_positive(self):
+        b = y_branches()
+        b[1].radii[2] = 0.0
         with pytest.raises(TreeStructureError):
-            CenterlinePoint(np.zeros(3), 0.0, 0)
+            VesselTree(b, 0)
+
+    @pytest.mark.parametrize("column, value", [(0, np.nan), (2, -np.inf), (3, np.nan), (3, np.inf)])
+    def test_non_finite_position_or_radius_rejected(self, column, value):
+        b = y_branches()
+        if column == 3:
+            b[1].radii[2] = value
+        else:
+            b[1].positions[2, column] = value
+        with pytest.raises(TreeStructureError):
+            VesselTree(b, 0)
 
     def test_root_must_exist(self):
         with pytest.raises(TreeStructureError):
@@ -69,23 +77,15 @@ class TestStructureValidation:
         with pytest.raises(TreeStructureError):
             VesselTree(b, 0)
 
-    def test_branch_key_must_match_id(self):
-        b = y_branches()
-        b[7] = b.pop(1)
-        b[0].child_links = [7]
-        with pytest.raises(TreeStructureError):
-            VesselTree(b, 0)
-
     def test_two_point_minimum(self):
         b = y_branches()
-        b[1].points = b[1].points[:1]
+        b[1].positions, b[1].radii = b[1].positions[:1], b[1].radii[:1]
         with pytest.raises(TreeStructureError):
             VesselTree(b, 0)
 
-    def test_arc_indices_must_be_contiguous(self):
+    def test_one_radius_per_position(self):
         b = y_branches()
-        last = b[1].points[-1]
-        b[1].points[-1] = CenterlinePoint(last.position, last.radius, 9)
+        b[1].radii = b[1].radii[:2]
         with pytest.raises(TreeStructureError):
             VesselTree(b, 0)
 
@@ -115,7 +115,7 @@ class TestStructureValidation:
 
     def test_orphans_rejected(self):
         b = y_branches()
-        b[2] = straight_branch(2, (1, 2, 0), (0, 0, 1), 3, 0.5, parent=1, attach=2)
+        b[2] = straight_branch((1, 2, 0), (0, 0, 1), 3, 0.5, parent=1, attach=2)
         # 1 never lists 2 as a child, so 2 is unreachable.
         with pytest.raises(TreeStructureError):
             VesselTree(b, 0)
@@ -128,7 +128,7 @@ class TestAddressHelpers:
         assert len(rows) == len(addrs) == 7
         for row, addr in zip(rows, addrs):
             bid, idx = addr
-            assert 0 <= idx < len(tree.branches[bid].points)
+            assert 0 <= idx < len(tree.branches[bid])
             assert np.array_equal(tree.position(addr), row)
 
     def test_point_index_finds_exact_points(self):
@@ -151,12 +151,12 @@ class TestPhantom:
     def test_structure_of_default_spec(self):
         tree = generate_phantom(PhantomSpec(), 11)
         assert sorted(tree.branches) == list(range(15))
-        leaves = [b for b in tree.branches.values() if not b.child_links]
+        leaves = [bid for bid, b in tree.branches.items() if not b.child_links]
         assert len(leaves) == 8
-        assert all(branch_depth(tree, b.branch_id) == 3 for b in leaves)
+        assert all(branch_depth(tree, bid) == 3 for bid in leaves)
         for br in tree.branches.values():
             for cid in br.child_links:
-                assert tree.branches[cid].attach_index == len(br.points) - 1
+                assert tree.branches[cid].attach_index == len(br) - 1
 
     def test_geometry_respects_spec_bounds(self):
         spec = PhantomSpec()
@@ -164,10 +164,10 @@ class TestPhantom:
             tree = generate_phantom(spec, seed)
             for br in tree.branches.values():
                 lo, hi = spec.segment_length
-                assert lo - 1e-9 <= polyline_length(br.positions()) <= hi + 1e-9
-                gaps = np.linalg.norm(np.diff(br.positions(), axis=0), axis=1)
+                assert lo - 1e-9 <= polyline_length(br.positions) <= hi + 1e-9
+                gaps = np.linalg.norm(np.diff(br.positions, axis=0), axis=1)
                 assert np.all(gaps <= spec.step_mm + 1e-9)
-                radii = br.radii()
+                radii = br.radii
                 assert np.all(radii >= spec.min_radius - 1e-12)
                 assert np.all(radii <= spec.root_radius + 1e-12)
                 assert np.all(np.diff(radii) <= 1e-12)
@@ -200,11 +200,11 @@ class TestResample:
         fine = resample_centerlines(tree, 0.5)
         assert tree_length(fine) == pytest.approx(tree_length(tree), rel=1e-12)
         for bid, br in fine.branches.items():
-            gaps = np.linalg.norm(np.diff(br.positions(), axis=0), axis=1)
+            gaps = np.linalg.norm(np.diff(br.positions, axis=0), axis=1)
             assert np.all(gaps <= 0.5 + 1e-9)
             old = tree.branches[bid]
-            assert np.array_equal(br.points[0].position, old.points[0].position)
-            assert np.allclose(br.points[-1].position, old.points[-1].position, atol=1e-12)
+            assert np.array_equal(br.positions[0], old.positions[0])
+            assert np.allclose(br.positions[-1], old.positions[-1], atol=1e-12)
 
     def test_coarse_spacing_is_identity(self):
         tree = VesselTree(y_branches(), 0)
@@ -212,16 +212,11 @@ class TestResample:
         assert serialize_tree(same) == serialize_tree(tree)
 
     def test_zero_length_gaps_dropped_and_attach_remapped(self):
-        root_pts = [
-            CenterlinePoint((0.0, 0.0, 0.0), 1.0, 0),
-            CenterlinePoint((0.0, 0.0, 0.0), 1.0, 1),
-            CenterlinePoint((1.0, 0.0, 0.0), 1.0, 2),
-        ]
-        root = Branch(0, root_pts, child_links=[1])
-        child = straight_branch(1, (0, 0, 0), (0, 1, 0), 2, 0.5, parent=0, attach=1)
+        root = Branch([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [1.0, 1.0, 1.0], child_links=[1])
+        child = straight_branch((0, 0, 0), (0, 1, 0), 2, 0.5, parent=0, attach=1)
         tree = VesselTree({0: root, 1: child}, 0)
         out = resample_centerlines(tree, 10.0)
-        assert len(out.branches[0].points) == 2
+        assert len(out.branches[0]) == 2
         assert out.branches[1].attach_index == 0
 
 
@@ -237,8 +232,8 @@ class TestSerialization:
             assert other.parent_link == br.parent_link
             assert other.attach_index == br.attach_index
             assert other.child_links == br.child_links
-            assert np.array_equal(other.positions(), br.positions())
-            assert np.array_equal(other.radii(), br.radii())
+            assert np.array_equal(other.positions, br.positions)
+            assert np.array_equal(other.radii, br.radii)
 
     def _doc(self):
         return serialize_tree(VesselTree(y_branches(), 0)).decode()
@@ -271,6 +266,15 @@ class TestSerialization:
         lines = self._doc().splitlines()
         k = next(i for i, s in enumerate(lines) if s.startswith("point "))
         lines[k] = "point 0.0 0.0 0.0 0.0"
+        self._expect_line("\n".join(lines), k + 1)
+
+    @pytest.mark.parametrize(
+        "point", ["point nan 0.0 0.0 1.0", "point 0.0 inf 0.0 1.0", "point 0.0 0.0 -inf 1.0", "point 0.0 0.0 0.0 inf"]
+    )
+    def test_non_finite_point(self, point):
+        lines = self._doc().splitlines()
+        k = [i for i, s in enumerate(lines) if s.startswith("point ")][2]
+        lines[k] = point
         self._expect_line("\n".join(lines), k + 1)
 
     def test_duplicate_branch_id(self):
