@@ -27,6 +27,9 @@ from .vessel_model import PhantomSpec, TreeFormatError, VesselTree, deserialize_
 
 Address = tuple[int, int]
 
+# Besides these, a config holds only [task:<name>] sections.
+_SECTIONS = ("suite", "map", "phantom", "camera", "noise", "navigator", "solver")
+
 
 class ConfigError(ValueError):
     """Unusable suite configuration; raised before any episode runs."""
@@ -114,13 +117,11 @@ def _build(section_name: str, factory, *args, **kwargs):
         raise ConfigError(f"[{section_name}] {err}") from None
 
 
-def load_tree(cfg: configparser.ConfigParser, map_override: str | None = None) -> VesselTree:
-    if map_override is None and cfg.has_section("map"):
+def load_tree(cfg: configparser.ConfigParser) -> VesselTree:
+    if cfg.has_section("map"):
         if "path" not in cfg["map"]:
             raise ConfigError("[map] needs a path key")
-        map_override = cfg["map"]["path"]
-    if map_override is not None:
-        path = Path(map_override)
+        path = Path(cfg["map"]["path"])
         if not path.exists():
             raise ConfigError(f"map file {path} does not exist")
         try:
@@ -140,7 +141,7 @@ def load_tree(cfg: configparser.ConfigParser, map_override: str | None = None) -
     raise ConfigError("config needs a [phantom] or [map] section")
 
 
-def _episode_config(cfg: configparser.ConfigParser, tip_seed: tuple[float, float] | None) -> EpisodeConfig:
+def _episode_config(cfg: configparser.ConfigParser) -> EpisodeConfig:
     nav = cfg["navigator"] if cfg.has_section("navigator") else {}
     params = _build(
         "navigator",
@@ -185,17 +186,10 @@ def _episode_config(cfg: configparser.ConfigParser, tip_seed: tuple[float, float
         params=params,
         view_depth_mm=_get(camera_section, "view_depth_mm", float, EpisodeConfig.view_depth_mm),
         camera=camera,
-        tip_seed_px=tip_seed,
     )
 
 
-def parse_suite(
-    config_path: str | Path,
-    seed_offset: int = 0,
-    dest_override: str | None = None,
-    tip_seed: tuple[float, float] | None = None,
-    map_override: str | None = None,
-) -> SuiteSpec:
+def parse_suite(config_path: str | Path, seed_offset: int = 0) -> SuiteSpec:
     """Read and validate a full suite; raises ConfigError before any episode
     has run when anything is unusable (fail fast)."""
     config_path = Path(config_path)
@@ -206,8 +200,11 @@ def parse_suite(
         cfg.read_string(config_path.read_text())
     except configparser.Error as err:
         raise ConfigError(f"config does not parse: {err}") from None
+    for section_name in cfg.sections():
+        if section_name not in _SECTIONS and not section_name.startswith("task:"):
+            raise ConfigError(f"[{section_name}] is not a known section ({', '.join(_SECTIONS)} or task:<name>)")
 
-    tree = load_tree(cfg, map_override)
+    tree = load_tree(cfg)
     suite_section = cfg["suite"] if cfg.has_section("suite") else {}
     name = _get(suite_section, "name", str, "suite")
     default_seeds = _parse_seeds(_get(suite_section, "seeds", str, "0"))
@@ -219,10 +216,13 @@ def parse_suite(
             continue
         section = cfg[section_name]
         task_name = section_name.split(":", 1)[1]
+        # the name is a file name prefix under episodes/ and the frame directory
+        if task_name in ("", ".", "..") or Path(task_name).name != task_name:
+            raise ConfigError(f"[{section_name}] task name {task_name!r} is not a single path component")
         if "start" not in section or "dest" not in section:
             raise ConfigError(f"[{section_name}] needs start and dest keys")
         start = parse_address(section["start"])
-        dest = parse_address(dest_override) if dest_override else parse_address(section["dest"])
+        dest = parse_address(section["dest"])
         seeds = _parse_seeds(section["seeds"]) if "seeds" in section else default_seeds
         seeds = tuple(s + seed_offset for s in seeds)
         if min(seeds) < 0:
@@ -235,7 +235,7 @@ def parse_suite(
     if not tasks:
         raise ConfigError("config defines no [task:...] sections")
 
-    episode = _episode_config(cfg, tip_seed)
+    episode = _episode_config(cfg)
     _build("camera", frame_view_pose, tree, episode.view_depth_mm)
     return SuiteSpec(name, tree, tuple(tasks), episode, outdir)
 
@@ -247,6 +247,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise ConfigError(f"seed list {text!r} is not a list of integers") from None
     if not seeds:
         raise ConfigError("seed list is empty")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seed list {text!r} repeats a seed")
     return seeds
 
 
@@ -370,28 +372,20 @@ def _sidecar_text(loop_index: int, info: dict) -> str:
 class _FrameDumper:
     """frame_sink that writes raster, overlay, and sidecar per loop."""
 
-    def __init__(self, directory: Path, frame_range: range | None = None):
+    def __init__(self, directory: Path):
         self.directory = directory
-        self.frame_range = frame_range
         directory.mkdir(parents=True, exist_ok=True)
 
     def __call__(self, loop_index: int, frame, info: dict) -> None:
-        if self.frame_range is not None and loop_index not in self.frame_range:
-            return
         write_pgm(self.directory / f"frame_{loop_index:04d}.pgm", frame.pixels)
         write_pgm(self.directory / f"overlay_{loop_index:04d}.pgm", _burn_overlay(frame.pixels, info))
         (self.directory / f"frame_{loop_index:04d}.txt").write_text(_sidecar_text(loop_index, info))
 
 
-def _require_full_perception(suite: SuiteSpec) -> None:
-    if suite.episode.use_oracle_perception:
-        raise ConfigError("frame dumping needs full perception (oracle_perception = false)")
-
-
 def run_suite(suite: SuiteSpec, dump_frames: Path | None = None) -> list[TaskResult]:
     """Run every task x seed episode and write logs plus both summaries."""
-    if dump_frames is not None:
-        _require_full_perception(suite)
+    if dump_frames is not None and suite.episode.use_oracle_perception:
+        raise ConfigError("frame dumping needs full perception (oracle_perception = false)")
     episodes_dir = suite.outdir / "episodes"
     episodes_dir.mkdir(parents=True, exist_ok=True)
     results = []
@@ -411,22 +405,6 @@ def run_suite(suite: SuiteSpec, dump_frames: Path | None = None) -> list[TaskRes
     (suite.outdir / "summary.txt").write_text(_summary_text(suite, results))
     (suite.outdir / "summary.json").write_text(_summary_json(suite, results))
     return results
-
-
-def dump_scene(suite: SuiteSpec, task_name: str, frame_range: range, seed: int | None = None) -> Path:
-    """Render one episode of one task and dump the frames in range."""
-    matches = [t for t in suite.tasks if t.name == task_name]
-    if not matches:
-        raise ConfigError(f"no task named {task_name!r} in the suite")
-    task = matches[0]
-    _require_full_perception(suite)
-    seed = task.seeds[0] if seed is None else seed
-    if seed < 0:
-        raise ConfigError(f"seed {seed} is negative")
-    directory = suite.outdir / "frames" / f"{task.name}-seed{seed}"
-    dumper = _FrameDumper(directory, frame_range)
-    run_episode(suite.tree, task.start, task.dest, seed=seed, config=suite.episode, frame_sink=dumper)
-    return directory
 
 
 def standard_config_text(oracle: bool = True) -> str:
@@ -486,30 +464,6 @@ dest = 11:33
 """
 
 
-def _parse_frame_range(text: str) -> range:
-    try:
-        lo, _, hi = text.partition(":")
-        frame_range = range(int(lo), int(hi))
-    except ValueError:
-        raise ConfigError(f"frame range {text!r} is not lo:hi") from None
-    if frame_range.start < 0 or len(frame_range) == 0:
-        raise ConfigError(f"frame range {text!r} is empty or negative")
-    return frame_range
-
-
-def _parse_tip_seed(text: str | None) -> tuple[float, float] | None:
-    if text is None:
-        return None
-    try:
-        x, _, y = text.partition(",")
-        seed = (float(x), float(y))
-    except ValueError:
-        raise ConfigError(f"tip seed {text!r} is not x,y") from None
-    if not np.isfinite(seed).all():
-        raise ConfigError(f"tip seed {text!r} must be finite")
-    return seed
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="vesselnav", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -518,17 +472,6 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--seed-offset", type=int, default=0)
     run_p.add_argument("--dump-frames", default=None, help="also dump every rendered frame here")
-    run_p.add_argument("--dest", default=None, help="override every task destination, branch:index")
-    run_p.add_argument("--tip-seed", default=None, help="first-frame tracker seed, x,y pixels")
-    run_p.add_argument("--map", default=None, help="override the map with a tree file")
-
-    dump_p = sub.add_parser("dump", help="dump rendered frames for one task")
-    dump_p.add_argument("--config", required=True)
-    dump_p.add_argument("--task", required=True)
-    dump_p.add_argument("--frames", required=True, help="half-open range lo:hi")
-    dump_p.add_argument("--seed", type=int, default=None)
-    dump_p.add_argument("--tip-seed", default=None, help="first-frame tracker seed, x,y pixels")
-    dump_p.add_argument("--map", default=None, help="override the map with a tree file")
 
     init_p = sub.add_parser("init-config", help="write the standard suite config")
     init_p.add_argument("path")
@@ -540,23 +483,12 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.path).write_text(standard_config_text(oracle=not args.full_perception))
             print(f"wrote {args.path}")
             return 0
-        if args.command == "run":
-            suite = parse_suite(
-                args.config,
-                seed_offset=args.seed_offset,
-                dest_override=args.dest,
-                tip_seed=_parse_tip_seed(args.tip_seed),
-                map_override=args.map,
-            )
-            dump_dir = Path(args.dump_frames) if args.dump_frames else None
-            results = run_suite(suite, dump_frames=dump_dir)
-            total = sum(res.successes for res in results)
-            trials = sum(len(res.reports) for res in results)
-            print(f"suite {suite.name}: {total}/{trials} successes, output in {suite.outdir}")
-            return 0
-        suite = parse_suite(args.config, tip_seed=_parse_tip_seed(args.tip_seed), map_override=args.map)
-        directory = dump_scene(suite, args.task, _parse_frame_range(args.frames), seed=args.seed)
-        print(f"frames in {directory}")
+        suite = parse_suite(args.config, seed_offset=args.seed_offset)
+        dump_dir = Path(args.dump_frames) if args.dump_frames else None
+        results = run_suite(suite, dump_frames=dump_dir)
+        total = sum(res.successes for res in results)
+        trials = sum(len(res.reports) for res in results)
+        print(f"suite {suite.name}: {total}/{trials} successes, output in {suite.outdir}")
         return 0
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

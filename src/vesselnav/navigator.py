@@ -145,9 +145,6 @@ class EpisodeConfig:
     params: NavigatorParams = NavigatorParams()
     view_depth_mm: float = 820.0
     camera: CameraModel = field(default_factory=CameraModel.standard)
-    # First-frame tracker seed in pixels; None seeds at the projected start
-    # address (the stand-in for a manually clicked endpoint).
-    tip_seed_px: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -203,9 +200,8 @@ class OracleEstimator:
 class PerceptionEstimator:
     """Tip estimates from the rendered frames alone; the wire's tip is never read.
 
-    The tracker starts at ``tip_seed_px`` or else at the projected ``start``
-    address, and a failed lift keeps the last estimate, which starts at
-    ``start``."""
+    The tracker starts at the projected ``start`` address, and a failed lift
+    keeps the last estimate, which starts at ``start``."""
 
     def __init__(self, tree: VesselTree, start: Address, config: EpisodeConfig, rng: np.random.Generator):
         self.tree = tree
@@ -220,10 +216,7 @@ class PerceptionEstimator:
         self.introducer_px = project(tree.position(INSERTION), self.view, cam)
         self.pose_world = self.view
         self.reg_state: RegistrationState | None = None
-        seed_px = config.tip_seed_px
-        if seed_px is None:
-            seed_px = project(tree.position(start), self.view, cam)
-        self.tip_track = TrackedEndpoint(np.asarray(seed_px, dtype=float), 1.0)
+        self.tip_track = TrackedEndpoint(project(tree.position(start), self.view, cam), 1.0)
         # The last lifted tip breaks lift's near-ties; the last estimate is
         # what a failed lift reports.
         self.previous3: np.ndarray | None = None

@@ -13,7 +13,6 @@ import pytest
 
 from vesselnav.cli import (
     ConfigError,
-    dump_scene,
     main,
     parse_address,
     parse_suite,
@@ -107,18 +106,13 @@ class TestParsing:
         suite = parse_suite(path, seed_offset=10)
         assert all(t.seeds == (10, 11) for t in suite.tasks)
 
-    def test_dest_override_applies_to_all_tasks(self, tmp_path):
-        path = write_config(tmp_path, ORACLE_SMALL)
-        suite = parse_suite(path, dest_override="9:28")
-        assert all(t.dest == (9, 28) for t in suite.tasks)
-
-    def test_map_override_beats_phantom_section(self, tmp_path):
+    def test_map_section_beats_phantom_section(self, tmp_path):
         other = generate_phantom(PhantomSpec(), seed=77)
         map_path = tmp_path / "other.vtree"
         map_path.write_bytes(serialize_tree(other))
         config = ORACLE_SMALL.replace("dest = 7:25", "dest = 0:5").replace("dest = 8:33", "dest = 0:5").replace("start = 0:20", "start = 0:0")
-        path = write_config(tmp_path, config)
-        suite = parse_suite(path, map_override=str(map_path))
+        path = write_config(tmp_path, config + f"\n[map]\npath = {map_path}\n")
+        suite = parse_suite(path)
         assert len(suite.tree.flat_points()[0]) == len(other.flat_points()[0])
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
@@ -222,22 +216,6 @@ class TestFullPerception:
             x, y = re.search(r"lifted_tip_px (\S+) (\S+)", text).groups()
             assert logged[frame] == f"{x},{y}"
 
-    def test_dump_scene_range(self, tmp_path):
-        path = write_config(tmp_path, FULL_TINY)
-        suite = parse_suite(path)
-        directory = dump_scene(suite, "t1", range(1, 3))
-        names = sorted(p.name for p in directory.iterdir())
-        assert names == [
-            "frame_0001.pgm",
-            "frame_0001.txt",
-            "frame_0002.pgm",
-            "frame_0002.txt",
-            "overlay_0001.pgm",
-            "overlay_0002.pgm",
-        ]
-        with pytest.raises(ConfigError):
-            dump_scene(suite, "nope", range(0, 1))
-
 
 class TestMain:
     def test_run_and_exit_codes(self, tmp_path, capsys):
@@ -246,13 +224,6 @@ class TestMain:
         out = capsys.readouterr().out
         assert "4/4" in out
         assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
-        assert main(["run", "--config", str(path), "--dest", "99:0"]) == 2
-        assert main(["run", "--config", str(path), "--tip-seed", "oops"]) == 2
-
-    def test_dump_range_errors(self, tmp_path):
-        path = write_config(tmp_path, FULL_TINY)
-        assert main(["dump", "--config", str(path), "--task", "t1", "--frames", "3:1"]) == 2
-        assert main(["dump", "--config", str(path), "--task", "zz", "--frames", "0:1"]) == 2
 
     @pytest.mark.parametrize(
         "section, line, command",
@@ -274,7 +245,11 @@ class TestMain:
             ("navigator", "burst_high = 9223372036854775808", ["run"]),
             ("navigator", "replan_after_misses = -1", ["run"]),
             ("solver", "", ["run", "--seed-offset", "-1"]),
-            ("solver", "", ["dump", "--task", "t1", "--frames", "0:1", "--seed", "-1"]),
+            ("suite", "seeds = 0,0", ["run"]),
+            ("taks:t1", "start = 0:20\ndest = 7:25", ["run"]),
+            ("task:a/b", "start = 0:20\ndest = 7:25", ["run"]),
+            ("map", "", ["run"]),
+            ("map", "path = no-such-dir/tree.vtree", ["run"]),
         ],
         ids=[
             "focal_px",
@@ -294,22 +269,26 @@ class TestMain:
             "burst_high_2_pow_63",
             "replan_after_misses_negative",
             "seed_offset",
-            "dump_seed",
+            "repeated_seed",
+            "unknown_section",
+            "task_name_with_slash",
+            "map_without_path",
+            "map_missing_file",
         ],
     )
     def test_out_of_range_values_fail_before_running(self, tmp_path, capsys, section, line, command):
         header = f"[{section}]\n"
-        # the line replaces any value FULL_TINY already sets for its key
-        key = line.partition(" = ")[0]
-        text = "".join(row for row in FULL_TINY.splitlines(True) if not (key and row.startswith(key + " = ")))
-        if header in text:
+        if header in FULL_TINY:
+            # the line replaces any value FULL_TINY already sets for its key
+            key = line.partition(" = ")[0]
+            text = "".join(row for row in FULL_TINY.splitlines(True) if not (key and row.startswith(key + " = ")))
             text = text.replace(header, header + line + "\n")
         else:
-            text = text + "\n" + header + line + "\n"
+            text = FULL_TINY + "\n" + header + line + "\n"
         path = write_config(tmp_path, text)
         assert main([*command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        # neither episodes/ nor frames/ was created
+        # no episode ran, so the outdir was never created
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -323,26 +302,15 @@ class TestMain:
         lines[header + 3] = point  # point 2 of branch 3
         map_path = tmp_path / "bad.vtree"
         map_path.write_text("\n".join(lines) + "\n")
-        path = write_config(tmp_path, FULL_TINY)
-        assert main(["run", "--config", str(path), "--map", str(map_path)]) == 2
+        path = write_config(tmp_path, FULL_TINY + f"\n[map]\npath = {map_path}\n")
+        assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "config, command",
-        [
-            (FULL_TINY, ["run", "--tip-seed", "nan,nan"]),
-            (FULL_TINY, ["run", "--tip-seed", "inf,0"]),
-            (FULL_TINY, ["dump", "--task", "t1", "--frames", "0:1", "--tip-seed", "nan,nan"]),
-            (FULL_TINY, ["dump", "--task", "t1", "--frames", "0:1", "--tip-seed", "inf,0"]),
-            (ORACLE_SMALL, ["run", "--dump-frames", "dump"]),
-        ],
-        ids=["run_tip_seed_nan", "run_tip_seed_inf", "dump_tip_seed_nan", "dump_tip_seed_inf", "oracle_dump_frames"],
-    )
-    def test_bad_flags_fail_before_running(self, tmp_path, capsys, monkeypatch, config, command):
+    def test_oracle_dump_frames_fails_before_running(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        path = write_config(tmp_path, config)
-        assert main([*command, "--config", str(path)]) == 2
+        path = write_config(tmp_path, ORACLE_SMALL)
+        assert main(["run", "--dump-frames", "dump", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "dump").exists()

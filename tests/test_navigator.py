@@ -16,6 +16,7 @@ import pytest
 
 from vesselnav import navigator
 from vesselnav.cli import parse_suite, standard_config_text
+from vesselnav.lifting import OffVesselError
 from vesselnav.navigator import (
     EpisodeConfig,
     Navigator,
@@ -202,12 +203,15 @@ class TestPerceptionEstimator:
         assert est.lift_error_px == want.lift_pixel_error
         assert est.tip_px == want.tip_pixel_px
 
-    def test_failed_lifts_hold_the_start_address(self):
-        # A seed far outside the image: the tracker never leaves it and every
-        # lift fails, so the estimate stays at the start address while the
-        # true tip moves.
+    def test_failed_lifts_hold_the_start_address(self, monkeypatch):
+        # Every lift fails, so the estimate stays at the start address while
+        # the true tip moves.
+        def off_vessel(*args, **kwargs):
+            raise OffVesselError("tip is off every vessel")
+
+        monkeypatch.setattr(navigator, "lift", off_vessel)
         tree = generate_phantom(PhantomSpec(), seed=11)
-        config = EpisodeConfig(max_loops=3, tip_seed_px=(-500.0, -500.0))
+        config = EpisodeConfig(max_loops=3)
         report = run_episode(tree, (0, 20), (7, 25), seed=0, config=config)
         assert len(report.records) == 3
         assert all(np.isnan(r.lift_pixel_error) for r in report.records)
