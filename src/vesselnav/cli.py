@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -208,7 +207,7 @@ def parse_suite(config_path: str | Path, seed_offset: int = 0) -> SuiteSpec:
     suite_section = cfg["suite"] if cfg.has_section("suite") else {}
     name = _get(suite_section, "name", str, "suite")
     default_seeds = _parse_seeds(_get(suite_section, "seeds", str, "0"))
-    outdir = Path(os.environ.get("VESSELNAV_OUTDIR") or _get(suite_section, "outdir", str, f"runs/{name}"))
+    outdir = Path(_get(suite_section, "outdir", str, f"runs/{name}"))
 
     tasks = []
     for section_name in cfg.sections():
@@ -384,8 +383,11 @@ class _FrameDumper:
 
 def run_suite(suite: SuiteSpec, dump_frames: Path | None = None) -> list[TaskResult]:
     """Run every task x seed episode and write logs plus both summaries."""
-    if dump_frames is not None and suite.episode.use_oracle_perception:
-        raise ConfigError("frame dumping needs full perception (oracle_perception = false)")
+    if dump_frames is not None:
+        if suite.episode.use_oracle_perception:
+            raise ConfigError("frame dumping needs full perception (oracle_perception = false)")
+        # an unusable dump root fails here, before the outdir exists
+        dump_frames.mkdir(parents=True, exist_ok=True)
     episodes_dir = suite.outdir / "episodes"
     episodes_dir.mkdir(parents=True, exist_ok=True)
     results = []

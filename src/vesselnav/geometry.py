@@ -1,4 +1,4 @@
-"""Rigid transforms, pinhole projection, and Lie-group helpers.
+"""Rigid transforms, pinhole projection, and the SE(3) exponential.
 
 Conventions used throughout the package:
 
@@ -52,26 +52,6 @@ def so3_exp(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * k + b * (k @ k)
 
 
-def so3_log(rot: np.ndarray) -> np.ndarray:
-    """Axis-angle vector of a rotation matrix."""
-    rot = np.asarray(rot, dtype=float)
-    w = 0.5 * np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]])
-    s = float(np.linalg.norm(w))
-    c = 0.5 * (float(np.trace(rot)) - 1.0)
-    theta = float(np.arctan2(s, np.clip(c, -1.0, 1.0)))
-    if s > _SMALL_ANGLE:
-        return w * (theta / s)
-    if c > 0.0:
-        # theta/sin(theta) expansion near zero.
-        return w * (1.0 + theta * theta / 6.0)
-    # Near pi the off-diagonal differences vanish; recover the axis from R + I.
-    m = rot + np.eye(3)
-    k = int(np.argmax(np.diag(m)))
-    axis = m[:, k]
-    axis = axis / np.linalg.norm(axis)
-    return axis * theta
-
-
 def _so3_left_jacobian(omega: np.ndarray) -> np.ndarray:
     theta = float(np.linalg.norm(omega))
     k = _skew(omega)
@@ -80,53 +60,6 @@ def _so3_left_jacobian(omega: np.ndarray) -> np.ndarray:
     b = (1.0 - np.cos(theta)) / (theta * theta)
     c = (theta - np.sin(theta)) / (theta ** 3)
     return np.eye(3) + b * k + c * (k @ k)
-
-
-def _so3_left_jacobian_inv(omega: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(omega))
-    k = _skew(omega)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) - 0.5 * k + (k @ k) / 12.0
-    coef = 1.0 / (theta * theta) - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-    return np.eye(3) - 0.5 * k + coef * (k @ k)
-
-
-def _se3_q_matrix(upsilon: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    # Coupling block of the SE(3) left Jacobian (closed form with Taylor guards).
-    r = _skew(upsilon)
-    p = _skew(omega)
-    theta = float(np.linalg.norm(omega))
-    if theta < 1e-4:
-        c1 = 1.0 / 6.0 - theta * theta / 120.0
-        c2 = 1.0 / 24.0 - theta * theta / 720.0
-        c3 = -1.0 / 120.0 + theta * theta / 5040.0
-    else:
-        t2 = theta * theta
-        c1 = (theta - np.sin(theta)) / (t2 * theta)
-        c2 = (np.cos(theta) - 1.0 + t2 / 2.0) / (t2 * t2)
-        c3 = (theta - np.sin(theta) - t2 * theta / 6.0) / (t2 * t2 * theta)
-    q = 0.5 * r
-    q += c1 * (p @ r + r @ p + p @ r @ p)
-    q += c2 * (p @ p @ r + r @ p @ p - 3.0 * (p @ r @ p))
-    q += 0.5 * (c2 + 3.0 * c3) * (p @ r @ p @ p + p @ p @ r @ p)
-    return q
-
-
-def se3_left_jacobian_inv(xi: np.ndarray) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    upsilon, omega = xi[:3], xi[3:]
-    jinv = _so3_left_jacobian_inv(omega)
-    q = _se3_q_matrix(upsilon, omega)
-    out = np.zeros((6, 6))
-    out[:3, :3] = jinv
-    out[:3, 3:] = -jinv @ q @ jinv
-    out[3:, 3:] = jinv
-    return out
-
-
-def se3_right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
-    """Inverse right Jacobian, d/d(delta) log(exp(xi) exp(delta)) at delta = 0."""
-    return se3_left_jacobian_inv(-np.asarray(xi, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -150,10 +83,6 @@ class Pose:
     def compose(self, other: "Pose") -> "Pose":
         return Pose(self.rotation @ other.rotation, self.rotation @ other.translation + self.translation)
 
-    def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rt, -rt @ self.translation)
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
@@ -164,13 +93,6 @@ def se3_exp(xi: np.ndarray) -> Pose:
     xi = np.asarray(xi, dtype=float).reshape(6)
     upsilon, omega = xi[:3], xi[3:]
     return Pose(so3_exp(omega), _so3_left_jacobian(omega) @ upsilon)
-
-
-def se3_log(pose: Pose) -> np.ndarray:
-    """Twist ``[translation, rotation]`` of a pose."""
-    omega = so3_log(pose.rotation)
-    upsilon = _so3_left_jacobian_inv(omega) @ pose.translation
-    return np.concatenate([upsilon, omega])
 
 
 @dataclass(frozen=True)

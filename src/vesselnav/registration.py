@@ -1,15 +1,11 @@
 """Rigid 3D-2D registration of a vessel tree to projected centerlines.
 
 The data term scores each projected 3D centerline point against its nearby 2D
-points through Gaussian kernels, and a pose prior anchors the rigid estimate
-to its initialization. The composite loss
-
-    -(data term) + _POSE_PRIOR * anchor
-
-is minimized by iteratively reweighted least squares: kernel weights are
-frozen at the current state, the resulting weighted least-squares surrogate is
-stepped by Levenberg-Marquardt, and the kernel bandwidth is halved on a fixed
-schedule down to a floor.
+points through Gaussian kernels. The rigid pose maximizes it alone; the
+initial pose is only where the search starts. The solver is iteratively
+reweighted least squares: kernel weights are frozen at the current state, the
+resulting weighted least-squares surrogate is stepped by Levenberg-Marquardt,
+and the kernel bandwidth is halved on a fixed schedule down to a floor.
 
 With the weights frozen, a point's k-neighbour surrogate term equals a
 weighted squared distance to one target point plus a constant (see _Targets;
@@ -27,16 +23,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import CameraModel, Pose, project_points, se3_exp, se3_log, se3_right_jacobian_inv
+from .geometry import CameraModel, Pose, project_points, se3_exp
 from .vessel_model import VesselTree
 
-
-# Model coordinates are millimeters; the pose anchor is calibrated for SI
-# units (meters, radians), so the translation half of the relative twist is
-# scaled by 1e-3 inside the prior. Without this a 100-weighted anchor would
-# overpower the data term for millimeter-scale corrections.
-_PRIOR_SCALE = np.array([1e-3, 1e-3, 1e-3, 1.0, 1.0, 1.0])
-_PRIOR_SCALE.setflags(write=False)
 
 # Fixed solver schedule: outer iterations per bandwidth halving, LM steps per
 # reweighting, the step length (and relative predicted decrease) that ends a
@@ -48,9 +37,8 @@ _LM_DAMPING_INIT = 1e-3
 _LM_DAMPING_UP = 10.0
 _LM_DAMPING_DOWN = 10.0
 _LM_DAMPING_CAP = 1e8
-# Weight of the pose anchor, outer-iteration budget of one solve, and the
-# smallest kernel bandwidth the annealing reaches.
-_POSE_PRIOR = 100.0
+# Outer-iteration budget of one solve, and the smallest kernel bandwidth the
+# annealing reaches.
 _MAX_OUTER_ITERS = 80
 _BANDWIDTH_FLOOR_PX = 2.0
 # Image points matched to each projected model point (fewer if the frame has fewer).
@@ -98,7 +86,6 @@ class RegistrationProblem:
         if len(self.points2) < 1:
             raise ValueError("need at least one 2D point")
         self.init_pose = init_pose
-        self._init_pose_inv = init_pose.inverse()
         self.k_corr = min(_K_CORR, len(self.points2))
         self.kd2 = cKDTree(self.points2)
 
@@ -127,11 +114,12 @@ class RegistrationProblem:
         )
 
     def with_frame(self, points2: np.ndarray, init_pose_world: Pose) -> "RegistrationProblem":
-        """Same model rebound to a new image and initialization.
+        """Same model rebound to a new image and start pose.
 
         The copy shares the model points with this problem; only the image
-        points, their k-d tree, ``k_corr`` and the initial pose are its own. A
-        frame-to-frame tracker passes the previous frame's registered pose
+        points, their k-d tree, ``k_corr`` and the start pose are its own. The
+        start pose only seeds the search: nothing pulls the solve back to it.
+        A frame-to-frame tracker passes the previous frame's registered pose
         here and that frame's state to ``solve(..., warm=...)``: the solve
         then starts at the previous optimum and its bandwidth, and only the
         first frame anneals.
@@ -175,10 +163,6 @@ def _match_neighbors(prob: RegistrationProblem, pix: np.ndarray, depth: np.ndarr
         # a list of ranks keeps the (m, k) shape when k_corr is 1
         dist[ok], idx[ok] = prob.kd2.query(pix[ok], k=list(range(1, prob.k_corr + 1)))
     return idx, dist, ok
-
-
-def _log_to_init(prob: RegistrationProblem, pose: Pose) -> np.ndarray:
-    return se3_log(prob._init_pose_inv.compose(pose))
 
 
 def reprojection_rmse(prob: RegistrationProblem, state: RegistrationState, reference_pix: np.ndarray) -> float:
@@ -226,18 +210,15 @@ def _weighted_targets(prob: RegistrationProblem, idx: np.ndarray, gamma: np.ndar
     return _Targets(s, qbar, c)
 
 
-def _surrogate_cost(psi: np.ndarray, proj: _Projection, targets: _Targets, ell: float) -> float:
+def _surrogate_cost(proj: _Projection, targets: _Targets, ell: float) -> float:
     """Weighted least-squares surrogate with frozen kernel weights.
 
-    ``psi`` is ``_log_to_init(prob, pose)`` and ``proj`` is
-    ``_projection(prob, pose)``; both are passed in so that the solver
-    computes each once per state.
+    ``proj`` is ``_projection(prob, pose)``, passed in so that the solver
+    computes it once per state.
     """
     r = proj.pix - targets.qbar
     per_point = targets.s * np.einsum("ij,ij->i", r, r) + targets.c
-    data = float(np.sum(per_point, where=proj.depth > 0))
-    scaled = _PRIOR_SCALE * psi
-    return data / (2.0 * ell * ell) + _POSE_PRIOR * float(scaled @ scaled)
+    return float(np.sum(per_point, where=proj.depth > 0)) / (2.0 * ell * ell)
 
 
 def _pixel_jacobians(prob: RegistrationProblem, pose: Pose, proj: _Projection) -> np.ndarray:
@@ -276,20 +257,14 @@ def _data_blocks(prob, pose, proj, targets, ell):
     return s, gvec, _pixel_jacobians(prob, pose, proj)
 
 
-def _normal_equations(prob, pose, proj, psi, targets, ell):
-    """Gauss-Newton matrix A and gradient g of the surrogate at the pose.
-
-    ``psi`` is ``_log_to_init(prob, pose)``.
-    """
+def _normal_equations(prob, pose, proj, targets, ell):
+    """Gauss-Newton matrix A and gradient g of the surrogate at the pose."""
     s, gvec, g_blocks = _data_blocks(prob, pose, proj, targets, ell)
     n = len(prob.points3)
     gs = g_blocks * s[:, None, None]
     g_rows = g_blocks.reshape(2 * n, 6)
     app = gs.reshape(2 * n, 6).T @ g_rows
     gp = g_rows.T @ gvec.reshape(2 * n)
-    jr = _PRIOR_SCALE[:, None] * se3_right_jacobian_inv(psi)
-    app += _POSE_PRIOR * jr.T @ jr
-    gp += _POSE_PRIOR * (jr.T @ (_PRIOR_SCALE * psi))
     return app, gp
 
 
@@ -339,10 +314,8 @@ def solve(prob: RegistrationProblem, warm: RegistrationState | None = None) -> R
     solve that runs out of ``_MAX_OUTER_ITERS`` reports False.
     """
     pose = prob.init_pose
-    # projection and pose log of the current pose; an accepted candidate
-    # brings its own
+    # projection of the current pose; an accepted candidate brings its own
     proj = _projection(prob, pose)
-    psi = _log_to_init(prob, pose)
     if warm is None:
         idx0, dist0, ok0 = _match_neighbors(prob, proj.pix, proj.depth)
         ell = _BANDWIDTH_FLOOR_PX
@@ -364,9 +337,9 @@ def solve(prob: RegistrationProblem, warm: RegistrationState | None = None) -> R
         rot_locked = stage == 0
         # An accepted candidate's cost is the next inner iteration's starting
         # cost: same pose and frozen weights.
-        cost0 = _surrogate_cost(psi, proj, targets, ell)
+        cost0 = _surrogate_cost(proj, targets, ell)
         for inner in range(_INNER_ITERS):
-            app, gp = _normal_equations(prob, pose, proj, psi, targets, ell)
+            app, gp = _normal_equations(prob, pose, proj, targets, ell)
             accepted = False
             step = 0.0
             while True:
@@ -379,8 +352,7 @@ def solve(prob: RegistrationProblem, warm: RegistrationState | None = None) -> R
                 if delta_p is not None and np.all(np.isfinite(delta_p)):
                     cand_pose = pose.compose(se3_exp(delta_p))
                     cand_proj = _projection(prob, cand_pose)
-                    cand_psi = _log_to_init(prob, cand_pose)
-                    cost1 = _surrogate_cost(cand_psi, cand_proj, targets, ell)
+                    cost1 = _surrogate_cost(cand_proj, targets, ell)
                 else:
                     cost1 = np.inf
                 if np.isfinite(cost1) and cost1 < cost0:
@@ -396,7 +368,7 @@ def solve(prob: RegistrationProblem, warm: RegistrationState | None = None) -> R
                             "accepted": True,
                         }
                     )
-                    pose, proj, psi, cost0 = cand_pose, cand_proj, cand_psi, cost1
+                    pose, proj, cost0 = cand_pose, cand_proj, cost1
                     damping = max(damping / _LM_DAMPING_DOWN, 1e-12)
                     accepted = True
                     break

@@ -4,21 +4,18 @@ The solver collapses each model point's k kernel-weighted neighbours into one
 target. These helpers keep the uncollapsed form, one residual row per
 (point, neighbour) pair, with its analytic pose Jacobian, and a central
 finite-difference Jacobian to check that against. ``eval_objective`` is the
-energy oracle: the kernel data term and pose prior at a state, which the
-solver itself never evaluates.
+energy oracle: the kernel data term at a state, which the solver itself never
+evaluates.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from vesselnav.geometry import se3_exp, se3_right_jacobian_inv
+from vesselnav.geometry import se3_exp
 from vesselnav.registration import (
-    _POSE_PRIOR,
-    _PRIOR_SCALE,
     RegistrationProblem,
     RegistrationState,
-    _log_to_init,
     _match_neighbors,
     _pixel_jacobians,
     _projection,
@@ -28,21 +25,16 @@ from vesselnav.registration import (
 @dataclass(frozen=True)
 class EnergyBreakdown:
     data: float
-    pose_prior: float
     behind_camera: tuple[int, ...] = ()
-
-    def composite(self) -> float:
-        return -self.data + _POSE_PRIOR * self.pose_prior
 
 
 def eval_objective(prob: RegistrationProblem, state: RegistrationState) -> EnergyBreakdown:
-    """Energy terms at the given state, using its kernel bandwidth."""
+    """Kernel data term at the given state, using its kernel bandwidth."""
     proj = _projection(prob, state.pose)
     idx, dist, ok = _match_neighbors(prob, proj.pix, proj.depth)
     ell2 = 2.0 * state.bandwidth_px ** 2
     data = float(np.sum(np.exp(-dist[ok] ** 2 / ell2)))
-    psi = _PRIOR_SCALE * _log_to_init(prob, state.pose)
-    return EnergyBreakdown(data, float(psi @ psi), tuple(np.flatnonzero(~ok)))
+    return EnergyBreakdown(data, tuple(np.flatnonzero(~ok)))
 
 
 def _dense_residuals(prob, pose, idx, gamma, ell):
@@ -55,9 +47,7 @@ def _dense_residuals(prob, pose, idx, gamma, ell):
         for col, j in enumerate(idx[i]):
             a = np.sqrt(gamma[i, col]) * inv
             rows.append(a * (pix[i] - prob.points2[j]))
-    psi = _log_to_init(prob, pose)
-    rows.append(np.sqrt(_POSE_PRIOR) * _PRIOR_SCALE * psi)
-    return np.concatenate([np.atleast_1d(r).ravel() for r in rows])
+    return np.concatenate(rows)
 
 
 def _dense_jacobian(prob, pose, idx, gamma, ell):
@@ -71,8 +61,6 @@ def _dense_jacobian(prob, pose, idx, gamma, ell):
         for col in range(idx.shape[1]):
             a = np.sqrt(gamma[i, col]) * inv
             blocks.append(a * g_blocks[i])
-    jr = _PRIOR_SCALE[:, None] * se3_right_jacobian_inv(_log_to_init(prob, pose))
-    blocks.append(np.sqrt(_POSE_PRIOR) * jr)
     return np.vstack(blocks)
 
 

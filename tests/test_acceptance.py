@@ -8,6 +8,7 @@ stay within the radius-plus-spacing bound on every frame, and the perception
 primitives must agree exactly with brute-force reference implementations.
 """
 
+import dataclasses
 import filecmp
 import time
 
@@ -54,11 +55,10 @@ def report(capsys, n, name, ok, detail):
         print(f"\ncriterion {n} ({name}): {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
 
 
-def test_criterion_1_standard_suite_oracle_navigation(tmp_path, monkeypatch, capsys):
+def test_criterion_1_standard_suite_oracle_navigation(tmp_path, capsys):
     cfg = tmp_path / "standard.ini"
     cfg.write_text(standard_config_text(oracle=True))
-    monkeypatch.setenv("VESSELNAV_OUTDIR", str(tmp_path / "run"))
-    suite = parse_suite(cfg)
+    suite = dataclasses.replace(parse_suite(cfg), outdir=tmp_path / "run")
     t0 = time.perf_counter()
     results = run_suite(suite)
     wall = time.perf_counter() - t0
@@ -281,7 +281,7 @@ def test_criterion_6_scripted_control_conformance(capsys):
     assert ok, (hits, done, drained)
 
 
-def test_criterion_7_bytewise_reproducibility(tmp_path, monkeypatch, capsys):
+def test_criterion_7_bytewise_reproducibility(tmp_path, capsys):
     cfg = tmp_path / "suite.ini"
     cfg.write_text(standard_config_text(oracle=True))
     full_cfg = tmp_path / "full.ini"
@@ -296,8 +296,7 @@ def test_criterion_7_bytewise_reproducibility(tmp_path, monkeypatch, capsys):
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{path.stem}-{tag}"
-            monkeypatch.setenv("VESSELNAV_OUTDIR", str(out))
-            suite = parse_suite(path)
+            suite = dataclasses.replace(parse_suite(path), outdir=out)
             run_suite(suite, dump_frames=out / "frames" if dump else None)
             outs.append(out)
         return outs

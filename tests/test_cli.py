@@ -115,12 +115,6 @@ class TestParsing:
         suite = parse_suite(path)
         assert len(suite.tree.flat_points()[0]) == len(other.flat_points()[0])
 
-    def test_outdir_env_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, ORACLE_SMALL)
-        monkeypatch.setenv("VESSELNAV_OUTDIR", str(tmp_path / "elsewhere"))
-        suite = parse_suite(path)
-        assert suite.outdir == tmp_path / "elsewhere"
-
 
 class TestRunSuite:
     def test_oracle_suite_outputs(self, tmp_path):
@@ -250,6 +244,7 @@ class TestMain:
             ("task:a/b", "start = 0:20\ndest = 7:25", ["run"]),
             ("map", "", ["run"]),
             ("map", "path = no-such-dir/tree.vtree", ["run"]),
+            ("solver", "", ["run", "--dump-frames", "/dev/null"]),
         ],
         ids=[
             "focal_px",
@@ -274,6 +269,7 @@ class TestMain:
             "task_name_with_slash",
             "map_without_path",
             "map_missing_file",
+            "dump_frames_onto_a_file",
         ],
     )
     def test_out_of_range_values_fail_before_running(self, tmp_path, capsys, section, line, command):

@@ -1,9 +1,7 @@
 """Transform and projection checks against scipy matrix oracles.
 
-Exponentials are compared to scipy.linalg.expm of the hat matrices, logs are
-checked through round trips (the only well-defined contract near the angle
-cutoffs), and the Jacobian inverses are checked against central differences
-of the group-level definition.
+Exponentials are compared to scipy.linalg.expm of the hat matrices, and pose
+algebra to products of homogeneous 4x4 matrices.
 """
 
 import numpy as np
@@ -17,14 +15,10 @@ from vesselnav.geometry import (
     project,
     project_points,
     se3_exp,
-    se3_left_jacobian_inv,
-    se3_log,
-    se3_right_jacobian_inv,
     so3_exp,
-    so3_log,
 )
 
-from geometry_reference import pose_matrix, se3_left_jacobian
+from geometry_reference import pose_matrix
 
 
 def hat4(xi):
@@ -53,28 +47,6 @@ class TestSo3:
                 k = np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]])
                 assert np.allclose(so3_exp(w), expm(k), atol=1e-12)
 
-    def test_log_round_trip(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            w = rng.normal(size=3)
-            w *= rng.uniform(0, np.pi * 0.999) / np.linalg.norm(w)
-            assert np.allclose(so3_log(so3_exp(w)), w, atol=1e-9)
-
-    def test_log_near_pi(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            rot = so3_exp(axis * (np.pi - 1e-9))
-            w = so3_log(rot)
-            assert abs(np.linalg.norm(w) - np.pi) < 1e-6
-            assert np.allclose(so3_exp(w), rot, atol=1e-9)
-
-    def test_exact_pi_recovered_up_to_sign(self):
-        rot = so3_exp(np.array([np.pi, 0.0, 0.0]))
-        w = so3_log(rot)
-        assert np.allclose(so3_exp(w), rot, atol=1e-9)
-
 
 class TestSe3:
     def test_exp_matches_expm(self):
@@ -83,40 +55,6 @@ class TestSe3:
             expected = expm(hat4(xi))
             assert np.allclose(pose_matrix(se3_exp(xi)), expected, atol=1e-10)
 
-    def test_log_exp_round_trip(self):
-        rng = np.random.default_rng(4)
-        for xi in random_twists(rng, 40, max_angle=3.0):
-            assert np.allclose(se3_log(se3_exp(xi)), xi, atol=1e-9)
-
-    def test_exp_log_round_trip_on_poses(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            pose = se3_exp(random_twists(rng, 1)[0])
-            again = se3_exp(se3_log(pose))
-            assert np.allclose(pose_matrix(again), pose_matrix(pose), atol=1e-9)
-
-    def test_jacobian_inverse_pair(self):
-        rng = np.random.default_rng(6)
-        for xi in random_twists(rng, 20):
-            j = se3_left_jacobian(xi)
-            jinv = se3_left_jacobian_inv(xi)
-            assert np.allclose(j @ jinv, np.eye(6), atol=1e-9)
-
-    def test_right_jacobian_inverse_matches_differences(self):
-        # d/d(delta) log(exp(xi) exp(delta)) at 0, column by column.
-        rng = np.random.default_rng(7)
-        h = 1e-6
-        for xi in random_twists(rng, 10, max_angle=2.0):
-            base = se3_exp(xi)
-            numeric = np.zeros((6, 6))
-            for i in range(6):
-                step = np.zeros(6)
-                step[i] = h
-                plus = se3_log(base.compose(se3_exp(step)))
-                minus = se3_log(base.compose(se3_exp(-step)))
-                numeric[:, i] = (plus - minus) / (2 * h)
-            assert np.allclose(se3_right_jacobian_inv(xi), numeric, atol=1e-6)
-
 
 class TestPose:
     def test_algebra_matches_matrices(self):
@@ -124,7 +62,6 @@ class TestPose:
         a = se3_exp(random_twists(rng, 1)[0])
         b = se3_exp(random_twists(rng, 1)[0])
         assert np.allclose(pose_matrix(a.compose(b)), pose_matrix(a) @ pose_matrix(b), atol=1e-12)
-        assert np.allclose(pose_matrix(a.inverse()), np.linalg.inv(pose_matrix(a)), atol=1e-12)
         assert np.allclose(pose_matrix(Pose(np.eye(3), np.zeros(3))), np.eye(4))
         pts = rng.normal(size=(7, 3))
         by_matrix = (pose_matrix(a) @ np.c_[pts, np.ones(7)].T).T[:, :3]
