@@ -386,8 +386,11 @@ def run_suite(suite: SuiteSpec, dump_frames: Path | None = None) -> list[TaskRes
     if dump_frames is not None:
         if suite.episode.use_oracle_perception:
             raise ConfigError("frame dumping needs full perception (oracle_perception = false)")
-        # an unusable dump root fails here, before the outdir exists
+        # an unusable dump root fails here, before the outdir exists; one that
+        # holds files would mix an earlier run's frames with this run's logs
         dump_frames.mkdir(parents=True, exist_ok=True)
+        if any(dump_frames.iterdir()):
+            raise ConfigError(f"--dump-frames directory {dump_frames} is not empty")
     episodes_dir = suite.outdir / "episodes"
     episodes_dir.mkdir(parents=True, exist_ok=True)
     results = []
@@ -473,7 +476,9 @@ def main(argv: list[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="run a suite from a config file")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--seed-offset", type=int, default=0)
-    run_p.add_argument("--dump-frames", default=None, help="also dump every rendered frame here")
+    run_p.add_argument(
+        "--dump-frames", default=None, help="also dump every rendered frame into this new or empty directory"
+    )
 
     init_p = sub.add_parser("init-config", help="write the standard suite config")
     init_p.add_argument("path")

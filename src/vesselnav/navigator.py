@@ -201,7 +201,8 @@ class PerceptionEstimator:
     """Tip estimates from the rendered frames alone; the wire's tip is never read.
 
     The tracker starts at the projected ``start`` address, and a failed lift
-    keeps the last estimate, which starts at ``start``."""
+    keeps the last estimate, which starts at ``start``. Frames are registered
+    until a solve converges; later frames lift through that held pose."""
 
     def __init__(self, tree: VesselTree, start: Address, config: EpisodeConfig, rng: np.random.Generator):
         self.tree = tree
@@ -214,8 +215,12 @@ class PerceptionEstimator:
         self.base_problem = base = RegistrationProblem.from_tree(self.model, np.zeros((1, 2)), cam, self.view)
         self.reference_px, _ = project_points(base.points3, base.pose_from_world(self.view), cam)
         self.introducer_px = project(tree.position(INSERTION), self.view, cam)
-        self.pose_world = self.view
+        # The last solve's problem (bound to its frame), state, registered
+        # pose and RMSE; estimate() holds them once a solve converges.
+        self.problem = base
         self.reg_state: RegistrationState | None = None
+        self.pose_world = self.view
+        self.rmse = float("nan")
         self.tip_track = TrackedEndpoint(project(tree.position(start), self.view, cam), 1.0)
         # The last lifted tip breaks lift's near-ties; the last estimate is
         # what a failed lift reports.
@@ -226,13 +231,15 @@ class PerceptionEstimator:
         polyline = np.array([self.tree.position(a) for a in wire.body])
         frame = self.renderer.render(polyline, noise=self.imaging_noise, seed=self.rng)
         vessel_mask, wire_mask, _, wire_thresh = segment_layers(frame)
-        q = skeleton_points(thin(vessel_mask))
-        # Camera and tree are static: each frame starts from the previous
-        # frame's optimum, and only the first frame anneals.
-        problem = self.base_problem.with_frame(q, self.pose_world)
-        self.reg_state = solve(problem, warm=self.reg_state)
-        self.pose_world = problem.pose_to_world(self.reg_state.pose)
-        rmse = reprojection_rmse(problem, self.reg_state, self.reference_px)
+        # Camera and tree are static: frames are registered, each starting
+        # from the previous frame's optimum (only the first anneals), until a
+        # solve converges; every later frame holds that pose.
+        if self.reg_state is None or not self.reg_state.converged:
+            q = skeleton_points(thin(vessel_mask))
+            self.problem = self.base_problem.with_frame(q, self.pose_world)
+            self.reg_state = solve(self.problem, warm=self.reg_state)
+            self.pose_world = self.problem.pose_to_world(self.reg_state.pose)
+            self.rmse = reprojection_rmse(self.problem, self.reg_state, self.reference_px)
         if wire_thresh is None:
             candidates = np.empty((0, 2))
         else:
@@ -243,7 +250,7 @@ class PerceptionEstimator:
         self.tip_track = track(candidates, self.tip_track)
         tip_px = (float(self.tip_track.position2[0]), float(self.tip_track.position2[1]))
         try:
-            lifted = lift(problem, self.reg_state, self.tip_track.position2, previous3=self.previous3)
+            lifted = lift(self.problem, self.reg_state, self.tip_track.position2, previous3=self.previous3)
         except OffVesselError:
             address = nearest_tree_address(self.tree, self.position)
             lift_err = float("nan")
@@ -251,7 +258,7 @@ class PerceptionEstimator:
             address = model_to_tree_address(self.tree, self.model, lifted.address)
             self.position = self.previous3 = lifted.position3
             lift_err = lifted.pixel_error
-        return TipEstimate(address, self.position, rmse, lift_err, tip_px, frame, self.pose_world)
+        return TipEstimate(address, self.position, self.rmse, lift_err, tip_px, frame, self.pose_world)
 
 
 def run_episode(

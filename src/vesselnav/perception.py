@@ -169,10 +169,12 @@ class FrameRenderer:
             _draw_capsules(canvas, pix, widths, WIRE_VALUE)
         if noise is not None and noise.gaussian_std > 0.0:
             rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-            noisy = canvas.astype(np.int16) + np.round(
-                rng.normal(0.0, noise.gaussian_std, canvas.shape)
-            ).astype(np.int16)
-            canvas = np.clip(noisy, 0, 255).astype(np.uint8)
+            # one float buffer: the rounded draw plus the canvas, clipped
+            noisy = rng.normal(0.0, noise.gaussian_std, canvas.shape)
+            np.rint(noisy, out=noisy)
+            noisy += canvas
+            np.clip(noisy, 0, 255, out=noisy)
+            canvas = noisy.astype(np.uint8)
         return FluoroFrame(canvas, self.cam)
 
 

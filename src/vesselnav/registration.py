@@ -122,7 +122,8 @@ class RegistrationProblem:
         A frame-to-frame tracker passes the previous frame's registered pose
         here and that frame's state to ``solve(..., warm=...)``: the solve
         then starts at the previous optimum and its bandwidth, and only the
-        first frame anneals.
+        first frame anneals. Over a static scene the tracker solves only
+        until a solve converges, then holds that pose.
         """
         frame = copy.copy(self)
         frame._bind_frame(points2, _pose_from_world(init_pose_world, self.center))
@@ -305,7 +306,9 @@ def solve(prob: RegistrationProblem, warm: RegistrationState | None = None) -> R
     returned: it starts at ``warm.bandwidth_px`` (not below the floor) with the
     rotation free, so a frame whose ``prob`` was built by ``with_frame`` from
     the previous pose does not anneal again. Only the first frame of a
-    sequence anneals. The pose still starts at ``prob.init_pose``.
+    sequence anneals. The pose still starts at ``prob.init_pose``. A warm
+    solve is the fallback after a solve that did not converge: over a static
+    scene, a converged pose is held rather than solved again.
 
     ``converged`` is True when the solve stopped at the floor bandwidth with
     the freshly reweighted surrogate solved: either its first LM step was
@@ -316,8 +319,11 @@ def solve(prob: RegistrationProblem, warm: RegistrationState | None = None) -> R
     pose = prob.init_pose
     # projection of the current pose; an accepted candidate brings its own
     proj = _projection(prob, pose)
+    # a cold solve's start match is also its first outer iteration's
+    match = None
     if warm is None:
-        idx0, dist0, ok0 = _match_neighbors(prob, proj.pix, proj.depth)
+        match = _match_neighbors(prob, proj.pix, proj.depth)
+        _, dist0, ok0 = match
         ell = _BANDWIDTH_FLOOR_PX
         if np.any(ok0):
             ell = max(float(np.nanmax(dist0[ok0])), _BANDWIDTH_FLOOR_PX)
@@ -331,7 +337,8 @@ def solve(prob: RegistrationProblem, warm: RegistrationState | None = None) -> R
     history: list[dict] = []
     converged = False
     for outer in range(_MAX_OUTER_ITERS):
-        idx, dist, okm = _match_neighbors(prob, proj.pix, proj.depth)
+        idx, dist, okm = match or _match_neighbors(prob, proj.pix, proj.depth)
+        match = None
         gamma = np.where(okm[:, None], np.exp(-dist ** 2 / (2.0 * ell * ell)), 0.0)
         targets = _weighted_targets(prob, idx, np.nan_to_num(gamma))
         rot_locked = stage == 0

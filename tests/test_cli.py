@@ -311,6 +311,19 @@ class TestMain:
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "dump").exists()
 
+    def test_non_empty_dump_frames_fails_before_running(self, tmp_path, capsys, monkeypatch):
+        # An earlier run's frames would sit beside this run's logs without
+        # matching them; nothing of theirs is deleted.
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, FULL_TINY)
+        stale = tmp_path / "dump" / "t1-seed0" / "frame_0001.pgm"
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"earlier run")
+        assert main(["run", "--dump-frames", "dump", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+        assert stale.read_bytes() == b"earlier run"
+
     def test_init_config_round_trip(self, tmp_path):
         target = tmp_path / "std.ini"
         assert main(["init-config", str(target)]) == 0

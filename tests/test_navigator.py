@@ -7,6 +7,7 @@ proof that decide() draws exactly one burst per forward-phase call and none
 while backing up.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
@@ -173,8 +174,9 @@ class TestEpisodes:
         assert report.success
 
     def test_standard_tasks_full_perception(self, tmp_path):
-        # Every stage runs: imaging, segmentation, thinning, warm-started
-        # registration, lifting, planning, control and actuation.
+        # Every stage runs: imaging, segmentation, thinning, registration
+        # (solved until a solve converges, then held), lifting, planning,
+        # control and actuation.
         cfg = tmp_path / "standard.ini"
         cfg.write_text(standard_config_text(oracle=False))
         suite = parse_suite(cfg)
@@ -217,6 +219,62 @@ class TestPerceptionEstimator:
         assert all(np.isnan(r.lift_pixel_error) for r in report.records)
         assert [r.estimated_address for r in report.records] == [(0, 20)] * 3
         assert any(r.true_address != (0, 20) for r in report.records)
+
+    def test_converged_registration_is_held(self, monkeypatch):
+        # Camera and tree are static: the clean first frame's cold solve
+        # converges, and every later frame lifts through its pose without
+        # thinning the vessel mask or solving again.
+        vessel_masks, vessel_thins, states = [], [], []
+        real_segment, real_thin, real_solve = navigator.segment_layers, navigator.thin, navigator.solve
+
+        def segment_layers(frame):
+            layers = real_segment(frame)
+            vessel_masks.append(layers[0])
+            return layers
+
+        def thin(mask):
+            if mask is vessel_masks[-1]:
+                vessel_thins.append(mask)
+            return real_thin(mask)
+
+        def solve(prob, warm=None):
+            states.append(real_solve(prob, warm=warm))
+            return states[-1]
+
+        monkeypatch.setattr(navigator, "segment_layers", segment_layers)
+        monkeypatch.setattr(navigator, "thin", thin)
+        monkeypatch.setattr(navigator, "solve", solve)
+        tree = generate_phantom(PhantomSpec(), seed=11)
+        report = run_episode(tree, (0, 20), (7, 25), seed=0, config=EpisodeConfig())
+        assert report.success and len(vessel_masks) == report.loops + 1 > 2
+        assert len(states) == 1 and states[0].converged
+        assert len(vessel_thins) == 1
+        assert len({r.registration_rmse_px for r in report.records}) == 1
+
+    def test_unconverged_solve_is_followed_by_a_warm_solve(self, monkeypatch):
+        # Frame 0's solve is made to report no convergence, so frame 1 solves
+        # again, warm from frame 0's state; its solve converges and frame 2
+        # holds that pose.
+        calls = []
+        real_solve = navigator.solve
+
+        def solve(prob, warm=None):
+            state = real_solve(prob, warm=warm)
+            if not calls:
+                state = dataclasses.replace(state, converged=False)
+            calls.append((prob, warm, state))
+            return state
+
+        monkeypatch.setattr(navigator, "solve", solve)
+        tree = generate_phantom(PhantomSpec(), seed=11)
+        report = run_episode(tree, (0, 20), (7, 25), seed=0, config=EpisodeConfig(max_loops=3))
+        assert len(report.records) == 3
+        assert len(calls) == 2
+        (_, cold, first), (prob, warm, second) = calls
+        assert cold is None and warm is first
+        assert np.allclose(prob.init_pose.rotation, first.pose.rotation, rtol=0.0, atol=1e-12)
+        assert np.allclose(prob.init_pose.translation, first.pose.translation, rtol=0.0, atol=1e-9)
+        assert second.converged
 
 
 def test_traced_names_resolve_on_navigator():

@@ -426,6 +426,16 @@ class TestRenderer:
         quiet = self.renderer.render(wire)
         assert np.array_equal(clean.pixels, quiet.pixels)
 
+    def test_extreme_noise_clips_without_wrapping(self):
+        # At std 1e4 a draw far outside the int16 range must clip to 255 or
+        # 0, never wrap round to the other end.
+        wire = self.tree.branches[0].positions[:10]
+        canvas = self.renderer.render(wire).pixels
+        frame = self.renderer.render(wire, noise=NoiseSpec(1e4), seed=np.random.default_rng(4))
+        draw = np.random.default_rng(4).normal(0.0, 1e4, canvas.shape)
+        want = np.clip(canvas + np.rint(draw), 0, 255).astype(np.uint8)
+        assert np.array_equal(frame.pixels, want)
+
     def test_frame_validation(self):
         with pytest.raises(ValueError):
             FluoroFrame(np.zeros((512, 512), dtype=float), self.cam)

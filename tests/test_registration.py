@@ -290,6 +290,21 @@ class TestConvergedFlag:
         assert st.bandwidth_px == registration._BANDWIDTH_FLOOR_PX
         assert st.converged
 
+    def test_cold_solve_matches_once_per_outer_iteration(self, clean_cold, monkeypatch):
+        # The start match that sets the first bandwidth is also the first
+        # outer iteration's match: the pose has not moved in between.
+        prob, _ = clean_cold
+        calls = []
+        match = registration._match_neighbors
+
+        def counted(*args):
+            calls.append(args)
+            return match(*args)
+
+        monkeypatch.setattr(registration, "_match_neighbors", counted)
+        st = solve(prob)
+        assert len(calls) == st.iteration
+
     def test_exhausted_iteration_budget_is_not_converged(self, clean_cold, monkeypatch):
         prob, _ = clean_cold
         monkeypatch.setattr(registration, "_MAX_OUTER_ITERS", 1)
@@ -302,7 +317,7 @@ class TestWarmStart:
     def test_unchanged_frame_stays_at_optimum(self, scene, clean_cold):
         prob0, _, pix = scene
         prob, prev = clean_cold
-        # Frame-to-frame re-solves of one image, as run_episode does. Each
+        # Warm re-solves of one image, each from the last state. Each
         # solve stops once its steps fall below the step tolerance, a little
         # short of the optimum, so each re-solve closes part of the remaining
         # gap and moves less than the one before, until a re-solve leaves the
