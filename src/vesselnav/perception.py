@@ -83,36 +83,39 @@ def frame_view_pose(tree: VesselTree, depth_mm: float = 820.0) -> Pose:
 
 
 def _draw_capsules(canvas: np.ndarray, pix: np.ndarray, widths: np.ndarray, value: int) -> None:
-    # Rasterize consecutive-point capsules with linearly tapered half-width.
+    """Darken to ``value`` the linearly tapered capsule between each pair of
+    consecutive points, skipping pairs with a NaN end (behind the camera). One
+    vectorized pass over all box pixels repeats the float arithmetic of the
+    per-segment loop the tests keep (``np.vecdot`` is ``ab @ ab``'s dot), so
+    pixels are byte-identical to it."""
     h, w = canvas.shape
-    for k in range(len(pix) - 1):
-        a, b = pix[k], pix[k + 1]
-        if np.any(np.isnan(a)) or np.any(np.isnan(b)):
-            continue
-        wa, wb = widths[k], widths[k + 1]
-        pad = max(wa, wb) + 1.0
-        x0 = max(int(np.floor(min(a[0], b[0]) - pad)), 0)
-        x1 = min(int(np.ceil(max(a[0], b[0]) + pad)), w - 1)
-        y0 = max(int(np.floor(min(a[1], b[1]) - pad)), 0)
-        y1 = min(int(np.ceil(max(a[1], b[1]) + pad)), h - 1)
-        if x0 > x1 or y0 > y1:
-            continue
-        xs = np.arange(x0, x1 + 1)
-        ys = np.arange(y0, y1 + 1)
-        gx, gy = np.meshgrid(xs, ys)
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom == 0.0:
-            t = np.zeros_like(gx, dtype=float)
-        else:
-            t = ((gx - a[0]) * ab[0] + (gy - a[1]) * ab[1]) / denom
-            t = np.clip(t, 0.0, 1.0)
-        dx = gx - (a[0] + t * ab[0])
-        dy = gy - (a[1] + t * ab[1])
-        halfw = wa + t * (wb - wa)
-        hit = dx * dx + dy * dy <= halfw * halfw
-        region = canvas[y0 : y1 + 1, x0 : x1 + 1]
-        region[hit] = np.minimum(region[hit], value)
+    ok = ~np.isnan(pix).any(axis=1)
+    ok = ok[:-1] & ok[1:]
+    a, b, wa, wb = pix[:-1][ok], pix[1:][ok], widths[:-1][ok], widths[1:][ok]
+    pad = (np.maximum(wa, wb) + 1.0)[:, None]
+    # clipped before the int cast, so a huge finite projection is off-screen
+    lo = np.clip(np.floor(np.minimum(a, b) - pad), 0, (w, h))
+    hi = np.clip(np.ceil(np.maximum(a, b) + pad), -1, (w - 1, h - 1))
+    span = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    count = span[:, 0] * span[:, 1]
+    ab = b - a
+    denom = np.vecdot(ab, ab)
+    # One row per box pixel: its segment's values, then its place in the box.
+    seg = np.repeat(np.arange(len(count)), count)
+    x0, y0, ax, ay, abx, aby, wa, dw, denom, nx = np.take(
+        np.vstack([lo.T, a.T, ab.T, wa, wb - wa, denom, span[:, 0]]), seg, axis=1
+    )
+    row, col = np.divmod(np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count), nx.astype(np.int64))
+    gx, gy = x0 + col, y0 + row
+    zero = denom == 0.0
+    t = ((gx - ax) * abx + (gy - ay) * aby) / np.where(zero, 1.0, denom)
+    t = np.where(zero, 0.0, np.clip(t, 0.0, 1.0))
+    dx = gx - (ax + t * abx)
+    dy = gy - (ay + t * aby)
+    halfw = wa + t * dw
+    hit = dx * dx + dy * dy <= halfw * halfw
+    gy, gx = gy[hit].astype(np.int64), gx[hit].astype(np.int64)
+    canvas[gy, gx] = np.minimum(canvas[gy, gx], value)
 
 
 def _polyline_layers(tree: VesselTree, pose: Pose, cam: CameraModel) -> np.ndarray:
@@ -129,8 +132,7 @@ def _polyline_layers(tree: VesselTree, pose: Pose, cam: CameraModel) -> np.ndarr
 
 def _check_wire_in_lumen(tree: VesselTree, wire: np.ndarray) -> None:
     dist, idx = tree.point_index().query(wire)
-    addresses = tree.flat_points()[1]
-    radii = np.array([tree.radius(addresses[j]) for j in idx])
+    radii = np.concatenate([tree.branches[bid].radii for bid in sorted(tree.branches)])[idx]
     bad = dist > radii + LUMEN_TOLERANCE_MM
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -140,7 +142,8 @@ def _check_wire_in_lumen(tree: VesselTree, wire: np.ndarray) -> None:
 
 
 class FrameRenderer:
-    """Renders frames for a fixed scene; the static vessel layer is cached."""
+    """Renders frames for a fixed scene; the static vessel layer is cached.
+    Each polyline is one vectorized pass, byte-identical to a per-segment loop."""
 
     def __init__(self, tree: VesselTree, pose: Pose, cam: CameraModel):
         self.tree = tree

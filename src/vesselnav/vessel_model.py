@@ -65,10 +65,6 @@ class VesselTree:
         b, i = address
         return self.branches[b].positions[i]
 
-    def radius(self, address: tuple[int, int]) -> float:
-        b, i = address
-        return float(self.branches[b].radii[i])
-
     def flat_points(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """All centerline positions stacked with their (branch, index) addresses."""
         if self._flat is None:
@@ -243,34 +239,31 @@ def resample_centerlines(tree: VesselTree, spacing: float) -> VesselTree:
 
     Original vertices are kept, so endpoints, attach points, and total arc
     length are preserved exactly; new points are linearly interpolated on the
-    existing polyline. Zero-length gaps are dropped.
+    existing polyline. Zero-length gaps are dropped. Array operations repeat
+    the arithmetic of the per-point loop the tests keep (``np.vecdot`` is the
+    dot under ``np.linalg.norm``'s root), so the result is byte-identical.
     """
     if not spacing > 0.0:
         raise ValueError("spacing must be positive")
     new_branches: dict[int, Branch] = {}
-    index_maps: dict[int, dict[int, int]] = {}
+    index_maps: dict[int, np.ndarray] = {}
     for bid, br in tree.branches.items():
         pos, rad = br.positions, br.radii
-        out_pos = [pos[0]]
-        out_rad = [rad[0]]
-        imap = {0: 0}
-        for k in range(1, len(pos)):
-            gap = float(np.linalg.norm(pos[k] - pos[k - 1]))
-            if gap <= 0.0:
-                imap[k] = len(out_pos) - 1
-                continue
-            n_seg = max(1, int(np.ceil(gap / spacing - 1e-9)))
-            for j in range(1, n_seg + 1):
-                t = j / n_seg
-                out_pos.append(pos[k - 1] + (pos[k] - pos[k - 1]) * t)
-                out_rad.append(rad[k - 1] + (rad[k] - rad[k - 1]) * t)
-            imap[k] = len(out_pos) - 1
-        new_branches[bid] = Branch(np.array(out_pos), np.array(out_rad), br.parent_link, None, list(br.child_links))
-        index_maps[bid] = imap
+        step = np.diff(pos, axis=0)
+        gap = np.sqrt(np.vecdot(step, step))
+        n_seg = np.where(gap > 0.0, np.maximum(np.ceil(gap / spacing - 1e-9), 1.0), 0.0).astype(np.int64)
+        # new point m lies on gap k[m], from pos[k - 1] to pos[k], at fraction j[m] / n_seg
+        k = np.repeat(np.arange(1, len(pos)), n_seg)
+        j = np.arange(1, len(k) + 1) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
+        t = j / n_seg[k - 1]
+        out_pos = np.vstack([pos[:1], pos[k - 1] + (pos[k] - pos[k - 1]) * t[:, None]])
+        out_rad = np.concatenate([rad[:1], rad[k - 1] + (rad[k] - rad[k - 1]) * t])
+        new_branches[bid] = Branch(out_pos, out_rad, br.parent_link, None, list(br.child_links))
+        index_maps[bid] = np.concatenate([[0], np.cumsum(n_seg)])
     for bid, br in new_branches.items():
         old = tree.branches[bid]
         if old.parent_link is not None:
-            br.attach_index = index_maps[old.parent_link][old.attach_index]
+            br.attach_index = int(index_maps[old.parent_link][old.attach_index])
     return VesselTree(new_branches, tree.root)
 
 

@@ -15,7 +15,7 @@ import time
 import numpy as np
 from scipy import ndimage
 
-from lifting_reference import lateral_error_bound
+from lifting_reference import lateral_error_bound, radius_at
 from planning_reference import counted_plan, dijkstra_route_length, route_length
 from registration_reference import _dense_jacobian, _fd_jacobian
 from test_perception import (
@@ -177,7 +177,7 @@ def test_criterion_4_lifting_bound_and_closed_loop(capsys):
         tip2 = project(true3, view, cam)
         lifted = lift(prob, state, tip2, previous3=prev3)
         err = float(np.linalg.norm(lifted.position3 - true3))
-        held += err <= lateral_error_bound(model.radius(lifted.address), 0.5)
+        held += err <= lateral_error_bound(radius_at(model, lifted.address), 0.5)
         prev3 = lifted.position3
     frames = len(route)
 

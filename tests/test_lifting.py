@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vesselnav.geometry import CameraModel, Pose, project_points
-from lifting_reference import lateral_error_bound
+from lifting_reference import lateral_error_bound, radius_at
 from vesselnav.lifting import LiftedTip, OffVesselError, lift
 from vesselnav.registration import RegistrationProblem, RegistrationState
 from vesselnav.simulator import initial_wire, step, ControlCommand, ActuationNoise
@@ -142,7 +142,7 @@ class TestEpisodeBound:
             assert depth[0] > 0
             lifted = lift(prob, state, pix[0], previous3=prev3)
             err = float(np.linalg.norm(lifted.position3 - tip3))
-            assert err <= lateral_error_bound(model.radius(lifted.address), spacing)
+            assert err <= lateral_error_bound(radius_at(model, lifted.address), spacing)
             prev3 = lifted.position3
             checked += 1
             wire = step(tree, wire, ControlCommand(2.0, int(rng.integers(0, 2))), rng, ActuationNoise(0.0, 0.0))

@@ -4,8 +4,12 @@ Otsu is checked against a brute-force scorer over all 256 thresholds, the
 thinner against a literal per-pixel reimplementation of the two-subiteration
 rule, and endpoint detection against an exhaustive neighbor count. The
 table-driven thinner and endpoint finder must also agree bit for bit, and
-row for row, with the whole-array rule they replaced (thinning_reference).
+row for row, with the whole-array rule they replaced (thinning_reference),
+and the vectorized capsule rasterizer pixel for pixel with the per-segment
+loop it replaced (render_reference).
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +18,9 @@ from scipy import ndimage
 from vesselnav import perception
 from vesselnav.geometry import CameraModel, project
 from vesselnav.perception import (
+    BACKGROUND_VALUE,
+    LUMEN_TOLERANCE_MM,
+    VESSEL_VALUE,
     WIRE_VALUE,
     ConstantImageError,
     FluoroFrame,
@@ -31,6 +38,7 @@ from vesselnav.perception import (
 )
 from vesselnav.vessel_model import PhantomSpec, generate_phantom
 
+from render_reference import reference_draw_capsules
 from thinning_reference import reference_endpoints, reference_thin
 
 EIGHT = np.ones((3, 3), dtype=int)
@@ -386,6 +394,37 @@ class TestSegmentLayers:
         assert t2 is not None and wire.sum() == 10 * 2
 
 
+def recorded_draws(monkeypatch, build):
+    """(canvas shape, pix, widths, value) of every capsule draw that build() makes."""
+    calls = []
+    draw = perception._draw_capsules
+
+    def record(canvas, pix, widths, value):
+        calls.append((canvas.shape, pix.copy(), widths.copy(), value))
+        draw(canvas, pix, widths, value)
+
+    with monkeypatch.context() as m:
+        m.setattr(perception, "_draw_capsules", record)
+        build()
+    return calls
+
+
+def assert_draw_matches_loop(shape, pix, widths, value, canvas=None):
+    """The vectorized rasterizer writes the per-segment loop's pixels exactly."""
+    pix, widths = np.asarray(pix, dtype=float).reshape(-1, 2), np.asarray(widths, dtype=float)
+    got = np.full(shape, BACKGROUND_VALUE, dtype=np.uint8) if canvas is None else canvas.copy()
+    want = got.copy()
+    perception._draw_capsules(got, pix, widths, value)
+    reference_draw_capsules(want, pix, widths, value)
+    assert np.array_equal(got, want)
+    return got
+
+
+def path_points(tree, bids):
+    """Centerline points along a root-to-leaf run of branches, shared points once."""
+    return np.vstack([tree.branches[bids[0]].positions] + [tree.branches[b].positions[1:] for b in bids[1:]])
+
+
 class TestRenderer:
     def setup_method(self):
         self.tree = generate_phantom(PhantomSpec(), 11)
@@ -435,6 +474,115 @@ class TestRenderer:
         draw = np.random.default_rng(4).normal(0.0, 1e4, canvas.shape)
         want = np.clip(canvas + np.rint(draw), 0, 255).astype(np.uint8)
         assert np.array_equal(frame.pixels, want)
+
+    @pytest.mark.parametrize("phantom", [11, 3, 7])
+    def test_vessel_layer_matches_per_segment_loop(self, phantom, monkeypatch):
+        tree = generate_phantom(PhantomSpec(), phantom)
+        pose = frame_view_pose(tree)
+        calls = recorded_draws(monkeypatch, lambda: FrameRenderer(tree, pose, self.cam))
+        assert len(calls) == len(tree.branches)
+        for call in calls:
+            assert_draw_matches_loop(*call)
+        layer = FrameRenderer(tree, pose, self.cam).render(None).pixels
+        monkeypatch.setattr(perception, "_draw_capsules", reference_draw_capsules)
+        assert np.array_equal(layer, FrameRenderer(tree, pose, self.cam).render(None).pixels)
+
+    @pytest.mark.parametrize("n_points", [1, 2, 20, 55])
+    def test_wire_matches_per_segment_loop(self, n_points, monkeypatch):
+        wire = path_points(self.tree, [0, 2, 5])[:n_points]
+        assert len(wire) == n_points
+        calls = recorded_draws(monkeypatch, lambda: self.renderer.render(wire))
+        assert len(calls) == 1
+        shape, pix, widths, value = calls[0]
+        assert value == WIRE_VALUE and len(pix) == max(n_points, 2)
+        if n_points == 1:
+            assert np.array_equal(pix[0], pix[1]) and widths[0] == widths[1]
+        drawn = assert_draw_matches_loop(shape, pix, widths, value)
+        assert np.any(drawn == WIRE_VALUE)
+        frame = self.renderer.render(wire).pixels
+        monkeypatch.setattr(perception, "_draw_capsules", reference_draw_capsules)
+        assert np.array_equal(frame, self.renderer.render(wire).pixels)
+
+    def test_borders_off_screen_nan_and_zero_length_match_loop(self):
+        nan = np.nan
+        shape = (30, 40)  # h, w: non-square, so a swapped axis shows
+        polylines = [
+            # crossing the left, right, top and bottom borders and two corners
+            ([(-5.0, 10.2), (6.3, 12.0)], [1.5, 2.5]),
+            ([(35.4, 5.0), (47.0, 9.1)], [2.0, 0.7]),
+            ([(20.2, -6.0), (22.0, 4.4)], [0.7, 3.0]),
+            ([(10.0, 26.5), (12.7, 36.0)], [3.0, 1.0]),
+            ([(-3.0, -3.5), (3.2, 3.0)], [2.0, 2.0]),
+            ([(42.0, 33.0), (36.5, 27.1)], [1.2, 2.2]),
+            ([(-10.0, 15.3), (50.0, 14.8)], [1.0, 4.0]),
+            # wholly off-screen, and just off-screen with the box padded in
+            ([(-30.0, -30.0), (-20.0, -25.0)], [2.0, 2.0]),
+            ([(60.0, 10.0), (70.0, 12.0)], [2.0, 2.0]),
+            ([(10.0, 50.0), (12.0, 60.0)], [2.0, 2.0]),
+            ([(-2.5, 10.0), (-2.5, 20.0)], [1.0, 1.0]),
+            ([(41.4, 3.0), (43.0, 25.0)], [1.0, 1.0]),
+            # NaN rows (behind the camera): middle, first, last, one coordinate
+            ([(5.0, 5.0), (nan, nan), (10.0, 10.0), (15.0, 12.0), (20.0, 9.0)], [1.0, 0.0, 1.5, 2.0, 1.0]),
+            ([(nan, nan), (5.0, 5.0), (18.0, 20.0)], [0.0, 1.0, 2.0]),
+            ([(5.0, 5.0), (18.0, 20.0), (nan, nan)], [1.0, 2.0, 0.0]),
+            ([(5.0, nan), (9.0, 7.0), (14.0, 3.0)], [1.0, 1.0, 1.0]),
+            ([(nan, nan), (nan, nan)], [0.0, 0.0]),
+            # zero-length segments (denom == 0), also one whose ab underflows
+            ([(12.3, 7.7), (12.3, 7.7)], [2.5, 2.5]),
+            ([(20.0, 20.0), (20.0, 20.0), (25.0, 22.0)], [1.0, 3.0, 2.0]),
+            ([(1e-170, 5.0), (2e-170, 5.0)], [2.0, 2.0]),
+            # one point only: nothing to draw
+            ([(10.0, 10.0)], [3.0]),
+            # pixel (19, 6) sits on this capsule's edge: it is hit with the
+            # denominator ``ab @ ab`` gives where the BLAS dot fuses
+            # multiply-adds, and missed with a plain sum of squares
+            ([(25.22, 6.2), (2.69, 18.92)], [3.2321416660080424, 3.2321416660080424]),
+        ]
+        texture = np.random.default_rng(41).integers(0, 256, size=shape).astype(np.uint8)
+        for pix, widths in polylines:
+            for canvas in (None, texture):
+                assert_draw_matches_loop(shape, pix, widths, VESSEL_VALUE, canvas)
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            pix = rng.uniform(-20.0, 60.0, size=(n, 2))
+            pix[rng.random(n) < 0.1] = np.nan
+            widths = rng.uniform(0.0, 6.0, size=n)
+            assert_draw_matches_loop(shape, pix, widths, int(rng.integers(0, 256)), texture)
+
+    def test_huge_finite_projection_is_off_screen(self):
+        # A point just in front of the camera projects to a huge but finite
+        # pixel; its box must be clipped before any integer cast.
+        shape = (30, 40)
+        for far in (1e12, 1e20, -1e20, 1e300):
+            for pix in ([(far, 5.0), (far + 3.0, 8.0)], [(5.0, far), (8.0, far)], [(far, far), (far, far)]):
+                drawn = assert_draw_matches_loop(shape, pix, [2.0, 2.0], VESSEL_VALUE)
+                assert np.all(drawn == BACKGROUND_VALUE)
+        drawn = assert_draw_matches_loop(shape, [(-1e12, 15.0), (1e12, 15.0)], [1.0, 1.0], VESSEL_VALUE)
+        assert np.all(drawn[15] == VESSEL_VALUE) and np.all(drawn[[0, -1]] == BACKGROUND_VALUE)
+
+    def test_lumen_check_matches_nearest_point_scan(self):
+        # A point is outside when it lies farther than the nearest centerline
+        # point's radius plus the tolerance; the error names the first one.
+        points = self.tree.flat_points()[0]
+        radii = np.concatenate([self.tree.branches[b].radii for b in sorted(self.tree.branches)])
+        rng = np.random.default_rng(43)
+        offsets = rng.normal(size=(300, 3))
+        offsets *= rng.uniform(0.0, 6.0, size=(300, 1)) / np.linalg.norm(offsets, axis=1, keepdims=True)
+        wire = points[rng.integers(len(points), size=300)] + offsets
+        dist = np.linalg.norm(wire[:, None, :] - points[None, :, :], axis=2)
+        nearest = np.argmin(dist, axis=1)
+        outside = dist[np.arange(300), nearest] > radii[nearest] + LUMEN_TOLERANCE_MM
+        assert 0 < outside.sum() < 300
+        for point, out in zip(wire, outside):
+            if out:
+                with pytest.raises(SimulationIntegrityError):
+                    perception._check_wire_in_lumen(self.tree, point[None])
+            else:
+                perception._check_wire_in_lumen(self.tree, point[None])
+        k = int(np.argmax(outside))
+        with pytest.raises(SimulationIntegrityError, match=f"instrument point {re.escape(str(wire[k]))} lies"):
+            perception._check_wire_in_lumen(self.tree, wire)
 
     def test_frame_validation(self):
         with pytest.raises(ValueError):

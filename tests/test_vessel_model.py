@@ -1,4 +1,8 @@
-"""Vessel tree structure, generation, resampling, and serialization tests."""
+"""Vessel tree structure, generation, resampling, and serialization tests.
+
+The array-based resampler must agree bit for bit with the per-point loop it
+replaced (vessel_model_reference).
+"""
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from vesselnav.vessel_model import (
     resample_centerlines,
     serialize_tree,
 )
+
+from vessel_model_reference import reference_resample_centerlines
 
 
 def straight_branch(origin, direction, n, radius, parent=None, attach=None):
@@ -36,6 +42,12 @@ def branch_depth(tree, bid):
         branch = tree.branches[branch.parent_link]
         depth += 1
     return depth
+
+
+def zero_gap_tree():
+    root = Branch([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [1.0, 1.0, 1.0], child_links=[1])
+    child = straight_branch((0, 0, 0), (0, 1, 0), 2, 0.5, parent=0, attach=1)
+    return VesselTree({0: root, 1: child}, 0)
 
 
 def y_branches():
@@ -212,12 +224,33 @@ class TestResample:
         assert serialize_tree(same) == serialize_tree(tree)
 
     def test_zero_length_gaps_dropped_and_attach_remapped(self):
-        root = Branch([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [1.0, 1.0, 1.0], child_links=[1])
-        child = straight_branch((0, 0, 0), (0, 1, 0), 2, 0.5, parent=0, attach=1)
-        tree = VesselTree({0: root, 1: child}, 0)
-        out = resample_centerlines(tree, 10.0)
+        out = resample_centerlines(zero_gap_tree(), 10.0)
         assert len(out.branches[0]) == 2
         assert out.branches[1].attach_index == 0
+
+    def test_segment_count_rounds_like_the_loop(self):
+        # Where the BLAS dot fuses multiply-adds, this gap's length is one ulp
+        # below the root of its plain sum of squares, which moves
+        # ceil(gap / spacing - 1e-9) from 3 to 2 at this spacing.
+        tree = VesselTree({0: Branch([(0.0, 0.0, 0.0), (1.943, 1.192, 2.416)], [1.0, 1.0])}, 0)
+        spacing = 1.6608107198719868
+        got = resample_centerlines(tree, spacing)
+        assert serialize_tree(got) == serialize_tree(reference_resample_centerlines(tree, spacing))
+
+    @pytest.mark.parametrize("spacing", [0.25, 0.5, 10.0, 100.0])
+    def test_matches_per_point_loop(self, spacing):
+        for tree in [generate_phantom(PhantomSpec(), seed) for seed in range(8)] + [zero_gap_tree()]:
+            got = resample_centerlines(tree, spacing)
+            want = reference_resample_centerlines(tree, spacing)
+            assert serialize_tree(got) == serialize_tree(want)
+            assert got.branches.keys() == want.branches.keys()
+            for bid, br in got.branches.items():
+                ref = want.branches[bid]
+                assert br.positions.shape == ref.positions.shape and br.radii.shape == ref.radii.shape
+                assert np.array_equal(br.positions.view(np.int64), ref.positions.view(np.int64))
+                assert np.array_equal(br.radii.view(np.int64), ref.radii.view(np.int64))
+                assert br.attach_index == ref.attach_index
+                assert br.attach_index is None or type(br.attach_index) is int
 
 
 class TestSerialization:
