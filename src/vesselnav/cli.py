@@ -88,9 +88,7 @@ def _format_address(addr: Address) -> str:
     return f"{addr[0]}:{addr[1]}"
 
 
-def _get(section, key, conv, default):
-    if key not in section:
-        return default
+def _get(section, key, conv):
     raw = section[key]
     try:
         if conv is bool:
@@ -104,8 +102,10 @@ def _get(section, key, conv, default):
 
 
 def _given(section, **convs) -> dict:
-    """The keys the section sets, converted; the callee's defaults fill the rest."""
-    return {key: _get(section, key, conv, None) for key, conv in convs.items() if key in section}
+    """The keys among ``convs`` that the section sets, each converted by its
+    ``conv``. Each key names the parameter or field it sets, whose owner holds
+    its default and its range check, so ``cli`` keeps neither."""
+    return {key: _get(section, key, conv) for key, conv in convs.items() if key in section}
 
 
 def _build(section_name: str, factory, *args, **kwargs):
@@ -129,14 +129,10 @@ def load_tree(cfg: configparser.ConfigParser) -> VesselTree:
             raise ConfigError(f"map file {path}: {err}") from None
     if cfg.has_section("phantom"):
         section = cfg["phantom"]
-        spec = PhantomSpec(
-            depth=_get(section, "depth", int, PhantomSpec.depth),
-            branching=_get(section, "branching", int, PhantomSpec.branching),
-            step_mm=_get(section, "step_mm", float, PhantomSpec.step_mm),
-        )
         if "seed" not in section:
             raise ConfigError("[phantom] needs a seed key")
-        return _build("phantom", generate_phantom, spec, seed=_get(section, "seed", int, 0))
+        spec = _build("phantom", PhantomSpec, **_given(section, depth=int, branching=int, step_mm=float))
+        return _build("phantom", generate_phantom, spec, **_given(section, seed=int))
     raise ConfigError("config needs a [phantom] or [map] section")
 
 
@@ -151,40 +147,27 @@ def _episode_config(cfg: configparser.ConfigParser) -> EpisodeConfig:
     )
     noise = cfg["noise"] if cfg.has_section("noise") else {}
     actuation = _build("noise", ActuationNoise, **_given(noise, translation_jitter=float, rotation_failure=float))
-    imaging_kind = _get(noise, "imaging", str, "none").strip().lower()
+    # no imaging noise unless asked: the one [noise] default no dataclass holds
+    imaging_kind = noise.get("imaging", "none").strip().lower()
     if imaging_kind == "none":
         imaging = None
     elif imaging_kind == "gaussian":
-        imaging = _build("noise", NoiseSpec, gaussian_std=_get(noise, "imaging_std", float, NoiseSpec.gaussian_std))
+        imaging = _build("noise", NoiseSpec, **_given(noise, imaging_std=float))
     else:
         raise ConfigError(f"[noise] imaging = {imaging_kind!r} is not none or gaussian")
     camera_section = cfg["camera"] if cfg.has_section("camera") else {}
-    standard = CameraModel.standard()
-    camera = _build(
-        "camera",
-        CameraModel.standard,
-        focal_px=_get(camera_section, "focal_px", float, float(standard.intrinsics[0, 0])),
-        image_size=(
-            _get(camera_section, "width", int, standard.image_size[0]),
-            _get(camera_section, "height", int, standard.image_size[1]),
-        ),
-    )
+    camera = _build("camera", CameraModel.standard, **_given(camera_section, focal_px=float, width=int, height=int))
     solver = cfg["solver"] if cfg.has_section("solver") else {}
-    spacing_mm = _get(solver, "spacing_mm", float, EpisodeConfig.registration_spacing_mm)
-    if not spacing_mm > 0.0:
-        raise ConfigError(f"[solver] spacing_mm = {spacing_mm!r} must be positive")
-    max_loops = _get(solver, "max_loops", int, EpisodeConfig.max_loops)
-    if max_loops < 1:
-        raise ConfigError(f"[solver] max_loops = {max_loops} must be at least 1")
-    return EpisodeConfig(
-        max_loops=max_loops,
-        registration_spacing_mm=spacing_mm,
-        use_oracle_perception=_get(solver, "oracle_perception", bool, EpisodeConfig.use_oracle_perception),
+    # EpisodeConfig checks only [solver] keys; frame_view_pose checks view_depth_mm
+    return _build(
+        "solver",
+        EpisodeConfig,
         actuation_noise=actuation,
         imaging_noise=imaging,
         params=params,
-        view_depth_mm=_get(camera_section, "view_depth_mm", float, EpisodeConfig.view_depth_mm),
         camera=camera,
+        **_given(camera_section, view_depth_mm=float),
+        **_given(solver, max_loops=int, spacing_mm=float, oracle_perception=bool),
     )
 
 
@@ -196,7 +179,9 @@ def parse_suite(config_path: str | Path, seed_offset: int = 0) -> SuiteSpec:
         raise ConfigError(f"config file {config_path} does not exist")
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        cfg.read_string(config_path.read_text())
+        cfg.read_string(config_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {config_path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
     except configparser.Error as err:
         raise ConfigError(f"config does not parse: {err}") from None
     for section_name in cfg.sections():
@@ -205,9 +190,9 @@ def parse_suite(config_path: str | Path, seed_offset: int = 0) -> SuiteSpec:
 
     tree = load_tree(cfg)
     suite_section = cfg["suite"] if cfg.has_section("suite") else {}
-    name = _get(suite_section, "name", str, "suite")
-    default_seeds = _parse_seeds(_get(suite_section, "seeds", str, "0"))
-    outdir = Path(_get(suite_section, "outdir", str, f"runs/{name}"))
+    name = suite_section.get("name", "suite")
+    default_seeds = _parse_seeds(suite_section.get("seeds", "0"))
+    outdir = Path(suite_section.get("outdir", f"runs/{name}"))
 
     tasks = []
     for section_name in cfg.sections():
@@ -384,7 +369,7 @@ class _FrameDumper:
 def run_suite(suite: SuiteSpec, dump_frames: Path | None = None) -> list[TaskResult]:
     """Run every task x seed episode and write logs plus both summaries."""
     if dump_frames is not None:
-        if suite.episode.use_oracle_perception:
+        if suite.episode.oracle_perception:
             raise ConfigError("frame dumping needs full perception (oracle_perception = false)")
         # an unusable dump root fails here, before the outdir exists; one that
         # holds files would mix an earlier run's frames with this run's logs

@@ -109,25 +109,25 @@ class CameraModel:
         k = np.asarray(self.intrinsics, dtype=float).reshape(3, 4)
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "image_size", (int(self.image_size[0]), int(self.image_size[1])))
+        if not np.isfinite(k).all():
+            raise ValueError("intrinsic matrix must be finite")
         if np.linalg.matrix_rank(k) != 3:
             raise ValueError("intrinsic matrix must have full row rank")
         if self.image_size[0] <= 0 or self.image_size[1] <= 0:
             raise ValueError("image size must be positive")
 
     @staticmethod
-    def standard(
-        focal_px: float = 2500.0,
-        image_size: tuple[int, int] = (512, 512),
-    ) -> "CameraModel":
-        w, h = image_size
+    def standard(focal_px: float = 2500.0, width: int = 512, height: int = 512) -> "CameraModel":
+        """Square pixels of ``focal_px`` focal length and the principal point
+        at the image centre; the parameters are the ``[camera]`` config keys."""
         k = np.array(
             [
-                [focal_px, 0.0, w / 2.0, 0.0],
-                [0.0, focal_px, h / 2.0, 0.0],
+                [focal_px, 0.0, width / 2.0, 0.0],
+                [0.0, focal_px, height / 2.0, 0.0],
                 [0.0, 0.0, 1.0, 0.0],
             ]
         )
-        return CameraModel(k, image_size)
+        return CameraModel(k, (width, height))
 
     def scale_px_per_mm(self, depth: float) -> float:
         # Image-plane magnification of a small object at the given depth.

@@ -137,14 +137,25 @@ class Navigator:
 
 @dataclass(frozen=True)
 class EpisodeConfig:
+    """One episode's settings. ``max_loops``, ``spacing_mm`` (the registration
+    model's point spacing) and ``oracle_perception`` are ``[solver]`` keys and
+    ``view_depth_mm`` a ``[camera]`` key; the other fields are built from
+    ``[noise]``, ``[navigator]`` and ``[camera]``."""
+
     max_loops: int = 500
-    registration_spacing_mm: float = 0.5
-    use_oracle_perception: bool = False
+    spacing_mm: float = 0.5
+    oracle_perception: bool = False
     actuation_noise: ActuationNoise = ActuationNoise()
     imaging_noise: NoiseSpec | None = None
     params: NavigatorParams = NavigatorParams()
     view_depth_mm: float = 820.0
     camera: CameraModel = field(default_factory=CameraModel.standard)
+
+    def __post_init__(self) -> None:
+        if not self.spacing_mm > 0.0:
+            raise ValueError(f"spacing_mm = {self.spacing_mm!r} must be positive")
+        if self.max_loops < 1:
+            raise ValueError(f"max_loops = {self.max_loops} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -211,7 +222,7 @@ class PerceptionEstimator:
         cam = config.camera
         self.view = frame_view_pose(tree, depth_mm=config.view_depth_mm)
         self.renderer = FrameRenderer(tree, self.view, cam)
-        self.model = resample_centerlines(tree, config.registration_spacing_mm)
+        self.model = resample_centerlines(tree, config.spacing_mm)
         self.base_problem = base = RegistrationProblem.from_tree(self.model, np.zeros((1, 2)), cam, self.view)
         self.reference_px, _ = project_points(base.points3, base.pose_from_world(self.view), cam)
         self.introducer_px = project(tree.position(INSERTION), self.view, cam)
@@ -272,7 +283,7 @@ def run_episode(
     """Drive one navigation episode in closed loop.
 
     Each loop takes the tip from the episode's estimator, a
-    PerceptionEstimator or, with use_oracle_perception, an OracleEstimator;
+    PerceptionEstimator or, with oracle_perception, an OracleEstimator;
     the navigator decides on that estimate and the simulator steps. The true
     tip is read here only to score the estimate (``true_address``,
     ``tip_error_mm``) and for the frame sink's ``true_tip_px``.
@@ -290,7 +301,7 @@ def run_episode(
     rng = np.random.default_rng(seed)
     nav = Navigator(tree, start, dest, params=config.params, rng=rng)
     wire = initial_wire(tree, start)
-    if config.use_oracle_perception:
+    if config.oracle_perception:
         estimator = OracleEstimator(tree)
     else:
         estimator = PerceptionEstimator(tree, start, config, rng)

@@ -26,13 +26,14 @@ class ConstantImageError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive Gaussian imaging noise, in gray levels."""
+    """Additive Gaussian imaging noise of standard deviation ``imaging_std``
+    gray levels, the ``[noise]`` key of the same name."""
 
-    gaussian_std: float = 2.0
+    imaging_std: float = 2.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.gaussian_std) and self.gaussian_std >= 0.0):
-            raise ValueError(f"imaging noise std {self.gaussian_std!r} must be finite and non-negative")
+        if not (np.isfinite(self.imaging_std) and self.imaging_std >= 0.0):
+            raise ValueError(f"imaging noise std {self.imaging_std!r} must be finite and non-negative")
 
 
 # Gray levels and sizes of the rendered scene.
@@ -72,7 +73,7 @@ class TrackedEndpoint:
             raise ValueError("confidence must lie in [0, 1]")
 
 
-def frame_view_pose(tree: VesselTree, depth_mm: float = 820.0) -> Pose:
+def frame_view_pose(tree: VesselTree, depth_mm: float) -> Pose:
     """Unrotated world-to-camera pose that centres the tree at the given depth;
     ValueError unless that depth is finite and puts the whole tree in front."""
     points = tree.flat_points()[0]
@@ -170,10 +171,10 @@ class FrameRenderer:
                 pix = np.vstack([pix, pix])
                 widths = np.append(widths, widths[-1])
             _draw_capsules(canvas, pix, widths, WIRE_VALUE)
-        if noise is not None and noise.gaussian_std > 0.0:
+        if noise is not None and noise.imaging_std > 0.0:
             rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
             # one float buffer: the rounded draw plus the canvas, clipped
-            noisy = rng.normal(0.0, noise.gaussian_std, canvas.shape)
+            noisy = rng.normal(0.0, noise.imaging_std, canvas.shape)
             np.rint(noisy, out=noisy)
             noisy += canvas
             np.clip(noisy, 0, 255, out=noisy)

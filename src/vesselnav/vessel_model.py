@@ -139,7 +139,7 @@ class PhantomSpec:
     step_mm: float = 1.0
     slab_flatten: float = 0.35
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.branching < 0:
@@ -177,7 +177,6 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> VesselTree:
     The same (spec, seed) always yields the same tree. Branch ids are assigned
     in breadth-first creation order with the root as 0.
     """
-    spec.validate()
     rng = np.random.default_rng(seed)
     branches: dict[int, Branch] = {}
 

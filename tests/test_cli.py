@@ -5,8 +5,10 @@ reproducibility, and summary statistics are recomputed from the episode logs
 they claim to aggregate.
 """
 
+import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from vesselnav.cli import (
     standard_config_text,
     write_pgm,
 )
+from vesselnav.navigator import EpisodeConfig
 from vesselnav.vessel_model import PhantomSpec, generate_phantom, serialize_tree
 
 ORACLE_SMALL = """\
@@ -68,6 +71,16 @@ def write_config(tmp_path, text, name="suite.ini"):
     return path
 
 
+def assert_same_episode_config(got, want):
+    for f in dataclasses.fields(EpisodeConfig):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "camera":
+            # dataclass == on the intrinsics array would raise
+            assert np.array_equal(a.intrinsics, b.intrinsics) and a.image_size == b.image_size
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
 class TestParsing:
     def test_address_syntax(self):
         assert parse_address("7:25") == (7, 25)
@@ -83,7 +96,23 @@ class TestParsing:
         assert suite.name == "standard"
         assert len(suite.tasks) == 5
         assert all(t.seeds == (0, 1, 2, 3, 4) for t in suite.tasks)
-        assert suite.episode.use_oracle_perception
+        assert suite.episode.oracle_perception
+
+    def test_unset_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "bare.ini"
+        path.write_text("[phantom]\nseed = 11\n\n[task:t1]\nstart = 0:20\ndest = 7:25\n")
+        suite = parse_suite(path)
+        assert_same_episode_config(suite.episode, EpisodeConfig())
+        assert serialize_tree(suite.tree) == serialize_tree(generate_phantom(PhantomSpec(), seed=11))
+        assert (suite.name, suite.tasks[0].seeds, suite.outdir) == ("suite", (0,), Path("runs/suite"))
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_standard_config_sets_only_the_perception_flag(self, tmp_path, oracle):
+        path = tmp_path / "std.ini"
+        path.write_text(standard_config_text(oracle))
+        suite = parse_suite(path)
+        assert_same_episode_config(suite.episode, EpisodeConfig(oracle_perception=oracle))
+        assert serialize_tree(suite.tree) == serialize_tree(generate_phantom(PhantomSpec(), seed=11))
 
     def test_unknown_address_fails_before_running(self, tmp_path):
         bad = ORACLE_SMALL.replace("dest = 8:33", "dest = 99:0")
@@ -223,6 +252,7 @@ class TestMain:
         "section, line, command",
         [
             ("camera", "focal_px = 0", ["run"]),
+            ("camera", "focal_px = nan", ["run"]),
             ("camera", "view_depth_mm = 0", ["run"]),
             ("camera", "view_depth_mm = inf", ["run"]),
             ("navigator", "burst_low = 20", ["run"]),
@@ -248,6 +278,7 @@ class TestMain:
         ],
         ids=[
             "focal_px",
+            "focal_px_nan",
             "view_depth_mm",
             "view_depth_inf",
             "burst_low",
@@ -285,6 +316,13 @@ class TestMain:
         assert main([*command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         # no episode ran, so the outdir was never created
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_utf8_fails_before_running(self, tmp_path, capsys):
+        path = write_config(tmp_path, FULL_TINY)
+        path.write_bytes(path.read_bytes().replace(b"name = tiny", b"name = caf\xe9"))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -146,3 +146,8 @@ class TestCameraModel:
         good = CameraModel.standard().intrinsics
         with pytest.raises(ValueError):
             CameraModel(good, (0, 512))
+
+    @pytest.mark.parametrize("focal_px", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_intrinsics_fail_on_their_own_message(self, focal_px):
+        with pytest.raises(ValueError, match="intrinsic matrix must be finite"):
+            CameraModel.standard(focal_px=focal_px)

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vesselnav import navigator
+from vesselnav import cli, navigator
 from vesselnav.cli import parse_suite, standard_config_text
 from vesselnav.lifting import OffVesselError
 from vesselnav.navigator import (
@@ -66,6 +66,21 @@ class TestParams:
         assert nav.reached(dest)
         assert nav.reached(dest + np.array([3.0, 0.0, 0.0]))
         assert not nav.reached(dest + np.array([3.0001, 0.0, 0.0]))
+
+
+class TestEpisodeConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(max_loops=0), "max_loops = 0 must be at least 1"),
+            (dict(spacing_mm=0.0), "spacing_mm = 0.0 must be positive"),
+            (dict(spacing_mm=float("nan")), "spacing_mm = nan must be positive"),
+        ],
+        ids=["max_loops_0", "spacing_0", "spacing_nan"],
+    )
+    def test_checks_run_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EpisodeConfig(**kwargs)
 
 
 class TestDecisionRule:
@@ -144,7 +159,7 @@ class TestEpisodes:
     def test_oracle_episodes_reach_leaves(self):
         tree = generate_phantom(PhantomSpec(), seed=11)
         leaves = sorted(b for b, br in tree.branches.items() if not br.child_links)
-        config = EpisodeConfig(use_oracle_perception=True)
+        config = EpisodeConfig(oracle_perception=True)
         for leaf in leaves[:3]:
             dest = (leaf, len(tree.branches[leaf]) - 1)
             report = run_episode(tree, (0, 20), dest, seed=5, config=config)
@@ -157,7 +172,7 @@ class TestEpisodes:
         tree = generate_phantom(PhantomSpec(), seed=11)
         dest_branch = sorted(b for b, br in tree.branches.items() if not br.child_links)[0]
         dest = (dest_branch, len(tree.branches[dest_branch]) - 1)
-        config = EpisodeConfig(use_oracle_perception=True)
+        config = EpisodeConfig(oracle_perception=True)
 
         def trace():
             rep = run_episode(tree, (0, 20), dest, seed=9, config=config)
@@ -169,7 +184,7 @@ class TestEpisodes:
         tree = generate_phantom(PhantomSpec(), seed=11)
         dest_branch = sorted(b for b, br in tree.branches.items() if not br.child_links)[1]
         dest = (dest_branch, len(tree.branches[dest_branch]) - 1)
-        config = EpisodeConfig(use_oracle_perception=True, actuation_noise=ActuationNoise(0.0, 0.0))
+        config = EpisodeConfig(oracle_perception=True, actuation_noise=ActuationNoise(0.0, 0.0))
         report = run_episode(tree, (0, 20), dest, seed=2, config=config)
         assert report.success
 
@@ -180,7 +195,7 @@ class TestEpisodes:
         cfg = tmp_path / "standard.ini"
         cfg.write_text(standard_config_text(oracle=False))
         suite = parse_suite(cfg)
-        assert len(suite.tasks) == 5 and not suite.episode.use_oracle_perception
+        assert len(suite.tasks) == 5 and not suite.episode.oracle_perception
         for task in suite.tasks:
             report = run_episode(suite.tree, task.start, task.dest, seed=0, config=suite.episode)
             assert report.success, f"task {task.name} failed after {report.loops} loops"
@@ -277,17 +292,31 @@ class TestPerceptionEstimator:
         assert second.converged
 
 
-def test_traced_names_resolve_on_navigator():
-    # The benchmark's tracer wraps these names in vesselnav.navigator's
-    # namespace; a call that bypasses them drops out of the per-layer metrics.
+def _tracing():
+    """The benchmark's tracer module, loaded read-only from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve_on_navigator():
+    # The benchmark's tracer wraps these names in vesselnav.navigator's
+    # namespace and its classes' own dicts, and its driver calls the rest;
+    # a name that moves breaks every benchmark run.
+    tracing = _tracing()
     for attr, _ in tracing.NAVIGATOR_CALLS:
         assert callable(getattr(navigator, attr, None)), attr
     for cls_name, attr, _ in tracing.METHOD_CALLS:
         assert attr in getattr(navigator, cls_name).__dict__, (cls_name, attr)
+    for module, attr in [(cli, "generate_phantom"), (cli, "parse_suite"), (navigator, "run_episode")]:
+        assert callable(getattr(module, attr, None)), attr
+    assert "max_loops" in {f.name for f in dataclasses.fields(EpisodeConfig)}
+
+
+def test_tracer_records_every_traced_name():
+    tracing = _tracing()
     tree = generate_phantom(PhantomSpec(), seed=11)
     tracer = tracing.Tracer()
     with tracer.patched():

@@ -234,7 +234,7 @@ class TestArrayRuleReference:
     @pytest.mark.parametrize("std", [0.0, 10.0, 30.0])
     def test_full_frame_masks(self, std):
         tree = generate_phantom(PhantomSpec(), 11)
-        renderer = FrameRenderer(tree, frame_view_pose(tree), CameraModel.standard())
+        renderer = FrameRenderer(tree, frame_view_pose(tree, 820.0), CameraModel.standard())
         frame = renderer.render(tree.branches[0].positions[:20], noise=NoiseSpec(std), seed=3)
         vessel, wire, _, _ = segment_layers(frame)
         assert vessel.shape == (512, 512)
@@ -358,7 +358,7 @@ class TestTrack:
 def flat_frame(pixels):
     pixels = np.asarray(pixels, dtype=np.uint8)
     h, w = pixels.shape
-    cam = CameraModel.standard(image_size=(w, h))
+    cam = CameraModel.standard(width=w, height=h)
     return FluoroFrame(pixels, cam)
 
 
@@ -429,7 +429,7 @@ class TestRenderer:
     def setup_method(self):
         self.tree = generate_phantom(PhantomSpec(), 11)
         self.cam = CameraModel.standard()
-        self.pose = frame_view_pose(self.tree)
+        self.pose = frame_view_pose(self.tree, 820.0)
         self.renderer = FrameRenderer(self.tree, self.pose, self.cam)
 
     def test_view_pose_centres_tree(self):
@@ -478,7 +478,7 @@ class TestRenderer:
     @pytest.mark.parametrize("phantom", [11, 3, 7])
     def test_vessel_layer_matches_per_segment_loop(self, phantom, monkeypatch):
         tree = generate_phantom(PhantomSpec(), phantom)
-        pose = frame_view_pose(tree)
+        pose = frame_view_pose(tree, 820.0)
         calls = recorded_draws(monkeypatch, lambda: FrameRenderer(tree, pose, self.cam))
         assert len(calls) == len(tree.branches)
         for call in calls:

@@ -198,7 +198,7 @@ class TestPhantom:
         ]
         for kwargs in bad:
             with pytest.raises(ValueError):
-                PhantomSpec(**kwargs).validate()
+                PhantomSpec(**kwargs)
 
 
 class TestResample:
