@@ -150,6 +150,8 @@ def _episode_config(cfg: configparser.ConfigParser) -> EpisodeConfig:
     # no imaging noise unless asked: the one [noise] default no dataclass holds
     imaging_kind = noise.get("imaging", "none").strip().lower()
     if imaging_kind == "none":
+        if "imaging_std" in noise:
+            raise ConfigError("[noise] imaging_std is set, but imaging = none adds no noise to scale")
         imaging = None
     elif imaging_kind == "gaussian":
         imaging = _build("noise", NoiseSpec, **_given(noise, imaging_std=float))

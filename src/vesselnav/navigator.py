@@ -223,7 +223,7 @@ class PerceptionEstimator:
         self.view = frame_view_pose(tree, depth_mm=config.view_depth_mm)
         self.renderer = FrameRenderer(tree, self.view, cam)
         self.model = resample_centerlines(tree, config.spacing_mm)
-        self.base_problem = base = RegistrationProblem.from_tree(self.model, np.zeros((1, 2)), cam, self.view)
+        self.base_problem = base = RegistrationProblem.from_tree(self.model, None, cam, self.view)
         self.reference_px, _ = project_points(base.points3, base.pose_from_world(self.view), cam)
         self.introducer_px = project(tree.position(INSERTION), self.view, cam)
         # The last solve's problem (bound to its frame), state, registered
@@ -242,13 +242,13 @@ class PerceptionEstimator:
         polyline = np.array([self.tree.position(a) for a in wire.body])
         frame = self.renderer.render(polyline, noise=self.imaging_noise, seed=self.rng)
         vessel_mask, wire_mask, _, wire_thresh = segment_layers(frame)
-        # Camera and tree are static: frames are registered, each starting
-        # from the previous frame's optimum (only the first anneals), until a
-        # solve converges; every later frame holds that pose.
+        # Camera and tree are static: frames are registered, each solved
+        # cold from the last registered pose, until a solve converges; every
+        # later frame holds that pose.
         if self.reg_state is None or not self.reg_state.converged:
             q = skeleton_points(thin(vessel_mask))
             self.problem = self.base_problem.with_frame(q, self.pose_world)
-            self.reg_state = solve(self.problem, warm=self.reg_state)
+            self.reg_state = solve(self.problem)
             self.pose_world = self.problem.pose_to_world(self.reg_state.pose)
             self.rmse = reprojection_rmse(self.problem, self.reg_state, self.reference_px)
         if wire_thresh is None:
@@ -350,8 +350,8 @@ def run_episode(
 
 
 def nearest_tree_address(tree: VesselTree, position3: np.ndarray) -> Address:
-    _, i = tree.point_index().query(np.asarray(position3, dtype=float).reshape(3))
-    return tree.flat_points()[1][int(i)]
+    _, i = tree.nearest_points(np.asarray(position3, dtype=float).reshape(1, 3))
+    return tree.flat_points()[1][int(i[0])]
 
 
 def model_to_tree_address(tree: VesselTree, model: VesselTree, model_address: Address) -> Address:

@@ -132,7 +132,7 @@ def _polyline_layers(tree: VesselTree, pose: Pose, cam: CameraModel) -> np.ndarr
 
 
 def _check_wire_in_lumen(tree: VesselTree, wire: np.ndarray) -> None:
-    dist, idx = tree.point_index().query(wire)
+    dist, idx = tree.nearest_points(wire)
     radii = np.concatenate([tree.branches[bid].radii for bid in sorted(tree.branches)])[idx]
     bad = dist > radii + LUMEN_TOLERANCE_MM
     if np.any(bad):

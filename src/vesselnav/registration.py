@@ -1,17 +1,18 @@
 """Rigid 3D-2D registration of a vessel tree to projected centerlines.
 
-The data term scores each projected 3D centerline point against its nearby 2D
-points through Gaussian kernels. The rigid pose maximizes it alone; the
-initial pose is only where the search starts. The solver is iteratively
-reweighted least squares: kernel weights are frozen at the current state, the
-resulting weighted least-squares surrogate is stepped by Levenberg-Marquardt,
-and the kernel bandwidth is halved on a fixed schedule down to a floor.
-
-With the weights frozen, a point's k-neighbour surrogate term equals a
-weighted squared distance to one target point plus a constant (see _Targets;
-the "virtual point" of EM-ICP, Granger & Pennec, ECCV 2002), so each LM trial
-costs O(n) in the model points, not O(nk). The tests keep the k-neighbour
-form, with its dense Jacobian, as the reference path.
+The data term is chamfer matching on a distance map (Borgefors, IEEE PAMI
+1988): binding a frame rasterizes its 2D points and takes the Euclidean
+distance transform of the image once, and each projected 3D centerline point
+reads its distance ``d`` to the nearest image point bilinearly from that map.
+Each point scores the Geman-McClure term ``d^2 / (d^2 + sigma^2)``, and the
+rigid pose minimizes their sum over the image alone; the initial pose is only
+where the search starts. The solver is iteratively reweighted least squares:
+the weights ``sigma^2 / (d^2 + sigma^2)^2`` are frozen at the current state,
+the weighted least-squares surrogate of the distances is stepped by
+Levenberg-Marquardt, and the scale ``sigma`` is halved down to a floor. The
+residual is a point-to-curve distance whose gradient is the curve normal, so
+a model point may slide along the curve instead of being pulled onto one
+image sample.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy import ndimage
 
 from .geometry import CameraModel, Pose, project_points, se3_exp
 from .vessel_model import VesselTree
 
 
-# Fixed solver schedule: outer iterations per bandwidth halving, LM steps per
+# Fixed solver schedule: outer iterations per scale halving, LM steps per
 # reweighting, the step length (and relative predicted decrease) that ends a
 # stage, and the Levenberg-Marquardt damping start, factors and cap.
 _ANNEAL_EVERY = 5
@@ -37,17 +38,16 @@ _LM_DAMPING_INIT = 1e-3
 _LM_DAMPING_UP = 10.0
 _LM_DAMPING_DOWN = 10.0
 _LM_DAMPING_CAP = 1e8
-# Outer-iteration budget of one solve, and the smallest kernel bandwidth the
+# Outer-iteration budget of one solve, and the smallest robust scale the
 # annealing reaches.
 _MAX_OUTER_ITERS = 80
-_BANDWIDTH_FLOOR_PX = 2.0
-# Image points matched to each projected model point (fewer if the frame has fewer).
-_K_CORR = 8
+_SIGMA_FLOOR_PX = 1.0
 
 
 @dataclass
 class RegistrationState:
-    """Solver state: pose acts on centered model points, see RegistrationProblem."""
+    """Solver state: pose acts on centered model points, see RegistrationProblem.
+    ``bandwidth_px`` is the robust scale sigma the solve ended at."""
 
     pose: Pose
     bandwidth_px: float
@@ -61,13 +61,14 @@ class RegistrationProblem:
 
     Model points are centered on their centroid so the rigid pose rotates the
     cloud about its own center; ``center`` restores world coordinates via
-    ``world = centered + center``.
+    ``world = centered + center``. ``points2`` None binds no frame: such a
+    problem projects and lifts but cannot be solved until ``with_frame``.
     """
 
     def __init__(
         self,
         points3: np.ndarray,
-        points2: np.ndarray,
+        points2: np.ndarray | None,
         cam: CameraModel,
         init_pose: Pose,
         addresses: list[tuple[int, int]] | None = None,
@@ -81,18 +82,17 @@ class RegistrationProblem:
         self.center = np.zeros(3) if center is None else np.asarray(center, dtype=float).reshape(3)
         self._bind_frame(points2, init_pose)
 
-    def _bind_frame(self, points2: np.ndarray, init_pose: Pose) -> None:
-        self.points2 = np.asarray(points2, dtype=float).reshape(-1, 2)
-        if len(self.points2) < 1:
-            raise ValueError("need at least one 2D point")
+    def _bind_frame(self, points2: np.ndarray | None, init_pose: Pose) -> None:
         self.init_pose = init_pose
-        self.k_corr = min(_K_CORR, len(self.points2))
-        self.kd2 = cKDTree(self.points2)
+        self.points2 = self.dist_map = None
+        if points2 is not None:
+            self.points2 = np.asarray(points2, dtype=float).reshape(-1, 2)
+            self.dist_map = _distance_map(self.points2, self.cam.image_size)
 
     @staticmethod
     def from_tree(
         tree: VesselTree,
-        points2: np.ndarray,
+        points2: np.ndarray | None,
         cam: CameraModel,
         init_pose_world: Pose,
     ) -> "RegistrationProblem":
@@ -117,13 +117,13 @@ class RegistrationProblem:
         """Same model rebound to a new image and start pose.
 
         The copy shares the model points with this problem; only the image
-        points, their k-d tree, ``k_corr`` and the start pose are its own. The
-        start pose only seeds the search: nothing pulls the solve back to it.
-        A frame-to-frame tracker passes the previous frame's registered pose
-        here and that frame's state to ``solve(..., warm=...)``: the solve
-        then starts at the previous optimum and its bandwidth, and only the
-        first frame anneals. Over a static scene the tracker solves only
-        until a solve converges, then holds that pose.
+        points, their distance map and the start pose are its own. The map
+        is the Euclidean distance transform of the image with every 2D point
+        rounded to its pixel (points off the image are dropped), computed
+        here once per frame. The start pose only seeds the search: nothing
+        pulls the solve back to it. Over a static scene a tracker re-solves
+        each frame cold from the last registered pose until a solve
+        converges, then holds that pose.
         """
         frame = copy.copy(self)
         frame._bind_frame(points2, _pose_from_world(init_pose_world, self.center))
@@ -140,37 +140,69 @@ def _pose_from_world(world_pose: Pose, center: np.ndarray) -> Pose:
     return Pose(world_pose.rotation, world_pose.rotation @ center + world_pose.translation)
 
 
+def _distance_map(points2: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
+    """(height, width) Euclidean distance from each pixel to the nearest
+    image point rounded to a pixel; points off the image are dropped."""
+    w, h = image_size
+    cells = np.rint(points2[np.isfinite(points2).all(axis=1)]).astype(np.intp)
+    cells = cells[np.all((cells >= 0) & (cells < (w, h)), axis=1)]
+    if len(cells) < 1:
+        raise ValueError("need at least one 2D point on the image")
+    free = np.ones((h, w), dtype=bool)
+    free[cells[:, 1], cells[:, 0]] = False
+    return ndimage.distance_transform_edt(free)
+
+
 # ---------------------------------------------------------------------------
 # energies
 
 
-class _Projection(NamedTuple):
-    """Pixels and depths of the model points at one pose."""
+class _Reading(NamedTuple):
+    """The model points at one pose: pixels and depths, and the distance map's
+    bilinear value and its exact pixel gradient at each pixel (0 behind the
+    camera)."""
 
     pix: np.ndarray
     depth: np.ndarray
+    dist: np.ndarray
+    grad: np.ndarray
 
 
-def _projection(prob: RegistrationProblem, pose: Pose) -> _Projection:
-    return _Projection(*project_points(prob.points3, pose, prob.cam))
+def _read(prob: RegistrationProblem, pose: Pose) -> _Reading:
+    pix, depth = project_points(prob.points3, pose, prob.cam)
+    dist, grad = _bilinear(prob.dist_map, np.where(depth[:, None] > 0, pix, 0.0))
+    return _Reading(pix, depth, np.where(depth > 0, dist, 0.0), np.where(depth[:, None] > 0, grad, 0.0))
 
 
-def _match_neighbors(prob: RegistrationProblem, pix: np.ndarray, depth: np.ndarray):
-    """k nearest 2D points for every visible projection."""
-    ok = depth > 0
-    idx = np.full((len(pix), prob.k_corr), -1, dtype=int)
-    dist = np.full((len(pix), prob.k_corr), np.nan)
-    if np.any(ok):
-        # a list of ranks keeps the (m, k) shape when k_corr is 1
-        dist[ok], idx[ok] = prob.kd2.query(pix[ok], k=list(range(1, prob.k_corr + 1)))
-    return idx, dist, ok
+def _bilinear(dist_map: np.ndarray, pix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear value of the map at each (x, y) pixel and the exact gradient
+    of that interpolant. A pixel off the map reads the value at the nearest
+    map point plus its distance to that point, which keeps the value
+    continuous and an upper bound of the distance to the nearest image point."""
+    h, w = dist_map.shape
+    near = np.clip(pix, 0.0, (w - 1.0, h - 1.0))
+    # floor of a non-negative value, with the last row and column read as
+    # the far side of the cell before them
+    x0 = np.minimum(near[:, 0].astype(np.intp), max(w - 2, 0))
+    y0 = np.minimum(near[:, 1].astype(np.intp), max(h - 2, 0))
+    x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+    fx, fy = near[:, 0] - x0, near[:, 1] - y0
+    d00, d01 = dist_map[y0, x0], dist_map[y0, x1]
+    d10, d11 = dist_map[y1, x0], dist_map[y1, x1]
+    top = d00 + fx * (d01 - d00)
+    bottom = d10 + fx * (d11 - d10)
+    grad = np.column_stack((d01 - d00 + fy * (d11 - d10 - d01 + d00), bottom - top))
+    off = pix - near
+    extra = np.hypot(off[:, 0], off[:, 1])
+    grad = np.where(off != 0.0, off / np.where(extra > 0.0, extra, 1.0)[:, None], grad)
+    return top + fy * (bottom - top) + extra, grad
 
 
 def reprojection_rmse(prob: RegistrationProblem, state: RegistrationState, reference_pix: np.ndarray) -> float:
     """RMSE between current projections and reference pixels over visible points."""
-    proj = _projection(prob, state.pose)
-    ok = proj.depth > 0
-    err = proj.pix[ok] - np.asarray(reference_pix, dtype=float)[ok]
+    pix, depth = project_points(prob.points3, state.pose, prob.cam)
+    ok = depth > 0
+    err = pix[ok] - np.asarray(reference_pix, dtype=float)[ok]
     return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
 
 
@@ -180,57 +212,30 @@ def reprojection_rmse(prob: RegistrationProblem, state: RegistrationState, refer
 _DIAG_FLOOR = 1e-12
 
 
-class _Targets(NamedTuple):
-    """One weighted target per model point for frozen kernel weights.
+def _weights(cur: _Reading, sigma: float) -> np.ndarray:
+    """Geman-McClure IRLS weights sigma^2 / (d^2 + sigma^2)^2; 0 behind the camera."""
+    return np.where(cur.depth > 0, sigma * sigma / (cur.dist * cur.dist + sigma * sigma) ** 2, 0.0)
 
-    For a row whose k matches all exist, with weights gamma_ij on 2D points
-    q_ij:
-    s_i    = sum_j gamma_ij
-    qbar_i = sum_j gamma_ij q_ij / s_i
-    c_i    = sum_j gamma_ij |q_ij - qbar_i|^2
-    so that sum_j gamma_ij |u - q_ij|^2 = s_i |u - qbar_i|^2 + c_i for any
-    pixel u. A row with an unmatched neighbour (idx -1) counts as having no
-    matches: it and every row whose weights all underflowed hold s_i = 0,
-    qbar_i = 0 and c_i = 0, so it adds nothing to the surrogate.
+
+def _surrogate_cost(cur: _Reading, weights: np.ndarray) -> float:
+    """Weighted least-squares surrogate sum_i w_i d_i^2 / 2 with frozen
+    weights, over the points in front of the camera.
+
+    ``cur`` is ``_read(prob, pose)``, passed in so that the solver reads the
+    map once per state.
     """
-
-    s: np.ndarray
-    qbar: np.ndarray
-    c: np.ndarray
+    return 0.5 * float(np.sum(weights * cur.dist * cur.dist, where=cur.depth > 0))
 
 
-def _weighted_targets(prob: RegistrationProblem, idx: np.ndarray, gamma: np.ndarray) -> _Targets:
-    matched = np.all(idx >= 0, axis=1)
-    g = np.where(matched[:, None], gamma, 0.0)
-    q = prob.points2[idx]  # rows with idx == -1 gather a real point and weigh it by 0
-    s = g.sum(axis=1)
-    qbar = np.einsum("nk,nkd->nd", g, q) / np.where(s > 0.0, s, 1.0)[:, None]
-    # centred spread, so that large pixel coordinates do not cancel
-    dq = q - qbar[:, None, :]
-    c = np.einsum("nk,nk->n", g, np.einsum("nkd,nkd->nk", dq, dq))
-    return _Targets(s, qbar, c)
-
-
-def _surrogate_cost(proj: _Projection, targets: _Targets, ell: float) -> float:
-    """Weighted least-squares surrogate with frozen kernel weights.
-
-    ``proj`` is ``_projection(prob, pose)``, passed in so that the solver
-    computes it once per state.
-    """
-    r = proj.pix - targets.qbar
-    per_point = targets.s * np.einsum("ij,ij->i", r, r) + targets.c
-    return float(np.sum(per_point, where=proj.depth > 0)) / (2.0 * ell * ell)
-
-
-def _pixel_jacobians(prob: RegistrationProblem, pose: Pose, proj: _Projection) -> np.ndarray:
+def _pixel_jacobians(prob: RegistrationProblem, pose: Pose, cur: _Reading) -> np.ndarray:
     """2x6 pose (twist) Jacobian of every pixel.
 
     Rows behind the camera get zero blocks.
     """
-    ok = proj.depth > 0
+    ok = cur.depth > 0
     m = prob.cam.intrinsics[:, :3] @ pose.rotation
-    pix = np.where(ok[:, None], proj.pix, 0.0)
-    inv_depth = np.divide(1.0, proj.depth, out=np.zeros(len(ok)), where=ok)
+    pix = np.where(ok[:, None], cur.pix, 0.0)
+    inv_depth = np.divide(1.0, cur.depth, out=np.zeros(len(ok)), where=ok)
     # d(pix)/dy = (M[:2] - pix outer M[2]) / depth with M = A R
     h_blocks = (m[:2] - pix[:, :, None] * m[2]) * inv_depth[:, None, None]
     g_blocks = np.empty((len(ok), 2, 6))
@@ -243,30 +248,17 @@ def _pixel_jacobians(prob: RegistrationProblem, pose: Pose, proj: _Projection) -
     return g_blocks
 
 
-def _data_blocks(prob, pose, proj, targets, ell):
-    """Per-point quantities entering the normal equations for the data term.
-
-    Returns (s, gvec, G) where for each visible matched point i (zero
-    s and gvec elsewhere):
-    s_i    = sum_j gamma_ij / (2 ell^2)
-    gvec_i = sum_j gamma_ij (u_i - q_ij) / (2 ell^2) = s_i (u_i - qbar_i)
-    G_i    = 2x6 pose Jacobian of u_i.
-    """
-    ok = proj.depth > 0
-    s = np.where(ok, targets.s, 0.0) / (2.0 * ell * ell)
-    gvec = s[:, None] * np.where(ok[:, None], proj.pix - targets.qbar, 0.0)
-    return s, gvec, _pixel_jacobians(prob, pose, proj)
+def _distance_jacobian(prob: RegistrationProblem, pose: Pose, cur: _Reading) -> np.ndarray:
+    """(n, 6) pose (twist) Jacobian of every point's map distance: its pixel
+    gradient times its pixel Jacobian; zero rows behind the camera."""
+    return np.einsum("nk,nkj->nj", cur.grad, _pixel_jacobians(prob, pose, cur))
 
 
-def _normal_equations(prob, pose, proj, targets, ell):
+def _normal_equations(prob, pose, cur, weights):
     """Gauss-Newton matrix A and gradient g of the surrogate at the pose."""
-    s, gvec, g_blocks = _data_blocks(prob, pose, proj, targets, ell)
-    n = len(prob.points3)
-    gs = g_blocks * s[:, None, None]
-    g_rows = g_blocks.reshape(2 * n, 6)
-    app = gs.reshape(2 * n, 6).T @ g_rows
-    gp = g_rows.T @ gvec.reshape(2 * n)
-    return app, gp
+    rows = _distance_jacobian(prob, pose, cur)
+    weighted = rows * weights[:, None]
+    return weighted.T @ rows, weighted.T @ cur.dist
 
 
 def _solve_step(app, gp, damping, rotation_locked=False):
@@ -282,71 +274,54 @@ def _solve_step(app, gp, damping, rotation_locked=False):
     return delta_p
 
 
-def _predicted_decrease(app, gp, rotation_locked) -> float:
-    """Surrogate decrease the undamped Gauss-Newton step promises, g'A^-1 g / 2.
+def _predicted_decrease(app, gp) -> float:
+    """Surrogate decrease the undamped Gauss-Newton step promises, g'A^+ g / 2.
 
-    inf when the normal equations are singular.
+    A^+ is the pseudo-inverse: g = J'r lies in the range of A = J'J, so a
+    singular A (say, a direction the distances do not see) still gives the
+    decrease of the shortest Gauss-Newton step.
     """
-    try:
-        delta_p = _solve_step(app, gp, 0.0, rotation_locked)
-    except np.linalg.LinAlgError:
-        return np.inf
-    return -0.5 * float(gp @ delta_p)
+    return 0.5 * float(gp @ np.linalg.lstsq(app, gp, rcond=None)[0])
 
 
-def solve(prob: RegistrationProblem, warm: RegistrationState | None = None) -> RegistrationState:
-    """Run IRLS with LM inner steps and bandwidth annealing over the pose.
+def solve(prob: RegistrationProblem) -> RegistrationState:
+    """Run IRLS with LM inner steps and robust-scale annealing over the pose.
 
-    The surrogate cost never increases across accepted LM steps; each
-    converged bandwidth stage advances the annealing schedule immediately.
+    The solve starts at ``prob.init_pose`` with sigma twice the largest
+    distance any model point reads there (not below ``_SIGMA_FLOOR_PX``) and
+    the rotation locked for the first stage, so a far start first slides the
+    model into place. Each outer iteration freezes the Geman-McClure weights
+    at the current pose and takes up to ``_INNER_ITERS`` LM steps on the
+    surrogate, whose cost never increases across accepted steps. A stage ends,
+    and sigma halves, when a freshly reweighted surrogate yields no meaningful
+    first step, or after ``_ANNEAL_EVERY`` outer iterations. Damping starts at
+    ``_LM_DAMPING_INIT`` in each stage and again after a step that no damping
+    up to the cap could make, so a stage never ends on one trial at the cap.
 
-    A cold solve (``warm`` is None) starts at a bandwidth equal to the largest
-    initial neighbour distance and keeps the rotation locked for the first
-    stage. A warm solve continues from ``warm``, the state the previous frame
-    returned: it starts at ``warm.bandwidth_px`` (not below the floor) with the
-    rotation free, so a frame whose ``prob`` was built by ``with_frame`` from
-    the previous pose does not anneal again. Only the first frame of a
-    sequence anneals. The pose still starts at ``prob.init_pose``. A warm
-    solve is the fallback after a solve that did not converge: over a static
-    scene, a converged pose is held rather than solved again.
-
-    ``converged`` is True when the solve stopped at the floor bandwidth with
-    the freshly reweighted surrogate solved: either its first LM step was
-    shorter than ``_TOL``, or no LM step lowered it and the undamped
-    Gauss-Newton step promises a relative decrease of at most ``_TOL``. A
-    solve that runs out of ``_MAX_OUTER_ITERS`` reports False.
+    The solve ends at the floor scale, in a stage after the rotation-locked
+    one. ``converged`` is True when it stopped there with the freshly
+    reweighted surrogate solved: either its first LM step was shorter
+    than ``_TOL``, or no LM step lowered it and the undamped Gauss-Newton step
+    promises a relative decrease of at most ``_TOL``. A solve that runs out of
+    ``_MAX_OUTER_ITERS`` reports False.
     """
+    if prob.dist_map is None:
+        raise ValueError("the problem has no frame; bind one with with_frame")
     pose = prob.init_pose
-    # projection of the current pose; an accepted candidate brings its own
-    proj = _projection(prob, pose)
-    # a cold solve's start match is also its first outer iteration's
-    match = None
-    if warm is None:
-        match = _match_neighbors(prob, proj.pix, proj.depth)
-        _, dist0, ok0 = match
-        ell = _BANDWIDTH_FLOOR_PX
-        if np.any(ok0):
-            ell = max(float(np.nanmax(dist0[ok0])), _BANDWIDTH_FLOOR_PX)
-        stage = 0
-    else:
-        if not (np.isfinite(warm.bandwidth_px) and warm.bandwidth_px > 0.0):
-            raise ValueError("warm-start bandwidth must be positive and finite")
-        ell = max(float(warm.bandwidth_px), _BANDWIDTH_FLOOR_PX)
-        stage = 1
+    # the map reading of the current pose; an accepted candidate brings its own
+    cur = _read(prob, pose)
+    sigma = max(2.0 * float(np.max(cur.dist, initial=0.0)), _SIGMA_FLOOR_PX)
+    rot_locked = True  # until the first stage ends
     damping = _LM_DAMPING_INIT
     history: list[dict] = []
     converged = False
     for outer in range(_MAX_OUTER_ITERS):
-        idx, dist, okm = match or _match_neighbors(prob, proj.pix, proj.depth)
-        match = None
-        gamma = np.where(okm[:, None], np.exp(-dist ** 2 / (2.0 * ell * ell)), 0.0)
-        targets = _weighted_targets(prob, idx, np.nan_to_num(gamma))
-        rot_locked = stage == 0
+        weights = _weights(cur, sigma)
         # An accepted candidate's cost is the next inner iteration's starting
         # cost: same pose and frozen weights.
-        cost0 = _surrogate_cost(proj, targets, ell)
+        cost0 = _surrogate_cost(cur, weights)
         for inner in range(_INNER_ITERS):
-            app, gp = _normal_equations(prob, pose, proj, targets, ell)
+            app, gp = _normal_equations(prob, pose, cur, weights)
             accepted = False
             step = 0.0
             while True:
@@ -358,8 +333,8 @@ def solve(prob: RegistrationProblem, warm: RegistrationState | None = None) -> R
                     delta_p = None
                 if delta_p is not None and np.all(np.isfinite(delta_p)):
                     cand_pose = pose.compose(se3_exp(delta_p))
-                    cand_proj = _projection(prob, cand_pose)
-                    cost1 = _surrogate_cost(cand_proj, targets, ell)
+                    cand = _read(prob, cand_pose)
+                    cost1 = _surrogate_cost(cand, weights)
                 else:
                     cost1 = np.inf
                 if np.isfinite(cost1) and cost1 < cost0:
@@ -367,7 +342,7 @@ def solve(prob: RegistrationProblem, warm: RegistrationState | None = None) -> R
                     history.append(
                         {
                             "outer": outer,
-                            "bandwidth": ell,
+                            "bandwidth": sigma,
                             "cost_before": cost0,
                             "cost_after": cost1,
                             "damping": damping,
@@ -375,36 +350,33 @@ def solve(prob: RegistrationProblem, warm: RegistrationState | None = None) -> R
                             "accepted": True,
                         }
                     )
-                    pose, proj, cost0 = cand_pose, cand_proj, cost1
+                    pose, cur, cost0 = cand_pose, cand, cost1
                     damping = max(damping / _LM_DAMPING_DOWN, 1e-12)
                     accepted = True
                     break
                 damping *= _LM_DAMPING_UP
                 if damping > _LM_DAMPING_CAP:
-                    damping = _LM_DAMPING_CAP
+                    damping = _LM_DAMPING_INIT
                     break
             if inner == 0:
                 first_step = step if accepted else 0.0
                 first_stalled = not accepted
             if not accepted or step < _TOL:
                 break
-        # The stage is exhausted only when a freshly matched and reweighted
-        # surrogate yields no meaningful first step; small trailing inner steps
-        # just mean this one surrogate is solved.
-        if first_stalled or first_step < _TOL:
-            if ell <= _BANDWIDTH_FLOOR_PX:
-                # A stall counts as convergence when the undamped Gauss-Newton
-                # model promises no relative decrease above tol, so rounding
-                # noise at the optimum is not read as failure.
-                converged = not first_stalled or _predicted_decrease(app, gp, rot_locked) <= _TOL * cost0
-                break
-            ell = max(ell / 2.0, _BANDWIDTH_FLOOR_PX)
-            stage += 1
+        # The stage is exhausted only when a freshly reweighted surrogate
+        # yields no meaningful first step; small trailing inner steps just
+        # mean this one surrogate is solved.
+        stalled = first_stalled or first_step < _TOL
+        if stalled and not rot_locked and sigma <= _SIGMA_FLOOR_PX:
+            # A stall counts as convergence when the undamped Gauss-Newton
+            # model promises no relative decrease above tol, so rounding
+            # noise at the optimum is not read as failure.
+            converged = not first_stalled or _predicted_decrease(app, gp) <= _TOL * cost0
+            break
+        if stalled or (outer + 1) % _ANNEAL_EVERY == 0:
+            sigma = max(sigma / 2.0, _SIGMA_FLOOR_PX)
+            rot_locked = False
             damping = _LM_DAMPING_INIT
-            continue
-        if (outer + 1) % _ANNEAL_EVERY == 0:
-            ell = max(ell / 2.0, _BANDWIDTH_FLOOR_PX)
-            stage += 1
     if not np.isfinite(cost0):
         raise FloatingPointError("registration surrogate cost is not finite")
-    return RegistrationState(pose, ell, iteration=outer + 1, converged=converged, diagnostics={"history": history})
+    return RegistrationState(pose, sigma, iteration=outer + 1, converged=converged, diagnostics={"history": history})

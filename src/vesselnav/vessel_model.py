@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 FORMAT_HEADER = "VTREE 1"
 
@@ -57,7 +56,6 @@ class VesselTree:
     def __init__(self, branches: dict[int, Branch], root: int):
         self.branches = branches
         self.root = root
-        self._kdtree: cKDTree | None = None
         self._flat: tuple[np.ndarray, list[tuple[int, int]]] | None = None
         validate_tree(self)
 
@@ -73,10 +71,14 @@ class VesselTree:
             self._flat = (rows, [(bid, i) for bid in ids for i in range(len(self.branches[bid]))])
         return self._flat
 
-    def point_index(self) -> cKDTree:
-        if self._kdtree is None:
-            self._kdtree = cKDTree(self.flat_points()[0])
-        return self._kdtree
+    def nearest_points(self, points3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distance from each (m, 3) point to its nearest centerline point, and
+        that point's index into ``flat_points()``; ties go to the lowest index."""
+        rows = self.flat_points()[0]
+        d2 = (points3[:, 0, None] - rows[:, 0]) ** 2
+        d2 += (points3[:, 1, None] - rows[:, 1]) ** 2
+        d2 += (points3[:, 2, None] - rows[:, 2]) ** 2
+        return np.sqrt(d2.min(axis=1)), d2.argmin(axis=1)
 
 
 def validate_tree(tree: VesselTree) -> None:

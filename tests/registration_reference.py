@@ -1,25 +1,24 @@
-"""Reference path for the registration tests: the k-neighbour surrogate.
+"""Reference path for the registration tests: the distance map by brute force.
 
-The solver collapses each model point's k kernel-weighted neighbours into one
-target. These helpers keep the uncollapsed form, one residual row per
-(point, neighbour) pair, with its analytic pose Jacobian, and a central
-finite-difference Jacobian to check that against. ``eval_objective`` is the
-energy oracle: the kernel data term at a state, which the solver itself never
-evaluates.
+The solver reads each model point's distance from a Euclidean distance
+transform of the frame. ``reference_distance`` rebuilds that reading without
+the transform: it rounds the frame's points to pixels in a loop, finds each
+grid pixel's nearest one by a nested loop, and interpolates bilinearly (a
+pixel off the image reads the nearest image point's value plus its distance
+to it). ``_dense_residuals`` stacks the weighted reference distances, and
+``_fd_jacobian`` differentiates them by central differences, for the
+solver's analytic Jacobian (``_dense_jacobian``) to be checked against.
+``eval_objective`` is the energy oracle: the Geman-McClure data term at a
+state, which the solver itself never evaluates.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from vesselnav.geometry import se3_exp
-from vesselnav.registration import (
-    RegistrationProblem,
-    RegistrationState,
-    _match_neighbors,
-    _pixel_jacobians,
-    _projection,
-)
+from vesselnav.geometry import project_points, se3_exp
+from vesselnav.registration import RegistrationProblem, RegistrationState, _distance_jacobian, _read
 
 
 @dataclass(frozen=True)
@@ -29,51 +28,93 @@ class EnergyBreakdown:
 
 
 def eval_objective(prob: RegistrationProblem, state: RegistrationState) -> EnergyBreakdown:
-    """Kernel data term at the given state, using its kernel bandwidth."""
-    proj = _projection(prob, state.pose)
-    idx, dist, ok = _match_neighbors(prob, proj.pix, proj.depth)
-    ell2 = 2.0 * state.bandwidth_px ** 2
-    data = float(np.sum(np.exp(-dist[ok] ** 2 / ell2)))
+    """Data term sum_i d_i^2 / (d_i^2 + sigma^2) / 2 at the state, with sigma
+    its ``bandwidth_px``, over the solver's map reading."""
+    cur = _read(prob, state.pose)
+    ok = cur.depth > 0
+    d2 = cur.dist[ok] ** 2
+    data = 0.5 * float(np.sum(d2 / (d2 + state.bandwidth_px**2)))
     return EnergyBreakdown(data, tuple(np.flatnonzero(~ok)))
 
 
-def _dense_residuals(prob, pose, idx, gamma, ell):
-    """Stacked surrogate residual vector at the given pose."""
-    pix, depth = _projection(prob, pose)
-    ok = np.all(idx >= 0, axis=1) & (depth > 0)
+def rasterized(prob: RegistrationProblem) -> list[tuple[int, int]]:
+    """The frame's points rounded to (x, y) pixels, those off the image dropped."""
+    w, h = prob.cam.image_size
+    cells = []
+    for x, y in prob.points2:
+        if math.isfinite(x) and math.isfinite(y):
+            cx, cy = round(x), round(y)
+            if 0 <= cx < w and 0 <= cy < h:
+                cells.append((cx, cy))
+    return cells
+
+
+def _grid_distance(cells, gx: int, gy: int) -> float:
+    best = math.inf
+    for cx, cy in cells:
+        best = min(best, math.sqrt((gx - cx) ** 2 + (gy - cy) ** 2))
+    return best
+
+
+def reference_distance(prob: RegistrationProblem, pixel, cells=None) -> float:
+    """Bilinear distance reading at one (x, y) pixel from brute-force grid
+    distances to ``cells``, by default ``rasterized(prob)``."""
+    w, h = prob.cam.image_size
+    x, y = float(pixel[0]), float(pixel[1])
+    nx, ny = min(max(x, 0.0), w - 1.0), min(max(y, 0.0), h - 1.0)
+    x0, y0 = min(math.floor(nx), w - 2), min(math.floor(ny), h - 2)
+    fx, fy = nx - x0, ny - y0
+    cells = rasterized(prob) if cells is None else cells
+    d = (
+        (1 - fx) * (1 - fy) * _grid_distance(cells, x0, y0)
+        + fx * (1 - fy) * _grid_distance(cells, x0 + 1, y0)
+        + (1 - fx) * fy * _grid_distance(cells, x0, y0 + 1)
+        + fx * fy * _grid_distance(cells, x0 + 1, y0 + 1)
+    )
+    return d + math.hypot(x - nx, y - ny)
+
+
+def _dense_residuals(prob, pose, weights):
+    """sqrt(w_i) d_i of every point in front of the camera, from the reference reading."""
+    pix, depth = project_points(prob.points3, pose, prob.cam)
+    cells = rasterized(prob)
     rows = []
-    inv = 1.0 / np.sqrt(2.0 * ell * ell)
-    for i in np.flatnonzero(ok):
-        for col, j in enumerate(idx[i]):
-            a = np.sqrt(gamma[i, col]) * inv
-            rows.append(a * (pix[i] - prob.points2[j]))
-    return np.concatenate(rows)
+    for i in range(len(pix)):
+        if depth[i] > 0:
+            rows.append(math.sqrt(weights[i]) * reference_distance(prob, pix[i], cells))
+    return np.array(rows)
 
 
-def _dense_jacobian(prob, pose, idx, gamma, ell):
-    """Analytic Jacobian of _dense_residuals w.r.t. the pose twist."""
-    proj = _projection(prob, pose)
-    g_blocks = _pixel_jacobians(prob, pose, proj)
-    ok_mask = np.all(idx >= 0, axis=1) & (proj.depth > 0)
-    blocks = []
-    inv = 1.0 / np.sqrt(2.0 * ell * ell)
-    for i in np.flatnonzero(ok_mask):
-        for col in range(idx.shape[1]):
-            a = np.sqrt(gamma[i, col]) * inv
-            blocks.append(a * g_blocks[i])
-    return np.vstack(blocks)
+def _dense_jacobian(prob, pose, weights):
+    """The solver's analytic Jacobian of _dense_residuals w.r.t. the pose twist."""
+    cur = _read(prob, pose)
+    ok = cur.depth > 0
+    return np.sqrt(weights[ok])[:, None] * _distance_jacobian(prob, pose, cur)[ok]
 
 
-def _fd_jacobian(prob, pose, idx, gamma, ell, eps=1e-6):
-    """Central differences of _dense_residuals w.r.t. the pose twist."""
+def _fd_jacobian(prob, pose, weights, eps=1e-6):
+    """Central differences of _dense_residuals w.r.t. the pose twist, and a
+    mask of the rows whose pixel stayed inside one bilinear cell (the one it
+    starts in) over every step; only those rows are differentiable there."""
+    w, h = prob.cam.image_size
+
+    def cell(tw):
+        pix, depth = project_points(prob.points3, pose.compose(se3_exp(tw)), prob.cam)
+        pix = pix[depth > 0]
+        return np.minimum(np.floor(np.clip(pix, 0.0, (w - 1.0, h - 1.0))), (w - 2.0, h - 2.0))
+
     def residual_at(tw):
-        return _dense_residuals(prob, pose.compose(se3_exp(tw)), idx, gamma, ell)
+        return _dense_residuals(prob, pose.compose(se3_exp(tw)), weights)
 
-    j = np.zeros((len(residual_at(np.zeros(6))), 6))
+    base = cell(np.zeros(6))
+    same = np.ones(len(base), dtype=bool)
+    j = np.zeros((len(base), 6))
     for c in range(6):
         tw = np.zeros(6)
         tw[c] = eps
         hi = residual_at(tw)
+        same &= np.all(cell(tw) == base, axis=1)
         tw[c] = -eps
         j[:, c] = (hi - residual_at(tw)) / (2 * eps)
-    return j
+        same &= np.all(cell(tw) == base, axis=1)
+    return j, same

@@ -261,6 +261,8 @@ class TestMain:
             ("solver", "spacing_mm = 0", ["run"]),
             ("solver", "max_loops = -1", ["run"]),
             ("noise", "imaging = gaussian\nimaging_std = -1", ["run"]),
+            ("noise", "imaging_std = 10", ["run"]),
+            ("noise", "imaging_std = abc", ["run"]),
             ("noise", "translation_jitter = nan", ["run"]),
             ("noise", "rotation_failure = nan", ["run"]),
             ("noise", "rotation_failure = 2.0", ["run"]),
@@ -287,6 +289,8 @@ class TestMain:
             "spacing_mm",
             "max_loops",
             "imaging_std",
+            "imaging_std_without_gaussian",
+            "imaging_std_text_without_gaussian",
             "translation_jitter_nan",
             "rotation_failure_nan",
             "rotation_failure_above_one",

@@ -49,9 +49,8 @@ def view_pose():
 
 
 def problem_for(tree, pose):
-    # The 2D point cloud only matters for registration, not lifting; any
-    # nonempty array keeps construction happy.
-    return RegistrationProblem.from_tree(tree, np.zeros((4, 2)), CAM, pose)
+    # Lifting reads no frame, so none is bound.
+    return RegistrationProblem.from_tree(tree, None, CAM, pose)
 
 
 def rigid_state(prob):
@@ -130,7 +129,7 @@ class TestEpisodeBound:
         spacing = 0.5
         model = resample_centerlines(tree, spacing)
         pose = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]))
-        prob = RegistrationProblem.from_tree(model, np.zeros((4, 2)), CAM, pose)
+        prob = RegistrationProblem.from_tree(model, None, CAM, pose)
         state = rigid_state(prob)
         wire = initial_wire(tree, (0, 2))
         rng = np.random.default_rng(3)

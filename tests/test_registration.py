@@ -1,43 +1,47 @@
 """Registration solver tests.
 
-Expected values come from independent re-implementations: the objective is
-recomputed with nested Python loops and brute-force neighbor search, and
+Expected values come from independent re-implementations: distances are
+recomputed by brute force, the nearest rounded image point of every grid
+pixel by nested Python loops and the bilinear reading by hand, and the
 Jacobians are validated against central finite differences of the stacked
-residual vector.
+residual vector, with steps kept inside one bilinear cell.
 """
 
 import numpy as np
 import pytest
 
 from vesselnav import registration
-from vesselnav.geometry import CameraModel, Pose, se3_exp
+from vesselnav.geometry import CameraModel, Pose, project_points, se3_exp
 from vesselnav.registration import (
     RegistrationProblem,
     RegistrationState,
-    _data_blocks,
-    _match_neighbors,
     _normal_equations,
-    _projection,
+    _read,
     _surrogate_cost,
-    _weighted_targets,
+    _weights,
     reprojection_rmse,
     solve,
 )
 from vesselnav.vessel_model import PhantomSpec, generate_phantom, resample_centerlines
 
 from geometry_reference import pose_matrix
-from registration_reference import _dense_jacobian, _dense_residuals, _fd_jacobian, eval_objective
+from registration_reference import (
+    _dense_jacobian,
+    _dense_residuals,
+    _fd_jacobian,
+    eval_objective,
+    rasterized,
+    reference_distance,
+)
 
 
 def small_problem(rng, n=14, m=40):
-    """Random problem matched with 3 image neighbours per model point."""
+    """Random problem: n model points in front of the camera, m image points."""
     pts = rng.uniform(-20, 20, (n, 3))
     q = rng.uniform(100, 400, (m, 2))
     cam = CameraModel.standard()
     pose = Pose(np.eye(3), np.array([0.0, 0.0, 800.0]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(registration, "_K_CORR", 3)
-        return RegistrationProblem(pts, q, cam, pose)
+    return RegistrationProblem(pts, q, cam, pose)
 
 
 def random_state(prob, rng):
@@ -46,26 +50,20 @@ def random_state(prob, rng):
 
 
 def oracle_objective(prob, state):
-    """Direct nested-loop evaluation of the kernel data term."""
+    """Direct nested-loop evaluation of the Geman-McClure data term."""
     k = prob.cam.intrinsics
-    ell = state.bandwidth_px
+    sigma = state.bandwidth_px
+    cells = rasterized(prob)
     data = 0.0
     behind = []
-    pix_all = []
     for i in range(len(prob.points3)):
         z = state.pose.rotation @ prob.points3[i] + state.pose.translation
         h = k[:, :3] @ z + k[:, 3]
         if h[2] <= 0:
             behind.append(i)
-            pix_all.append(None)
             continue
-        pix_all.append(h[:2] / h[2])
-    for i, u in enumerate(pix_all):
-        if u is None:
-            continue
-        d2 = np.sum((prob.points2 - u) ** 2, axis=1)
-        nearest = np.sort(d2)[: prob.k_corr]
-        data += np.sum(np.exp(-nearest / (2.0 * ell * ell)))
+        d = reference_distance(prob, h[:2] / h[2], cells)
+        data += 0.5 * d * d / (d * d + sigma * sigma)
     return data, behind
 
 
@@ -95,18 +93,17 @@ class TestJacobian:
     def test_analytic_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         worst = 0.0
+        compared = 0
         for _ in range(10):
             prob = small_problem(rng, n=10, m=30)
             pose = random_state(prob, rng).pose
-            pix, depth = _projection(prob, pose)
-            idx, dist, ok = _match_neighbors(prob, pix, depth)
-            ell = 6.0
-            gamma = np.where(ok[:, None], np.exp(-dist ** 2 / (2 * ell * ell)), 0.0)
-            gamma = np.nan_to_num(gamma)
-            ja = _dense_jacobian(prob, pose, idx, gamma, ell)
-            jn = _fd_jacobian(prob, pose, idx, gamma, ell)
-            scale = max(1.0, np.abs(jn).max())
-            worst = max(worst, np.abs(ja - jn).max() / scale)
+            weights = _weights(_read(prob, pose), 6.0)
+            ja = _dense_jacobian(prob, pose, weights)
+            jn, same_cell = _fd_jacobian(prob, pose, weights)
+            scale = max(1.0, np.abs(jn[same_cell]).max())
+            worst = max(worst, np.abs(ja - jn)[same_cell].max() / scale)
+            compared += int(same_cell.sum())
+        assert compared >= 95
         assert worst < 1e-5
 
     def test_normal_equations_match_dense_jacobian(self):
@@ -114,90 +111,69 @@ class TestJacobian:
         for _ in range(2):
             prob = small_problem(rng, n=9, m=25)
             pose = random_state(prob, rng).pose
-            proj = _projection(prob, pose)
-            idx, dist, ok = _match_neighbors(prob, proj.pix, proj.depth)
-            ell = 5.0
-            gamma = np.nan_to_num(np.where(ok[:, None], np.exp(-dist ** 2 / (2 * ell * ell)), 0.0))
-            j = _dense_jacobian(prob, pose, idx, gamma, ell)
-            rho = _dense_residuals(prob, pose, idx, gamma, ell)
-            targets = _weighted_targets(prob, idx, gamma)
-            app, gp = _normal_equations(prob, pose, proj, targets, ell)
+            cur = _read(prob, pose)
+            weights = _weights(cur, 5.0)
+            j = _dense_jacobian(prob, pose, weights)
+            rho = _dense_residuals(prob, pose, weights)
+            app, gp = _normal_equations(prob, pose, cur, weights)
             assert np.allclose(app, j.T @ j, atol=1e-9)
             assert np.allclose(gp, j.T @ rho, atol=1e-9)
 
 
 class TestSurrogate:
     def test_frozen_weight_surrogate_majorizes_data_energy(self):
-        # With kernel weights frozen at a reference state, the quadratic
-        # surrogate changes by at least as much as the true data energy term
-        # for any candidate state (tangent majorization of the exponential).
+        # With the Geman-McClure weights frozen at a reference state, the
+        # quadratic surrogate changes by at least as much as the data energy
+        # for any candidate state (the tangent of the concave d^2 -> d^2 /
+        # (d^2 + sigma^2) lies above it).
         rng = np.random.default_rng(17)
         for _ in range(25):
             prob = small_problem(rng)
             ref = random_state(prob, rng)
-            ell = ref.bandwidth_px
-            pix, depth = _projection(prob, ref.pose)
-            idx, dist, ok = _match_neighbors(prob, pix, depth)
-            assert np.all(ok)
-            gamma = np.exp(-dist ** 2 / (2 * ell * ell))
-            targets = _weighted_targets(prob, idx, gamma)
+            weights = _weights(_read(prob, ref.pose), ref.bandwidth_px)
 
             cand = random_state(prob, rng)
-            cand.bandwidth_px = ell
+            cand.bandwidth_px = ref.bandwidth_px
             e_ref = eval_objective(prob, ref)
             e_cand = eval_objective(prob, cand)
             if e_cand.behind_camera or e_ref.behind_camera:
                 continue
             def surrogate(state):
-                return _surrogate_cost(_projection(prob, state.pose), targets, ell)
+                return _surrogate_cost(_read(prob, state.pose), weights)
 
-            lhs = (-e_cand.data) - (-e_ref.data)
+            lhs = e_cand.data - e_ref.data
             rhs = surrogate(cand) - surrogate(ref)
             assert lhs <= rhs + 1e-9
 
-    def test_weighted_targets_match_k_neighbour_reference(self):
-        # The per-point targets must reproduce the k-neighbour surrogate of
-        # the reference path exactly (up to rounding), including rows that
-        # fall behind the camera after matching, unmatched rows and rows
-        # whose weights all underflow.
+    def test_surrogate_matches_distance_map_reference(self):
+        # The map reading, the surrogate and its gradient must reproduce the
+        # brute-force reference (up to rounding), including rows that fall
+        # behind the camera after the weights froze and rows that project off
+        # the image.
         rng = np.random.default_rng(29)
         for trial in range(20):
             prob = small_problem(rng)
             ref = random_state(prob, rng)
-            pix, depth = _projection(prob, ref.pose)
-            idx, dist, ok = _match_neighbors(prob, pix, depth)
-            ell = 4.0
-            gamma = np.nan_to_num(np.where(ok[:, None], np.exp(-dist ** 2 / (2 * ell * ell)), 0.0))
-            idx[1] = -1  # unmatched row; its stale weights must not count
-            gamma[1] = rng.uniform(0.1, 1.0, prob.k_corr)
-            idx[2, 0] = -1  # partly unmatched rows count as unmatched
-            gamma[3] = np.exp(-np.full(prob.k_corr, 1e4))  # underflows to 0
-            assert np.all(gamma[3] == 0.0)
-
-            pose = random_state(prob, rng).pose
+            weights = _weights(_read(prob, ref.pose), 4.0)
+            prob.points3[3, 0] = 300.0  # about 900 px right of the centre: off the image
             if trial % 2:
-                prob.points3[4, 2] = -5000.0  # behind the camera, but matched
-            proj = _projection(prob, pose)
-            assert (proj.depth[4] <= 0) == bool(trial % 2)
-            targets = _weighted_targets(prob, idx, gamma)
-            assert np.all(targets.s[1:4] == 0.0) and np.all(targets.c[1:4] == 0.0)
+                prob.points3[4, 2] = -5000.0  # behind the camera, but weighted
+            pose = random_state(prob, rng).pose
+            cur = _read(prob, pose)
+            assert (cur.depth[4] <= 0) == bool(trial % 2)
+            assert cur.pix[3, 0] > prob.cam.image_size[0]
 
-            rho = _dense_residuals(prob, pose, idx, gamma, ell)
-            got = _surrogate_cost(proj, targets, ell)
-            assert got == pytest.approx(float(rho @ rho), rel=1e-10)
+            want = np.zeros(len(prob.points3))
+            for i in np.flatnonzero(cur.depth > 0):
+                want[i] = reference_distance(prob, cur.pix[i])
+            assert np.allclose(cur.dist, want, rtol=1e-12, atol=1e-12)
 
-            s, gvec, _ = _data_blocks(prob, pose, proj, targets, ell)
-            n = len(prob.points3)
-            want_s = np.zeros(n)
-            want_g = np.zeros((n, 2))
-            for i in range(n):
-                if np.any(idx[i] < 0) or proj.depth[i] <= 0:
-                    continue
-                for j, w in zip(idx[i], gamma[i]):
-                    want_s[i] += w / (2 * ell * ell)
-                    want_g[i] += w * (proj.pix[i] - prob.points2[j]) / (2 * ell * ell)
-            assert np.allclose(s, want_s, rtol=1e-12, atol=0.0)
-            assert np.allclose(gvec, want_g, rtol=1e-10, atol=1e-10 * np.abs(want_g).max())
+            rho = _dense_residuals(prob, pose, weights)
+            got = _surrogate_cost(cur, weights)
+            assert got == pytest.approx(0.5 * float(rho @ rho), rel=1e-10)
+
+            _, gp = _normal_equations(prob, pose, cur, weights)
+            assert np.allclose(gp, _dense_jacobian(prob, pose, weights).T @ rho, rtol=1e-10, atol=1e-12)
 
     def test_accepted_steps_decrease_surrogate(self, monkeypatch):
         rng = np.random.default_rng(23)
@@ -218,9 +194,9 @@ def scene():
     dense = resample_centerlines(tree, 0.25)
     pts, _ = dense.flat_points()
     world = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]) - pts.mean(axis=0))
-    prob0 = RegistrationProblem.from_tree(dense, np.zeros((1, 2)), cam, world)
+    prob0 = RegistrationProblem.from_tree(dense, None, cam, world)
     true_c = prob0.pose_from_world(world)
-    pix, depth = _projection(prob0, true_c)
+    pix, depth = project_points(prob0.points3, true_c, cam)
     assert np.all(depth > 0)
     return prob0, true_c, pix
 
@@ -262,7 +238,7 @@ class TestRecovery:
 
 @pytest.fixture(scope="module")
 def clean_cold(scene):
-    """The first of criterion 3's perturbed clean problems, solved cold."""
+    """The first of criterion 3's perturbed clean problems, and its solve."""
     prob0, true_c, pix = scene
     rng = np.random.default_rng(303)
     d = rng.normal(size=3)
@@ -273,37 +249,42 @@ def clean_cold(scene):
     return prob, solve(prob)
 
 
-def rotation_angle_deg(a, b):
-    """Angle of the relative rotation, from its trace."""
-    cos = 0.5 * (np.trace(a.rotation.T @ b.rotation) - 1.0)
-    return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
-
-
 class TestConvergedFlag:
-    def test_stall_at_optimum_is_converged(self, clean_cold):
-        _, st = clean_cold
-        hist = st.diagnostics["history"]
-        # The solve ends in a stall at the floor bandwidth: its last outer
-        # iteration accepted no LM step, with the pose at the optimum up to
-        # rounding.
-        assert hist[-1]["outer"] < st.iteration - 1
-        assert st.bandwidth_px == registration._BANDWIDTH_FLOOR_PX
+    def test_stall_at_optimum_is_converged(self):
+        # At depth f = 2500 mm a point (X, Y, 0) projects exactly onto pixel
+        # (X + 256, Y + 256), so a model of integer points starts on its own
+        # image: every distance and the surrogate are 0, no LM step can lower
+        # it, and the solve stalls at the floor with the pose at the optimum.
+        cam = CameraModel.standard()
+        pts = np.array([[x, y, 0.0] for x, y in [(-30, -20), (-10, 25), (0, 0), (15, -35), (40, 10), (22, 31)]])
+        pose = Pose(np.eye(3), np.array([0.0, 0.0, 2500.0]))
+        prob = RegistrationProblem(pts, pts[:, :2] + 256.0, cam, pose)
+        st = solve(prob)
+        assert st.diagnostics["history"] == []
+        assert st.bandwidth_px == registration._SIGMA_FLOOR_PX
+        assert st.iteration == 2
         assert st.converged
 
-    def test_cold_solve_matches_once_per_outer_iteration(self, clean_cold, monkeypatch):
-        # The start match that sets the first bandwidth is also the first
-        # outer iteration's match: the pose has not moved in between.
+    def test_solve_reads_the_map_once_per_pose(self, clean_cold, monkeypatch):
+        # The start reading that sets the first sigma is also the first outer
+        # iteration's, and each LM trial reads its candidate pose once.
         prob, _ = clean_cold
-        calls = []
-        match = registration._match_neighbors
+        reads, trials = [], []
+        read, solve_step = registration._read, registration._solve_step
 
-        def counted(*args):
-            calls.append(args)
-            return match(*args)
+        def counted_read(*args):
+            reads.append(args)
+            return read(*args)
 
-        monkeypatch.setattr(registration, "_match_neighbors", counted)
+        def counted_step(*args):
+            trials.append(args)
+            return solve_step(*args)
+
+        monkeypatch.setattr(registration, "_read", counted_read)
+        monkeypatch.setattr(registration, "_solve_step", counted_step)
         st = solve(prob)
-        assert len(calls) == st.iteration
+        assert st.converged
+        assert len(reads) == 1 + len(trials) > st.iteration
 
     def test_exhausted_iteration_budget_is_not_converged(self, clean_cold, monkeypatch):
         prob, _ = clean_cold
@@ -313,55 +294,72 @@ class TestConvergedFlag:
         assert not st.converged
 
 
-class TestWarmStart:
-    def test_unchanged_frame_stays_at_optimum(self, scene, clean_cold):
-        prob0, _, pix = scene
-        prob, prev = clean_cold
-        # Warm re-solves of one image, each from the last state. Each
-        # solve stops once its steps fall below the step tolerance, a little
-        # short of the optimum, so each re-solve closes part of the remaining
-        # gap and moves less than the one before, until a re-solve leaves the
-        # pose where it is.
-        iters, moves = [], []
-        for _ in range(3):
-            frame = prob0.with_frame(pix, prob.pose_to_world(prev.pose))
-            st = solve(frame, warm=prev)
-            assert st.converged
-            iters.append(st.iteration)
-            moves.append(np.abs(pose_matrix(st.pose) - pose_matrix(prev.pose)).max())
-            prob, prev = frame, st
-        assert moves[0] < 1e-4
-        assert moves[0] > moves[1] > moves[2]
-        assert iters[-1] <= 2 and moves[-1] < 1e-6
+@pytest.fixture(scope="module")
+def criterion_3_solves(scene):
+    """Criterion 3's 50 perturbed clean problems, solved, with the
+    damping of every LM trial of each solve (from a wrapped _solve_step)."""
+    prob0, true_c, pix = scene
+    rng = np.random.default_rng(303)
+    dampings: list[float] = []
+    real = registration._solve_step
 
-    def test_rotation_offset_is_recovered(self, scene, clean_cold):
-        prob0, _, pix = scene
-        _, prev = clean_cold
-        axis = np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0)
-        start = prev.pose.compose(se3_exp(np.concatenate([np.zeros(3), np.deg2rad(1.0) * axis])))
-        frame = prob0.with_frame(pix, prob0.pose_to_world(start))
-        st = solve(frame, warm=prev)
-        # A rotation-locked first stage would keep the 1 degree offset.
-        assert rotation_angle_deg(st.pose, prev.pose) < 0.2
-        assert max(h["bandwidth"] for h in st.diagnostics["history"]) <= prev.bandwidth_px
+    def logged(app, gp, damping, rotation_locked=False):
+        dampings.append(damping)
+        return real(app, gp, damping, rotation_locked)
 
-    def test_bandwidth_starts_at_warm_state(self, scene):
-        prob0, true_c, pix = scene
-        start = true_c.compose(se3_exp(np.array([1.0, -0.5, 2.0, 0.0, 0.0, 0.0])))
-        frame = prob0.with_frame(pix, prob0.pose_to_world(start))
-        prev = RegistrationState(start, 4.0)
-        st = solve(frame, warm=prev)
-        bws = [h["bandwidth"] for h in st.diagnostics["history"]]
-        assert bws[0] == prev.bandwidth_px
-        assert max(bws) <= prev.bandwidth_px
-        assert st.bandwidth_px == registration._BANDWIDTH_FLOOR_PX
+    solves = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(registration, "_solve_step", logged)
+        for _ in range(50):
+            d = rng.normal(size=3)
+            t = rng.uniform(0.0, 10.0) * d / np.linalg.norm(d)
+            a = rng.normal(size=3)
+            r = np.deg2rad(rng.uniform(0.0, 5.0)) * a / np.linalg.norm(a)
+            init = true_c.compose(se3_exp(np.concatenate([t, r])))
+            dampings.clear()
+            solves.append((solve(prob0.with_frame(pix, prob0.pose_to_world(init))), list(dampings)))
+    return solves
 
-    def test_rejects_unusable_bandwidth(self, scene):
-        prob0, true_c, pix = scene
-        frame = prob0.with_frame(pix, prob0.pose_to_world(true_c))
-        prev = RegistrationState(true_c, float("nan"))
-        with pytest.raises(ValueError):
-            solve(frame, warm=prev)
+
+def stall_ladders(dampings):
+    """The trial dampings of every LM step that failed up to the damping cap.
+
+    A step's trials raise the damping by _LM_DAMPING_UP from one to the next,
+    so a new step starts wherever that chain breaks; a chain that ends at the
+    cap and is not followed by the step after an acceptance at the cap
+    (cap / _LM_DAMPING_DOWN) failed.
+    """
+    up, cap = registration._LM_DAMPING_UP, registration._LM_DAMPING_CAP
+    ladders = [[dampings[0]]]
+    for prev, cur in zip(dampings, dampings[1:]):
+        if cur == prev * up:
+            ladders[-1].append(cur)
+        else:
+            ladders.append([cur])
+    return [
+        ladder
+        for ladder, after in zip(ladders, ladders[1:] + [None])
+        if ladder[-1] == cap and not (after and after[0] == cap / registration._LM_DAMPING_DOWN)
+    ]
+
+
+class TestStopRule:
+    def test_every_criterion_3_solve_converges_inside_the_budget(self, criterion_3_solves):
+        iterations = [st.iteration for st, _ in criterion_3_solves]
+        assert all(st.converged for st, _ in criterion_3_solves)
+        assert max(iterations) < registration._MAX_OUTER_ITERS
+
+    def test_no_stage_ends_on_one_trial_at_the_damping_cap(self, criterion_3_solves):
+        # Damping starts afresh in each stage and after a failed step, so a
+        # step that fails has tried every damping from where it started up
+        # to the cap, never the cap alone.
+        ladders = [ladder for _, dampings in criterion_3_solves for ladder in stall_ladders(dampings)]
+        assert all(len(ladder) > 1 for ladder in ladders)
+
+    def test_stall_ladders_finds_a_lone_trial_at_the_cap(self):
+        cap = registration._LM_DAMPING_CAP
+        assert stall_ladders([1e-3, 1e-4, cap / 10, cap, cap, 1e-3]) == [[cap / 10, cap], [cap]]
+        assert stall_ladders([cap / 10, cap, cap / 10]) == []
 
 
 class TestStepFailures:
@@ -397,9 +395,8 @@ class TestStepFailures:
 
     def test_non_finite_cost_raises(self, monkeypatch):
         prob = small_problem(np.random.default_rng(41))
-        # The k-d tree keeps matching the finite points it was built on, but
-        # every weighted target, and so the surrogate cost, is NaN.
-        prob.points2 = np.full_like(prob.points2, np.nan)
+        # Every map reading, and so every weight and surrogate cost, is NaN.
+        prob.dist_map = np.full_like(prob.dist_map, np.nan)
         monkeypatch.setattr(registration, "_MAX_OUTER_ITERS", 5)
         with pytest.raises(FloatingPointError):
             solve(prob)
@@ -413,13 +410,13 @@ class TestAnnealing:
         st = solve(prob)
         bws = [h["bandwidth"] for h in st.diagnostics["history"]]
         assert all(b2 <= b1 for b1, b2 in zip(bws, bws[1:]))
-        assert st.bandwidth_px >= 2.0
+        assert st.bandwidth_px >= registration._SIGMA_FLOOR_PX
 
     def test_floor_respected(self, monkeypatch):
         rng = np.random.default_rng(31)
         prob = small_problem(rng, n=20, m=60)
         monkeypatch.setattr(registration, "_MAX_OUTER_ITERS", 60)
-        monkeypatch.setattr(registration, "_BANDWIDTH_FLOOR_PX", 3.0)
+        monkeypatch.setattr(registration, "_SIGMA_FLOOR_PX", 3.0)
         st = solve(prob)
         assert st.bandwidth_px == pytest.approx(3.0)
 
@@ -429,7 +426,8 @@ class TestProblemConstruction:
         tree = generate_phantom(PhantomSpec(depth=3), seed=5)
         cam = CameraModel.standard()
         world = Pose(np.eye(3), np.array([0.0, 0.0, 800.0]))
-        prob = RegistrationProblem.from_tree(tree, np.zeros((1, 2)), cam, world)
+        prob = RegistrationProblem.from_tree(tree, None, cam, world)
+        assert prob.dist_map is None
         assert np.allclose(prob.points3.mean(axis=0), 0.0, atol=1e-9)
         pts, _ = tree.flat_points()
         assert np.allclose(prob.points3 + prob.center, pts)
@@ -438,7 +436,7 @@ class TestProblemConstruction:
         tree = generate_phantom(PhantomSpec(depth=3), seed=5)
         cam = CameraModel.standard()
         world = Pose(np.eye(3), np.array([1.0, -2.0, 800.0]))
-        prob = RegistrationProblem.from_tree(tree, np.zeros((1, 2)), cam, world)
+        prob = RegistrationProblem.from_tree(tree, None, cam, world)
         back = prob.pose_to_world(prob.pose_from_world(world))
         assert np.allclose(pose_matrix(back), pose_matrix(world), atol=1e-12)
         # centered and world poses must project a given tree point identically
@@ -457,11 +455,28 @@ class TestProblemConstruction:
         tree = generate_phantom(PhantomSpec(depth=3), seed=5)
         cam = CameraModel.standard()
         world = Pose(np.eye(3), np.array([0.0, 0.0, 800.0]))
-        prob = RegistrationProblem.from_tree(tree, np.zeros((1, 2)), cam, world)
+        prob = RegistrationProblem.from_tree(tree, None, cam, world)
+        with pytest.raises(ValueError, match="no frame"):
+            solve(prob)
         q = np.random.default_rng(1).uniform(0, 512, (200, 2))
         other = Pose(np.eye(3), np.array([2.0, 1.0, 790.0]))
         p2 = prob.with_frame(q, other)
         assert np.shares_memory(p2.points3, prob.points3)
+        assert prob.dist_map is None
         assert len(p2.points2) == 200
-        assert p2.k_corr == 8
         assert np.allclose(pose_matrix(p2.pose_to_world(p2.init_pose)), pose_matrix(other), atol=1e-9)
+        # the map is zero exactly at the rounded points and nowhere else
+        assert p2.dist_map.shape == (512, 512)
+        cells = set(rasterized(p2))
+        zeros = {(int(x), int(y)) for y, x in np.argwhere(p2.dist_map == 0.0)}
+        assert zeros == cells and len(cells) > 150
+
+    def test_with_frame_drops_points_off_the_image(self):
+        cam = CameraModel.standard(width=40, height=30)
+        pts = np.random.default_rng(3).uniform(-5, 5, (8, 3))
+        pose = Pose(np.eye(3), np.array([0.0, 0.0, 800.0]))
+        q = np.array([[-0.6, 3.0], [39.4, 29.4], [40.0, 5.0], [np.nan, 2.0], [7.0, -3.0]])
+        prob = RegistrationProblem(pts, q, cam, pose)
+        assert np.argwhere(prob.dist_map == 0.0).tolist() == [[29, 39]]
+        with pytest.raises(ValueError, match="on the image"):
+            RegistrationProblem(pts, q[[0, 2, 3, 4]], cam, pose)

@@ -143,12 +143,17 @@ class TestAddressHelpers:
             assert 0 <= idx < len(tree.branches[bid])
             assert np.array_equal(tree.position(addr), row)
 
-    def test_point_index_finds_exact_points(self):
+    def test_nearest_points_find_exact_points_and_break_ties_low(self):
         tree = VesselTree(y_branches(), 0)
-        rows, addrs = tree.flat_points()
-        d, i = tree.point_index().query(rows[5])
-        assert d == 0.0
-        assert np.array_equal(rows[i], rows[5])
+        rows, _ = tree.flat_points()
+        d, i = tree.nearest_points(rows[[5, 1, 4]])
+        assert d.tolist() == [0.0, 0.0, 0.0]
+        # flat rows 1 (root) and 4 (child start) are the same junction point
+        assert i.tolist() == [5, 1, 1]
+        # halfway between two root points, and between the junction and child point 1
+        d, i = tree.nearest_points(np.array([[2.5, 0.0, 0.0], [1.0, 0.5, 0.0]]))
+        assert d.tolist() == [0.5, 0.5]
+        assert i.tolist() == [2, 1]
 
 
 class TestPhantom:
