@@ -13,6 +13,17 @@ Levenberg-Marquardt, and the scale ``sigma`` is halved down to a floor. The
 residual is a point-to-curve distance whose gradient is the curve normal, so
 a model point may slide along the curve instead of being pulled onto one
 image sample.
+
+The distance transform is exact and separable (Felzenszwalb and
+Huttenlocher, Theory of Computing 2012). A column pass gives each pixel its
+vertical distance ``g`` to the nearest image point in its column. In each
+row, the squared distance at ``x`` is then the lower envelope of the
+parabolas ``(x - j)^2 + g_j^2`` over the columns ``j`` that hold a point,
+and the parabolas on that envelope are the vertices of the lower convex hull
+of the points ``(j, g_j^2 + j^2)``. All rows are pruned to their hulls at
+once by repeated integer chord tests, and each pixel reads the parabola
+whose integer crossings bracket it. The squared distance is an exact integer
+until the final square root in float64.
 """
 
 from __future__ import annotations
@@ -22,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import CameraModel, Pose, project_points, se3_exp
 from .vessel_model import VesselTree
@@ -144,13 +154,59 @@ def _distance_map(points2: np.ndarray, image_size: tuple[int, int]) -> np.ndarra
     """(height, width) Euclidean distance from each pixel to the nearest
     image point rounded to a pixel; points off the image are dropped."""
     w, h = image_size
-    cells = np.rint(points2[np.isfinite(points2).all(axis=1)]).astype(np.intp)
-    cells = cells[np.all((cells >= 0) & (cells < (w, h)), axis=1)]
+    # Off-image (and non-finite) points drop in float, before any cast.
+    cells = np.rint(points2)
+    cells = cells[np.all((cells >= 0) & (cells < (w, h)), axis=1)].astype(np.intp)
     if len(cells) < 1:
         raise ValueError("need at least one 2D point on the image")
-    free = np.ones((h, w), dtype=bool)
-    free[cells[:, 1], cells[:, 0]] = False
-    return ndimage.distance_transform_edt(free)
+    feature = np.zeros((h, w), dtype=bool)
+    feature[cells[:, 1], cells[:, 0]] = True
+    return _distance_transform(feature)
+
+
+def _distance_transform(feature: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance from each pixel of a (height, width) boolean
+    image to its nearest True pixel, of which there must be one: the square
+    root, in float64, of the integer squared distance."""
+    h, w = feature.shape
+    # Every integer below stays under (h^2 + w^2) * w in magnitude; int32
+    # halves the memory traffic where that fits.
+    itype = np.int32 if (h * h + w * w) * w < 2**31 else np.int64
+    cols = np.flatnonzero(feature.any(axis=0)).astype(itype)
+    hit = feature[:, cols]
+    y = np.arange(h, dtype=itype)[:, None]
+    above = np.maximum.accumulate(np.where(hit, y, -h), axis=0)
+    below = np.minimum.accumulate(np.where(hit, y, 2 * h)[::-1], axis=0)[::-1]
+    g = np.minimum(y - above, below - y)
+    # One hull point (x, c) per row and feature column, row after row.
+    row = np.repeat(np.arange(h, dtype=itype), len(cols))
+    x = np.tile(cols, h)
+    c = (g * g + cols * cols).ravel()
+    while True:
+        # A point that is not strictly below the chord of its neighbours in
+        # its row is no hull vertex; dropping all such points at once leaves
+        # every row's hull unchanged.
+        inner = (row[1:-1] == row[:-2]) & (row[1:-1] == row[2:])
+        dx, dc = np.diff(x), np.diff(c)
+        drop = inner & (dc[:-1] * dx[1:] >= dc[1:] * dx[:-1])
+        if not drop.any():
+            break
+        keep = np.concatenate(([True], ~drop, [True]))
+        row, x, c = row[keep], x[keep], c[keep]
+    # A vertex serves its row from the first integer past its crossing with
+    # the vertex before it up to where the next vertex, or the next row,
+    # starts; the starts are flat pixel indices.
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = row[1:] != row[:-1]
+    start = np.zeros(len(row), dtype=itype)
+    start[1:] = (c[1:] - c[:-1]) // np.where(first[1:], 1, 2 * (x[1:] - x[:-1])) + 1
+    start = row * w + np.where(first, 0, np.clip(start, 0, w))
+    counts = np.diff(start, append=h * w)
+    d2 = np.arange(h * w, dtype=itype) - np.repeat(row * w + x, counts)
+    d2 *= d2
+    d2 += np.repeat(c - x * x, counts)
+    dist = d2.astype(np.float64).reshape(h, w)
+    return np.sqrt(dist, out=dist)
 
 
 # ---------------------------------------------------------------------------

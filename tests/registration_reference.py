@@ -9,7 +9,9 @@ to it). ``_dense_residuals`` stacks the weighted reference distances, and
 ``_fd_jacobian`` differentiates them by central differences, for the
 solver's analytic Jacobian (``_dense_jacobian``) to be checked against.
 ``eval_objective`` is the energy oracle: the Geman-McClure data term at a
-state, which the solver itself never evaluates.
+state, which the solver itself never evaluates. ``brute_force_transform``
+is the distance transform itself by brute force, for the exactness tests of
+the separable one.
 """
 
 import math
@@ -54,6 +56,17 @@ def _grid_distance(cells, gx: int, gy: int) -> float:
     for cx, cy in cells:
         best = min(best, math.sqrt((gx - cx) ** 2 + (gy - cy) ** 2))
     return best
+
+
+def brute_force_transform(feature: np.ndarray) -> np.ndarray:
+    """sqrt(float(d2)) at each pixel of a (height, width) boolean image, with
+    d2 the least integer squared distance to a True pixel over every one."""
+    h, w = feature.shape
+    ys, xs = np.mgrid[:h, :w]
+    best = np.full((h, w), np.iinfo(np.int64).max)
+    for fy, fx in np.argwhere(feature):
+        np.minimum(best, (ys - fy) ** 2 + (xs - fx) ** 2, out=best)
+    return np.sqrt(best.astype(np.float64))
 
 
 def reference_distance(prob: RegistrationProblem, pixel, cells=None) -> float:

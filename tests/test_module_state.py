@@ -2,9 +2,10 @@
 
 A module-level container (a cache, a registry, an accumulator) or a writeable
 array is state shared by every episode in a process. It can make a rerun
-depend on what ran before it, so no vesselnav module may hold one. Importing
-the CLI must not load ``scipy.spatial``, which costs start-up time and memory
-that nothing in the package needs.
+depend on what ran before it, so no vesselnav module may hold one. The
+package runs on NumPy alone: neither importing the CLI nor running a
+full-perception episode, which registers frames, may load any ``scipy``
+module, whose import costs start-up time and memory.
 """
 
 import importlib
@@ -45,9 +46,17 @@ def test_no_writeable_module_level_arrays():
     assert found == []
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
+def test_cli_and_full_perception_episode_load_no_scipy():
     src = str(Path(vesselnav.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, vesselnav.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
+    probe = (
+        "import sys, vesselnav.cli\n"
+        "from vesselnav.navigator import EpisodeConfig, run_episode\n"
+        "from vesselnav.vessel_model import PhantomSpec, generate_phantom\n"
+        "tree = generate_phantom(PhantomSpec(), seed=11)\n"
+        "report = run_episode(tree, (0, 20), (7, 25), seed=0, config=EpisodeConfig(max_loops=2))\n"
+        "assert len(report.records) == 2 and report.records[0].registration_rmse_px < 0.5, report\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -7,14 +7,20 @@ Jacobians are validated against central finite differences of the stacked
 residual vector, with steps kept inside one bilinear cell.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from vesselnav import registration
 from vesselnav.geometry import CameraModel, Pose, project_points, se3_exp
+from vesselnav.navigator import EpisodeConfig, PerceptionEstimator
+from vesselnav.perception import segment_layers, skeleton_points, thin
 from vesselnav.registration import (
     RegistrationProblem,
     RegistrationState,
+    _distance_transform,
     _normal_equations,
     _read,
     _surrogate_cost,
@@ -22,6 +28,7 @@ from vesselnav.registration import (
     reprojection_rmse,
     solve,
 )
+from vesselnav.simulator import initial_wire
 from vesselnav.vessel_model import PhantomSpec, generate_phantom, resample_centerlines
 
 from geometry_reference import pose_matrix
@@ -29,6 +36,7 @@ from registration_reference import (
     _dense_jacobian,
     _dense_residuals,
     _fd_jacobian,
+    brute_force_transform,
     eval_objective,
     rasterized,
     reference_distance,
@@ -475,8 +483,76 @@ class TestProblemConstruction:
         cam = CameraModel.standard(width=40, height=30)
         pts = np.random.default_rng(3).uniform(-5, 5, (8, 3))
         pose = Pose(np.eye(3), np.array([0.0, 0.0, 800.0]))
-        q = np.array([[-0.6, 3.0], [39.4, 29.4], [40.0, 5.0], [np.nan, 2.0], [7.0, -3.0]])
-        prob = RegistrationProblem(pts, q, cam, pose)
-        assert np.argwhere(prob.dist_map == 0.0).tolist() == [[29, 39]]
-        with pytest.raises(ValueError, match="on the image"):
-            RegistrationProblem(pts, q[[0, 2, 3, 4]], cam, pose)
+        q = np.array(
+            [[-0.6, 3.0], [39.4, 29.4], [40.0, 5.0], [np.nan, 2.0], [7.0, -3.0],
+             [1e20, 5.0], [5.0, -1e20], [np.inf, 4.0], [3.0, -np.inf]]
+        )
+        # Far finite points drop before any cast to an integer, which would
+        # overflow and warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = RegistrationProblem(pts, q, cam, pose)
+            assert np.argwhere(prob.dist_map == 0.0).tolist() == [[29, 39]]
+            with pytest.raises(ValueError, match="on the image"):
+                RegistrationProblem(pts, np.delete(q, 1, axis=0), cam, pose)
+
+    def test_non_square_camera_binds_a_height_by_width_map(self):
+        cam = CameraModel.standard(width=96, height=64)
+        pts = np.random.default_rng(4).uniform(-5, 5, (8, 3))
+        q = np.array([[0.0, 0.0], [95.0, 10.0], [40.4, 63.0], [12.6, 31.5]])
+        prob = RegistrationProblem(pts, q, cam, Pose(np.eye(3), np.array([0.0, 0.0, 800.0])))
+        feature = np.zeros((64, 96), dtype=bool)
+        feature[[0, 10, 63, 32], [0, 95, 40, 13]] = True
+        assert prob.dist_map.shape == (64, 96)
+        assert np.array_equal(prob.dist_map.view(np.int64), brute_force_transform(feature).view(np.int64))
+
+
+class TestDistanceTransform:
+    """The separable transform is bit-for-bit the square root of the least
+    integer squared distance, which is also what scipy.ndimage returns."""
+
+    @staticmethod
+    def _assert_exact(feature):
+        got = _distance_transform(feature)
+        assert got.dtype == np.float64 and got.shape == feature.shape
+        assert np.array_equal(got.view(np.int64), brute_force_transform(feature).view(np.int64))
+
+    def test_random_masks_match_brute_force(self):
+        rng = np.random.default_rng(23)
+        for density in (0.0, 0.02, 0.1, 0.3, 0.7, 1.0):
+            for _ in range(6):
+                h, w = rng.integers(1, 65, 2)
+                feature = rng.random((h, w)) < density
+                feature[rng.integers(h), rng.integers(w)] = True  # 0.0: a single pixel
+                self._assert_exact(feature)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 64), (64, 1), (37, 53), (64, 64)], ids="{0[0]}x{0[1]}".format)
+    def test_full_row_and_full_column_match_brute_force(self, shape):
+        h, w = shape
+        row = np.zeros(shape, dtype=bool)
+        row[h // 3] = True
+        col = np.zeros(shape, dtype=bool)
+        col[:, w - 1] = True
+        self._assert_exact(row)
+        self._assert_exact(col)
+
+    def test_wide_image_in_64_bit_arithmetic_matches_brute_force(self):
+        # The chord test of x = 0, 1024, 2047 multiplies 2047^2 - 1024^2 by
+        # 1024, past the int32 range.
+        feature = np.zeros((1, 2048), dtype=bool)
+        feature[0, [0, 1024, 2047]] = True
+        self._assert_exact(feature)
+        self._assert_exact(np.vstack([feature, feature[:, ::-1]]))
+
+    def test_phantom_frame_matches_scipy(self):
+        tree = generate_phantom(PhantomSpec(), seed=11)
+        estimator = PerceptionEstimator(tree, (0, 20), EpisodeConfig(), np.random.default_rng(0))
+        polyline = np.array([tree.position(a) for a in initial_wire(tree, (0, 20)).body])
+        frame = estimator.renderer.render(polyline, noise=None, seed=estimator.rng)
+        q = skeleton_points(thin(segment_layers(frame)[0]))
+        cells = np.rint(q).astype(np.intp)
+        free = np.ones((512, 512), dtype=bool)
+        free[cells[:, 1], cells[:, 0]] = False
+        got = registration._distance_map(q, estimator.base_problem.cam.image_size)
+        assert len(q) > 1000
+        assert np.array_equal(got.view(np.int64), ndimage.distance_transform_edt(free).view(np.int64))
