@@ -9,6 +9,7 @@ after too many consecutive misses. One command is issued per control loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -80,6 +81,8 @@ class Navigator:
         self.params = params or NavigatorParams()
         self.rng = rng or np.random.default_rng(0)
         self.route = plan(tree, start, dest)
+        # on_path checks membership in this set instead of scanning the route.
+        self.route_set = frozenset(self.route)
         self.flag_back = True
         self.on_path_last = True
         self.miss_count = 0
@@ -90,9 +93,8 @@ class Navigator:
         self._last_back_addr: Address | None = None
 
     def reached(self, tip_position: np.ndarray) -> bool:
-        return float(np.linalg.norm(np.asarray(tip_position) - self.dest_position)) <= (
-            self.params.reach_threshold_mm
-        )
+        d = tip_position - self.dest_position
+        return math.sqrt(d.dot(d)) <= self.params.reach_threshold_mm
 
     def decide(self, tip_address: Address, tip_position: np.ndarray) -> ControlCommand | None:
         """One control decision; None once the tip is within reach of the target."""
@@ -100,7 +102,7 @@ class Navigator:
             return None
         p = self.params
         if self.flag_back:
-            tip_on = on_path(self.route, tip_address)
+            tip_on = on_path(self.route_set, tip_address)
             pinned = self._last_back_addr is not None and tuple(tip_address) == self._last_back_addr
             if tip_on and not pinned:
                 cmd = ControlCommand(-float(p.back_step), 0)
@@ -117,7 +119,7 @@ class Navigator:
                 self._replan(tip_address)
                 self.miss_count = 0
                 self.flag_back = True
-            tip_on = on_path(self.route, tip_address)
+            tip_on = on_path(self.route_set, tip_address)
             if tip_on:
                 self.miss_count = 0
                 if self.on_path_last:
@@ -132,6 +134,7 @@ class Navigator:
 
     def _replan(self, tip_address: Address) -> None:
         self.route = plan(self.tree, tip_address, self.dest)
+        self.route_set = frozenset(self.route)
         self.replans += 1
 
 
@@ -308,8 +311,9 @@ def run_episode(
 
     report = EpisodeReport(start=tuple(start), dest=tuple(dest), success=False, loops=0)
     for loop_index in range(config.max_loops):
-        tip_pos_true = true_tip(tree, wire)
         est = estimator.estimate(wire)
+        # An oracle estimate is the true tip itself.
+        tip_pos_true = est.position if config.oracle_perception else true_tip(tree, wire)
         if frame_sink is not None and est.frame is not None:
             cam = est.frame.cam
             route_pts = np.array([tree.position(a) for a in nav.route])
@@ -330,14 +334,15 @@ def run_episode(
         if cmd is None:
             report.success = True
             break
+        miss = est.position - tip_pos_true
         report.records.append(
             LoopRecord(
                 loop_index=loop_index,
                 command=cmd,
                 true_address=wire.tip,
                 estimated_address=tuple(est.address),
-                tip_error_mm=float(np.linalg.norm(np.asarray(est.position) - tip_pos_true)),
-                on_route=on_path(nav.route, est.address),
+                tip_error_mm=math.sqrt(miss.dot(miss)),
+                on_route=on_path(nav.route_set, est.address),
                 registration_rmse_px=est.rmse_px,
                 lift_pixel_error=est.lift_error_px,
                 tip_pixel_px=est.tip_px,

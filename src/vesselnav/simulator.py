@@ -1,20 +1,23 @@
 """Guidewire motion on the vessel grid.
 
-The wire body is the ordered list of tree addresses it occupies, from the
-insertion point to the tip. Commands carry a signed translation in grid steps
-and a rotation flag. Translation is applied first, consuming whole grid steps;
-rotation then advances the tip's rotation phase, which picks the outgoing
-option at junctions (children in attachment order, then the same-branch
-continuation). Retraction clamps at the insertion point.
+The wire body is the ordered tuple of tree addresses it occupies, from the
+insertion point to the tip. Commands carry a signed, finite translation in
+grid steps and a rotation flag. Translation is applied first, consuming whole
+grid steps; rotation then advances the tip's rotation phase, which picks the
+outgoing option at junctions. The options of each address (children in
+attachment order, then the same-branch continuation) are read from the
+tree's options table (``VesselTree.address_graph``). Retraction clamps at
+the insertion point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .planning import Address, advance_options, plan
+from .planning import Address, plan
 from .vessel_model import VesselTree
 
 _STEP_EPS = 1e-9
@@ -30,6 +33,8 @@ class ControlCommand:
     def __post_init__(self) -> None:
         if self.rotate not in (0, 1):
             raise ValueError("rotate flag must be 0 or 1")
+        if not math.isfinite(self.translate):
+            raise ValueError(f"translate = {self.translate!r} must be finite")
 
 
 @dataclass(frozen=True)
@@ -76,26 +81,29 @@ def step(
     rng: np.random.Generator,
     noise: ActuationNoise | None = None,
 ) -> GuidewireState:
-    """Apply one command. Consumes exactly two random variates per call so the
-    stream stays aligned regardless of the command content."""
+    """Apply one command. Consumes exactly two random variates per call, a
+    standard normal then a uniform, so the stream stays aligned regardless of
+    the command content."""
     noise = noise or ActuationNoise()
-    jitter = rng.normal(0.0, 1.0)
-    rot_roll = rng.uniform()
+    jitter = rng.standard_normal()
+    rot_roll = rng.random()
     moved = command.translate * (1.0 + noise.translation_jitter * jitter)
     steps = int(abs(moved) + _STEP_EPS)
-    body = list(state.body)
+    body = tuple(state.body)
     phase = state.rotation_phase
     if moved >= 0.0:
+        options = tree.address_graph().options
+        tip = body[-1]
+        grown = []
         for _ in range(steps):
-            options = advance_options(tree, body[-1])
-            if not options:
+            out = options[tip]
+            if not out:
                 break
-            body.append(options[phase % len(options)])
+            tip = out[phase % len(out)]
+            grown.append(tip)
+        body += tuple(grown)
     else:
-        for _ in range(steps):
-            if len(body) == 1:
-                break
-            body.pop()
+        body = body[: max(1, len(body) - steps)]
     if command.rotate == 1 and rot_roll >= noise.rotation_failure:
         phase += 1
-    return GuidewireState(tuple(body), phase)
+    return GuidewireState(body, phase)

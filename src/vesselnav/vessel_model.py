@@ -8,6 +8,7 @@ transitions contribute zero arc length. All coordinates are millimetres.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +51,21 @@ class Branch:
         return len(self.radii)
 
 
+class AddressGraph(NamedTuple):
+    """A tree's address graph as three tables keyed by (branch, index).
+
+    ``parent`` holds the address one step toward the root (None at the root's
+    first point) and ``depth`` the number of such steps to the root's first
+    point. ``options`` holds the addresses one step away from the root:
+    attached children in ``child_links`` order, then the same-branch
+    continuation; a child's first point is its attach point's option.
+    """
+
+    parent: dict[tuple[int, int], tuple[int, int] | None]
+    depth: dict[tuple[int, int], int]
+    options: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+
+
 class VesselTree:
     """Branches keyed by id, with a single root and acyclic parent links."""
 
@@ -57,6 +73,7 @@ class VesselTree:
         self.branches = branches
         self.root = root
         self._flat: tuple[np.ndarray, list[tuple[int, int]]] | None = None
+        self._graph: AddressGraph | None = None
         validate_tree(self)
 
     def position(self, address: tuple[int, int]) -> np.ndarray:
@@ -70,6 +87,30 @@ class VesselTree:
             rows = np.concatenate([self.branches[bid].positions for bid in ids])
             self._flat = (rows, [(bid, i) for bid in ids for i in range(len(self.branches[bid]))])
         return self._flat
+
+    def address_graph(self) -> AddressGraph:
+        """The parent, depth and options tables of every address, built on
+        first use by one walk from the root."""
+        if self._graph is None:
+            # One tuple per address, shared by every table that names it.
+            points = {bid: [(bid, i) for i in range(len(br))] for bid, br in self.branches.items()}
+            graph = AddressGraph({}, {}, {})
+            stack = [self.root]
+            while stack:
+                bid = stack.pop()
+                br = self.branches[bid]
+                up = None if br.parent_link is None else points[br.parent_link][br.attach_index]
+                depth = 0 if up is None else graph.depth[up] + 1
+                kids = [(self.branches[cid].attach_index, points[cid][0]) for cid in br.child_links]
+                row = points[bid]
+                for i, addr in enumerate(row):
+                    graph.parent[addr], graph.depth[addr], up = up, depth + i, addr
+                    # Children attached here, then the continuation (none at the end).
+                    ahead = tuple(row[i + 1 : i + 2])
+                    graph.options[addr] = tuple(child for at, child in kids if at == i) + ahead
+                stack.extend(br.child_links)
+            self._graph = graph
+        return self._graph
 
     def nearest_points(self, points3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance from each (m, 3) point to its nearest centerline point, and

@@ -31,7 +31,7 @@ from vesselnav.geometry import CameraModel, Pose, project, project_points, se3_e
 from vesselnav.lifting import lift
 from vesselnav.navigator import EpisodeConfig, Navigator, NavigatorParams, run_episode
 from vesselnav.perception import endpoint_candidates, otsu_threshold, thin
-from vesselnav.planning import address_depth, plan
+from vesselnav.planning import plan
 from vesselnav.registration import (
     RegistrationProblem,
     RegistrationState,
@@ -102,7 +102,8 @@ def test_criterion_2_route_lengths_match_dijkstra(capsys, monkeypatch):
             a, b = addrs[int(i)], addrs[int(j)]
             route, steps = counted(tree, a, b)
             assert route_length(tree, route) == dijkstra_route_length(tree, a, b)
-            assert steps <= address_depth(tree, a) + address_depth(tree, b)
+            depth = tree.address_graph().depth
+            assert steps <= depth[a] + depth[b]
             pairs += 1
     wall = time.perf_counter() - t0
     ok = pairs == 400 and wall < 30.0

@@ -181,6 +181,28 @@ class TestEpisodes:
 
         assert trace() == trace()
 
+    def test_oracle_standard_suite_is_pinned(self, tmp_path):
+        # (success, loops, replans) of the 25 oracle standard-suite episodes,
+        # read before the control loop moved onto the address tables; any
+        # change to planning, control or actuation shows here as a diff.
+        cfg = tmp_path / "standard.ini"
+        cfg.write_text(standard_config_text(oracle=True))
+        suite = parse_suite(cfg)
+        loops = {
+            "t1": [28, 22, 17, 16, 26],
+            "t2": [27, 14, 14, 15, 13],
+            "t3": [13, 22, 13, 14, 15],
+            "t4": [11, 12, 11, 13, 10],
+            "t5": [18, 29, 26, 25, 34],
+        }
+        got = {}
+        for task in suite.tasks:
+            got[task.name] = []
+            for seed in task.seeds:
+                r = run_episode(suite.tree, task.start, task.dest, seed=seed, config=suite.episode)
+                got[task.name].append((r.success, r.loops, r.replans))
+        assert got == {name: [(True, n, 1) for n in counts] for name, counts in loops.items()}
+
     def test_noise_free_actuation_still_succeeds(self):
         tree = generate_phantom(PhantomSpec(), seed=11)
         dest_branch = sorted(b for b, br in tree.branches.items() if not br.child_links)[1]
@@ -220,6 +242,25 @@ class TestPerceptionEstimator:
         assert est.rmse_px == want.registration_rmse_px
         assert est.lift_error_px == want.lift_pixel_error
         assert est.tip_px == want.tip_pixel_px
+
+    def test_registration_model_builds_no_address_tables(self, monkeypatch):
+        # The control tree plans and steps on its address tables; the
+        # registration model is only projected and lifted, so it never
+        # builds them.
+        models = []
+        real_resample = navigator.resample_centerlines
+
+        def resample_centerlines(tree, spacing):
+            models.append(real_resample(tree, spacing))
+            return models[-1]
+
+        monkeypatch.setattr(navigator, "resample_centerlines", resample_centerlines)
+        tree = generate_phantom(PhantomSpec(), seed=11)
+        report = run_episode(tree, (0, 20), (7, 25), seed=0, config=EpisodeConfig())
+        assert report.success and len(models) == 1
+        assert len(models[0].flat_points()[1]) == 873
+        assert tree._graph is not None
+        assert models[0]._graph is None
 
     def test_failed_lifts_hold_the_start_address(self, monkeypatch):
         # Every lift fails, so the estimate stays at the start address while

@@ -12,14 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from vesselnav.planning import (
-    AddressError,
-    address_depth,
-    advance_options,
-    on_path,
-    parent_address,
-    plan,
-)
+from vesselnav.planning import AddressError, on_path, plan
 from vesselnav.vessel_model import (
     Branch,
     PhantomSpec,
@@ -28,7 +21,7 @@ from vesselnav.vessel_model import (
     validate_tree,
 )
 
-from planning_reference import counted_plan, dijkstra_route_length, route_length
+from planning_reference import address_depth, counted_plan, dijkstra_route_length, route_length
 
 
 def _branch(positions, radius=1.5, parent=None, attach=None):
@@ -98,38 +91,50 @@ def oracle_root_path(tree, addr):
 
 class TestAddressing:
     def test_parent_steps(self):
-        tree = y_tree()
-        assert parent_address(tree, (0, 0)) is None
-        assert parent_address(tree, (0, 2)) == (0, 1)
-        assert parent_address(tree, (1, 0)) == (0, 1)
-        assert parent_address(tree, (2, 0)) == (0, 3)
+        parent = y_tree().address_graph().parent
+        assert parent[(0, 0)] is None
+        assert parent[(0, 2)] == (0, 1)
+        assert parent[(1, 0)] == (0, 1)
+        assert parent[(2, 0)] == (0, 3)
 
     def test_advance_options_invert_parent_address(self):
-        # The simulator and Dijkstra share this one neighbor function, so pin
-        # it against parent_address on every address of a full phantom.
+        # The simulator steps along the options table and plan climbs the
+        # parent table, so pin the two against each other on every address
+        # of a full phantom.
         tree = generate_phantom(PhantomSpec(), seed=11)
+        graph = tree.address_graph()
         _, addresses = tree.flat_points()
         assert len(addresses) == 444
+        assert set(graph.parent) == set(graph.options) == set(addresses)
         children = {a: set() for a in addresses}
         for b in addresses:
-            up = parent_address(tree, b)
+            up = graph.parent[b]
             if up is not None:
                 children[up].add(b)
         for a in addresses:
-            assert set(advance_options(tree, a)) == children[a]
+            assert set(graph.options[a]) == children[a]
 
     def test_depth_counts_parent_steps(self):
         tree = y_tree()
-        for addr in [(0, 0), (0, 3), (1, 0), (1, 2), (2, 1)]:
-            assert address_depth(tree, addr) == len(oracle_root_path(tree, addr)) - 1
+        depth = tree.address_graph().depth
+        assert len(depth) == 9
+        for addr in depth:
+            assert depth[addr] == address_depth(tree, addr) == len(oracle_root_path(tree, addr)) - 1
 
     def test_bad_addresses_rejected(self):
         tree = y_tree()
-        for addr in [(9, 0), (0, 4), (0, -1), (1, 3)]:
+        # A fractional index names no point, so it is not rounded to one.
+        for addr in [(9, 0), (0, 4), (0, -1), (1, 3), (0, 1.5), (0.5, 0), (0, float("nan"))]:
             with pytest.raises(AddressError):
                 plan(tree, addr, (0, 0))
             with pytest.raises(AddressError):
                 plan(tree, (0, 0), addr)
+
+    def test_integral_addresses_plan_as_ints(self):
+        tree = y_tree()
+        route = plan(tree, (np.int64(1), 2.0), (2, np.int64(1)))
+        assert route == plan(tree, (1, 2), (2, 1))
+        assert all(type(bid) is int and type(idx) is int for bid, idx in route)
 
 
 class TestPlanHandTree:
