@@ -51,31 +51,6 @@ class SuiteSpec:
     outdir: Path
 
 
-@dataclass
-class TaskResult:
-    task: TaskSpec
-    reports: list[EpisodeReport]
-
-    @property
-    def successes(self) -> int:
-        return sum(r.success for r in self.reports)
-
-    def successful_loops(self) -> list[int]:
-        return [r.loops for r in self.reports if r.success]
-
-    def loops_mean(self) -> float | None:
-        loops = self.successful_loops()
-        return float(np.mean(loops)) if loops else None
-
-    def loops_std(self) -> float | None:
-        loops = self.successful_loops()
-        if not loops:
-            return None
-        if len(loops) < 2:
-            return 0.0
-        return float(np.std(loops, ddof=1))
-
-
 def parse_address(text: str) -> Address:
     try:
         branch, _, index = text.strip().partition(":")
@@ -270,51 +245,46 @@ def _episode_log(task: TaskSpec, seed: int, report: EpisodeReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_text(suite: SuiteSpec, results: list[TaskResult]) -> str:
+def _task_summary(task: TaskSpec, reports: list[EpisodeReport]) -> dict:
+    """A task's ``summary.json`` row; loop statistics cover its successes."""
+    loops = [r.loops for r in reports if r.success]
+    mean = std = None
+    if loops:
+        mean = float(np.mean(loops))
+        std = float(np.std(loops, ddof=1)) if len(loops) > 1 else 0.0
+    return {
+        "name": task.name,
+        "start": list(task.start),
+        "dest": list(task.dest),
+        "seeds": list(task.seeds),
+        "successes": len(loops),
+        "trials": len(reports),
+        "loops": [r.loops for r in reports],
+        "loops_mean": mean,
+        "loops_std": std,
+    }
+
+
+def _summary_text(summary: dict) -> str:
     header = ["task", "start", "dest", "success", "loops_mean", "loops_std"]
     rows = [header]
-    for res in results:
+    for task in summary["tasks"]:
         rows.append(
             [
-                res.task.name,
-                _format_address(res.task.start),
-                _format_address(res.task.dest),
-                f"{res.successes}/{len(res.reports)}",
-                _fmt(res.loops_mean()),
-                _fmt(res.loops_std()),
+                task["name"],
+                _format_address(task["start"]),
+                _format_address(task["dest"]),
+                f"{task['successes']}/{task['trials']}",
+                _fmt(task["loops_mean"]),
+                _fmt(task["loops_std"]),
             ]
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = [f"suite {suite.name}"]
+    lines = [f"suite {summary['suite']}"]
     for row in rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    total = sum(res.successes for res in results)
-    trials = sum(len(res.reports) for res in results)
-    lines.append(f"total {total}/{trials}")
+    lines.append(f"total {summary['total_successes']}/{summary['total_trials']}")
     return "\n".join(lines) + "\n"
-
-
-def _summary_json(suite: SuiteSpec, results: list[TaskResult]) -> str:
-    payload = {
-        "suite": suite.name,
-        "tasks": [
-            {
-                "name": res.task.name,
-                "start": list(res.task.start),
-                "dest": list(res.task.dest),
-                "seeds": list(res.task.seeds),
-                "successes": res.successes,
-                "trials": len(res.reports),
-                "loops": [r.loops for r in res.reports],
-                "loops_mean": res.loops_mean(),
-                "loops_std": res.loops_std(),
-            }
-            for res in results
-        ],
-        "total_successes": sum(res.successes for res in results),
-        "total_trials": sum(len(res.reports) for res in results),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_pgm(path: Path, pixels: np.ndarray) -> None:
@@ -368,8 +338,9 @@ class _FrameDumper:
         (self.directory / f"frame_{loop_index:04d}.txt").write_text(_sidecar_text(loop_index, info))
 
 
-def run_suite(suite: SuiteSpec, dump_frames: Path | None = None) -> list[TaskResult]:
-    """Run every task x seed episode and write logs plus both summaries."""
+def run_suite(suite: SuiteSpec, dump_frames: Path | None = None) -> dict:
+    """Run every task x seed episode, write logs plus both summaries, and
+    return the summary that ``summary.json`` holds."""
     if dump_frames is not None:
         if suite.episode.oracle_perception:
             raise ConfigError("frame dumping needs full perception (oracle_perception = false)")
@@ -380,7 +351,7 @@ def run_suite(suite: SuiteSpec, dump_frames: Path | None = None) -> list[TaskRes
             raise ConfigError(f"--dump-frames directory {dump_frames} is not empty")
     episodes_dir = suite.outdir / "episodes"
     episodes_dir.mkdir(parents=True, exist_ok=True)
-    results = []
+    rows = []
     for task in suite.tasks:
         reports = []
         for seed in task.seeds:
@@ -393,10 +364,16 @@ def run_suite(suite: SuiteSpec, dump_frames: Path | None = None) -> list[TaskRes
             reports.append(report)
             log_path = episodes_dir / f"{task.name}-seed{seed}.log"
             log_path.write_text(_episode_log(task, seed, report))
-        results.append(TaskResult(task, reports))
-    (suite.outdir / "summary.txt").write_text(_summary_text(suite, results))
-    (suite.outdir / "summary.json").write_text(_summary_json(suite, results))
-    return results
+        rows.append(_task_summary(task, reports))
+    summary = {
+        "suite": suite.name,
+        "tasks": rows,
+        "total_successes": sum(row["successes"] for row in rows),
+        "total_trials": sum(row["trials"] for row in rows),
+    }
+    (suite.outdir / "summary.txt").write_text(_summary_text(summary))
+    (suite.outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return summary
 
 
 def standard_config_text(oracle: bool = True) -> str:
@@ -479,10 +456,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         suite = parse_suite(args.config, seed_offset=args.seed_offset)
         dump_dir = Path(args.dump_frames) if args.dump_frames else None
-        results = run_suite(suite, dump_frames=dump_dir)
-        total = sum(res.successes for res in results)
-        trials = sum(len(res.reports) for res in results)
-        print(f"suite {suite.name}: {total}/{trials} successes, output in {suite.outdir}")
+        summary = run_suite(suite, dump_frames=dump_dir)
+        total = f"{summary['total_successes']}/{summary['total_trials']}"
+        print(f"suite {suite.name}: {total} successes, output in {suite.outdir}")
         return 0
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

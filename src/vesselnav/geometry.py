@@ -1,4 +1,4 @@
-"""Rigid transforms, pinhole projection, and the SE(3) exponential.
+"""Rigid transforms, pinhole projection (``project_points``), and the SE(3) exponential.
 
 Conventions used throughout the package:
 
@@ -23,10 +23,6 @@ _EYE3 = np.eye(3)
 _ORTHONORMAL_TOL = 1e-9 + 1e-5 * _EYE3
 _EYE3.setflags(write=False)
 _ORTHONORMAL_TOL.setflags(write=False)
-
-
-class BehindCameraError(ValueError):
-    """Point has non-positive depth in the camera frame."""
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -136,19 +132,8 @@ class CameraModel:
         return 0.5 * (fx + fy) / depth
 
 
-def project(point3: np.ndarray, pose: Pose, cam: CameraModel) -> np.ndarray:
-    """Project one world point to pixel coordinates.
-
-    Raises BehindCameraError when the point has non-positive depth.
-    """
-    pix, depth = project_points(point3, pose, cam)
-    if depth[0] <= 0.0:
-        raise BehindCameraError(f"point at depth {depth[0]:.6g} is behind the camera")
-    return pix[0]
-
-
 def project_points(points3: np.ndarray, pose: Pose, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection.
+    """Project world points to pixel coordinates; a single point is row 0.
 
     Returns (pixels (N,2), depth (N,)). Rows with depth <= 0 hold NaN pixels;
     callers filter on depth instead of catching exceptions.

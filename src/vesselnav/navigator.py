@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import CameraModel, Pose, project, project_points
+from .geometry import CameraModel, Pose, project_points
 from .lifting import OffVesselError, lift
 from .perception import (
     FluoroFrame,
@@ -226,16 +226,16 @@ class PerceptionEstimator:
         self.view = frame_view_pose(tree, depth_mm=config.view_depth_mm)
         self.renderer = FrameRenderer(tree, self.view, cam)
         self.model = resample_centerlines(tree, config.spacing_mm)
-        self.base_problem = base = RegistrationProblem.from_tree(self.model, None, cam, self.view)
+        self.base_problem = base = RegistrationProblem.from_tree(self.model, cam, self.view)
         self.reference_px, _ = project_points(base.points3, base.pose_from_world(self.view), cam)
-        self.introducer_px = project(tree.position(INSERTION), self.view, cam)
+        self.introducer_px = project_points(tree.position(INSERTION), self.view, cam)[0][0]
         # The last solve's problem (bound to its frame), state, registered
         # pose and RMSE; estimate() holds them once a solve converges.
         self.problem = base
         self.reg_state: RegistrationState | None = None
         self.pose_world = self.view
         self.rmse = float("nan")
-        self.tip_track = TrackedEndpoint(project(tree.position(start), self.view, cam), 1.0)
+        self.tip_track = TrackedEndpoint(project_points(tree.position(start), self.view, cam)[0][0], 1.0)
         # The last lifted tip breaks lift's near-ties; the last estimate is
         # what a failed lift reports.
         self.previous3: np.ndarray | None = None
@@ -244,7 +244,7 @@ class PerceptionEstimator:
     def estimate(self, wire: GuidewireState) -> TipEstimate:
         polyline = np.array([self.tree.position(a) for a in wire.body])
         frame = self.renderer.render(polyline, noise=self.imaging_noise, seed=self.rng)
-        vessel_mask, wire_mask, _, wire_thresh = segment_layers(frame)
+        vessel_mask, wire_mask, _, _ = segment_layers(frame)
         # Camera and tree are static: frames are registered, each solved
         # cold from the last registered pose, until a solve converges; every
         # later frame holds that pose.
@@ -254,14 +254,9 @@ class PerceptionEstimator:
             self.reg_state = solve(self.problem)
             self.pose_world = self.problem.pose_to_world(self.reg_state.pose)
             self.rmse = reprojection_rmse(self.problem, self.reg_state, self.reference_px)
-        if wire_thresh is None:
-            candidates = np.empty((0, 2))
-        else:
-            candidates = endpoint_candidates(thin(wire_mask))
-            if len(candidates):
-                away = np.linalg.norm(candidates - self.introducer_px, axis=1) > INTRODUCER_MASK_PX
-                candidates = candidates[away]
-        self.tip_track = track(candidates, self.tip_track)
+        candidates = endpoint_candidates(thin(wire_mask))
+        away = np.linalg.norm(candidates - self.introducer_px, axis=1) > INTRODUCER_MASK_PX
+        self.tip_track = track(candidates[away], self.tip_track)
         tip_px = (float(self.tip_track.position2[0]), float(self.tip_track.position2[1]))
         try:
             lifted = lift(self.problem, self.reg_state, self.tip_track.position2, previous3=self.previous3)
@@ -322,7 +317,7 @@ def run_episode(
                 loop_index,
                 est.frame,
                 {
-                    "true_tip_px": project(tip_pos_true, estimator.view, cam),
+                    "true_tip_px": project_points(tip_pos_true, estimator.view, cam)[0][0],
                     "lifted_tip_px": np.asarray(est.tip_px, dtype=float),
                     "lifted_tip_mm": np.asarray(est.position, dtype=float),
                     "registration_rmse_px": float(est.rmse_px),

@@ -119,16 +119,18 @@ def _draw_capsules(canvas: np.ndarray, pix: np.ndarray, widths: np.ndarray, valu
     canvas[gy, gx] = np.minimum(canvas[gy, gx], value)
 
 
-def _polyline_layers(tree: VesselTree, pose: Pose, cam: CameraModel) -> np.ndarray:
-    w, h = cam.image_size
-    canvas = np.full((h, w), BACKGROUND_VALUE, dtype=np.uint8)
-    for bid in sorted(tree.branches):
-        br = tree.branches[bid]
-        pix, depth = project_points(br.positions, pose, cam)
-        widths = np.maximum(br.radii * cam.scale_px_per_mm(1.0) / np.maximum(depth, 1e-9), MIN_HALFWIDTH_PX)
-        widths[depth <= 0] = 0.0
-        _draw_capsules(canvas, pix, widths, VESSEL_VALUE)
-    return canvas
+def _draw_polyline(
+    canvas: np.ndarray, points3: np.ndarray, radius_mm: float | np.ndarray, pose: Pose, cam: CameraModel, value: int
+) -> None:
+    """Project a 3D polyline and draw its capsules of depth-scaled ``radius_mm``
+    (per point or shared); a point behind the camera has no width, a lone point is a dot."""
+    pix, depth = project_points(points3, pose, cam)
+    widths = np.maximum(radius_mm * cam.scale_px_per_mm(1.0) / np.maximum(depth, 1e-9), MIN_HALFWIDTH_PX)
+    widths[depth <= 0] = 0.0
+    if len(pix) == 1:
+        pix = np.vstack([pix, pix])
+        widths = np.append(widths, widths[-1])
+    _draw_capsules(canvas, pix, widths, value)
 
 
 def _check_wire_in_lumen(tree: VesselTree, wire: np.ndarray) -> None:
@@ -143,14 +145,18 @@ def _check_wire_in_lumen(tree: VesselTree, wire: np.ndarray) -> None:
 
 
 class FrameRenderer:
-    """Renders frames for a fixed scene; the static vessel layer is cached.
-    Each polyline is one vectorized pass, byte-identical to a per-segment loop."""
+    """Renders frames for a fixed scene; the static vessel layer is cached. Each
+    branch and the wire is one ``_draw_polyline`` pass, byte-identical to a per-segment loop."""
 
     def __init__(self, tree: VesselTree, pose: Pose, cam: CameraModel):
         self.tree = tree
         self.pose = pose
         self.cam = cam
-        self._vessel_layer = _polyline_layers(tree, pose, cam)
+        w, h = cam.image_size
+        self._vessel_layer = np.full((h, w), BACKGROUND_VALUE, dtype=np.uint8)
+        for bid in sorted(tree.branches):
+            br = tree.branches[bid]
+            _draw_polyline(self._vessel_layer, br.positions, br.radii, pose, cam, VESSEL_VALUE)
 
     def render(
         self,
@@ -162,15 +168,7 @@ class FrameRenderer:
         if wire is not None and len(wire) > 0:
             wire = np.asarray(wire, dtype=float).reshape(-1, 3)
             _check_wire_in_lumen(self.tree, wire)
-            pix, depth = project_points(wire, self.pose, self.cam)
-            widths = np.maximum(
-                WIRE_RADIUS_MM * self.cam.scale_px_per_mm(1.0) / np.maximum(depth, 1e-9), MIN_HALFWIDTH_PX
-            )
-            widths[depth <= 0] = 0.0
-            if len(pix) == 1:
-                pix = np.vstack([pix, pix])
-                widths = np.append(widths, widths[-1])
-            _draw_capsules(canvas, pix, widths, WIRE_VALUE)
+            _draw_polyline(canvas, wire, WIRE_RADIUS_MM, self.pose, self.cam, WIRE_VALUE)
         if noise is not None and noise.imaging_std > 0.0:
             rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
             # one float buffer: the rounded draw plus the canvas, clipped
@@ -227,7 +225,7 @@ def segment_layers(frame: FluoroFrame) -> tuple[np.ndarray, np.ndarray, int, int
     The first Otsu pass separates the dark foreground from the background; the
     second pass runs on the foreground population only. When the foreground is
     effectively unimodal (mean separation below ``MIN_WIRE_CONTRAST`` gray
-    levels) no instrument is reported.
+    levels) no instrument is reported and the wire mask is all False.
 
     Returns (vessel_mask, wire_mask, threshold1, threshold2-or-None).
     """

@@ -102,11 +102,10 @@ class RegistrationProblem:
     @staticmethod
     def from_tree(
         tree: VesselTree,
-        points2: np.ndarray | None,
         cam: CameraModel,
         init_pose_world: Pose,
     ) -> "RegistrationProblem":
-        """Build a problem over every centerline point of the tree.
+        """Build a problem over every centerline point of the tree, bound to no frame.
 
         ``init_pose_world`` maps tree coordinates to the camera frame; it is
         converted to act on centered points internally.
@@ -116,7 +115,7 @@ class RegistrationProblem:
         centered = world - center
         return RegistrationProblem(
             centered,
-            points2,
+            None,
             cam,
             _pose_from_world(init_pose_world, center),
             addresses=addresses,

@@ -88,11 +88,12 @@ def step(
     jitter = rng.standard_normal()
     rot_roll = rng.random()
     moved = command.translate * (1.0 + noise.translation_jitter * jitter)
-    steps = int(abs(moved) + _STEP_EPS)
+    options = tree.address_graph().options
+    # No path is longer than the address count, so the cap only keeps inf out of int().
+    steps = int(min(abs(moved) + _STEP_EPS, len(options)))
     body = tuple(state.body)
     phase = state.rotation_phase
     if moved >= 0.0:
-        options = tree.address_graph().options
         tip = body[-1]
         grown = []
         for _ in range(steps):

@@ -163,9 +163,19 @@ def validate_tree(tree: VesselTree) -> None:
 # phantom generation
 
 
+# Shared by every phantom: root and minimum lumen radius (mm), the child to
+# parent radius ratio, bend-rate and branching-angle ranges, out-of-slab squash.
+ROOT_RADIUS_MM = 2.6
+RADIUS_DECAY = 0.72
+MIN_RADIUS_MM = 0.9
+CURVATURE_DEG_PER_MM = (0.4, 1.6)
+BRANCH_ANGLE_DEG = (28.0, 52.0)
+SLAB_FLATTEN = 0.35
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Parameters for the synthetic tree generator.
+    """What varies between synthetic trees; the constants above fix the rest.
 
     ``depth`` counts levels including the root. ``branching`` children are
     attached at the end of every branch above the deepest level.
@@ -174,13 +184,7 @@ class PhantomSpec:
     depth: int = 4
     branching: int = 2
     segment_length: tuple[float, float] = (22.0, 34.0)
-    root_radius: float = 2.6
-    radius_decay: float = 0.72
-    min_radius: float = 0.9
-    curvature_deg_per_mm: tuple[float, float] = (0.4, 1.6)
-    branch_angle_deg: tuple[float, float] = (28.0, 52.0)
     step_mm: float = 1.0
-    slab_flatten: float = 0.35
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -190,10 +194,6 @@ class PhantomSpec:
         lo, hi = self.segment_length
         if not (0.0 < lo <= hi):
             raise ValueError("segment_length range must be positive and ordered")
-        if not (0.0 < self.min_radius <= self.root_radius):
-            raise ValueError("radii must satisfy 0 < min_radius <= root_radius")
-        if not (0.0 < self.radius_decay <= 1.0):
-            raise ValueError("radius_decay must lie in (0, 1]")
         if not self.step_mm > 0.0:
             raise ValueError("step_mm must be positive")
 
@@ -225,13 +225,13 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> VesselTree:
 
     def grow(start: np.ndarray, direction: np.ndarray, radius: float) -> int:
         length = float(rng.uniform(*spec.segment_length))
-        curv = float(np.deg2rad(rng.uniform(*spec.curvature_deg_per_mm)))
+        curv = float(np.deg2rad(rng.uniform(*CURVATURE_DEG_PER_MM)))
         u, w = _perp_basis(direction)
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         bend_axis = _unit(np.cos(phase) * u + np.sin(phase) * w)
         n_steps = max(2, int(np.ceil(length / spec.step_mm)))
         step = length / n_steps
-        tip_radius = max(spec.min_radius, radius * 0.85)
+        tip_radius = max(MIN_RADIUS_MM, radius * 0.85)
         pos = start.copy()
         d = direction.copy()
         positions = [pos]
@@ -245,7 +245,7 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> VesselTree:
         return bid
 
     root_dir = _unit(np.array([0.15, 1.0, 0.1]))
-    root = grow(np.zeros(3), root_dir, spec.root_radius)
+    root = grow(np.zeros(3), root_dir, ROOT_RADIUS_MM)
     frontier = [(root, 1)]
     while frontier:
         pid, level = frontier.pop(0)
@@ -256,14 +256,14 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> VesselTree:
         end_dir = _unit(end - parent.positions[-2])
         u, w = _perp_basis(end_dir)
         base_azimuth = float(rng.uniform(0.0, 2.0 * np.pi))
-        child_radius = max(spec.min_radius, parent.radii[-1] * spec.radius_decay)
+        child_radius = max(MIN_RADIUS_MM, parent.radii[-1] * RADIUS_DECAY)
         for c in range(spec.branching):
-            polar = float(np.deg2rad(rng.uniform(*spec.branch_angle_deg)))
+            polar = float(np.deg2rad(rng.uniform(*BRANCH_ANGLE_DEG)))
             azimuth = base_azimuth + 2.0 * np.pi * c / spec.branching + float(rng.uniform(-0.25, 0.25))
             lateral = np.cos(azimuth) * u + np.sin(azimuth) * w
             d = _unit(np.cos(polar) * end_dir + np.sin(polar) * lateral)
             # Squash out-of-slab growth so the tree stays inside the field of view.
-            d = _unit(d * np.array([1.0, 1.0, spec.slab_flatten]))
+            d = _unit(d * np.array([1.0, 1.0, SLAB_FLATTEN]))
             cid = grow(end, d, child_radius)
             branches[cid].parent_link = pid
             branches[cid].attach_index = len(parent) - 1

@@ -27,7 +27,7 @@ from test_perception import (
     random_image,
 )
 from vesselnav.cli import parse_suite, run_suite, standard_config_text
-from vesselnav.geometry import CameraModel, Pose, project, project_points, se3_exp
+from vesselnav.geometry import CameraModel, Pose, project_points, se3_exp
 from vesselnav.lifting import lift
 from vesselnav.navigator import EpisodeConfig, Navigator, NavigatorParams, run_episode
 from vesselnav.perception import endpoint_candidates, otsu_threshold, thin
@@ -59,11 +59,11 @@ def test_criterion_1_standard_suite_oracle_navigation(tmp_path, capsys):
     cfg.write_text(standard_config_text(oracle=True))
     suite = dataclasses.replace(parse_suite(cfg), outdir=tmp_path / "run")
     t0 = time.perf_counter()
-    results = run_suite(suite)
+    summary = run_suite(suite)
     wall = time.perf_counter() - t0
     episodes = sum(len(t.seeds) for t in suite.tasks)
-    wins = sum(r.successes for r in results)
-    means = [r.loops_mean() for r in results]
+    wins = summary["total_successes"]
+    means = [task["loops_mean"] for task in summary["tasks"]]
     ok = (
         episodes == 25
         and wins == 25
@@ -120,7 +120,7 @@ def test_criterion_3_registration_recovery_and_jacobian(capsys):
     dense = resample_centerlines(tree, 0.25)
     pts, _ = dense.flat_points()
     world = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]) - pts.mean(axis=0))
-    prob0 = RegistrationProblem.from_tree(dense, None, cam, world)
+    prob0 = RegistrationProblem.from_tree(dense, cam, world)
     true_c = prob0.pose_from_world(world)
     pix, depth = project_points(prob0.points3, true_c, cam)
     assert np.all(depth > 0)
@@ -166,7 +166,7 @@ def test_criterion_4_lifting_bound_and_closed_loop(capsys):
     pts, _ = tree.flat_points()
     view = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]) - pts.mean(axis=0))
     model = resample_centerlines(tree, 0.5)
-    prob = RegistrationProblem.from_tree(model, None, cam, view)
+    prob = RegistrationProblem.from_tree(model, cam, view)
     state = RegistrationState(prob.pose_from_world(view), 2.0)
 
     route = plan(tree, (0, 20), (11, 33))
@@ -174,7 +174,7 @@ def test_criterion_4_lifting_bound_and_closed_loop(capsys):
     prev3 = None
     for addr in route:
         true3 = tree.position(addr)
-        tip2 = project(true3, view, cam)
+        tip2 = project_points(true3, view, cam)[0][0]
         lifted = lift(prob, state, tip2, previous3=prev3)
         err = float(np.linalg.norm(lifted.position3 - true3))
         held += err <= lateral_error_bound(radius_at(model, lifted.address), 0.5)

@@ -148,25 +148,25 @@ class TestParsing:
 class TestRunSuite:
     def test_oracle_suite_outputs(self, tmp_path):
         suite = parse_suite(write_config(tmp_path, ORACLE_SMALL))
-        results = run_suite(suite)
-        assert [r.successes for r in results] == [2, 2]
+        returned = run_suite(suite)
+        assert [task["successes"] for task in returned["tasks"]] == [2, 2]
         out = tmp_path / "out"
         logs = sorted(p.name for p in (out / "episodes").iterdir())
         assert logs == ["a-seed0.log", "a-seed1.log", "b-seed0.log", "b-seed1.log"]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["total_successes"] == 4
         assert summary["total_trials"] == 4
+        assert returned == summary
 
     def test_trivial_task_zero_loops(self, tmp_path):
         config = ORACLE_SMALL.replace("dest = 7:25", "dest = 0:20").replace(
             "dest = 8:33", "dest = 0:20"
         )
         suite = parse_suite(write_config(tmp_path, config))
-        results = run_suite(suite)
-        for res in results:
-            assert res.successes == 2
-            assert res.loops_mean() == 0.0
-            assert res.loops_std() == 0.0
+        for task in run_suite(suite)["tasks"]:
+            assert task["successes"] == 2
+            assert task["loops_mean"] == 0.0
+            assert task["loops_std"] == 0.0
 
     def test_summary_recomputable_from_logs(self, tmp_path):
         suite = parse_suite(write_config(tmp_path, ORACLE_SMALL))
@@ -198,11 +198,63 @@ class TestRunSuite:
         second = {p.name: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
         assert first == second
 
+    def test_summary_of_no_one_and_two_successes(self, tmp_path, capsys):
+        # At max_loops = 20 both seeds of "none" run out of loops (29 and 26
+        # loops when uncut), one seed of "one" does (28; the other takes 17),
+        # and both seeds of "two" finish (11 and 12).
+        config = """\
+[suite]
+name = mixed
+outdir = {outdir}
+
+[phantom]
+seed = 11
+
+[solver]
+oracle_perception = true
+max_loops = 20
+
+[task:none]
+start = 0:20
+dest = 11:33
+seeds = 1,2
+
+[task:one]
+start = 0:20
+dest = 7:25
+seeds = 0,2
+
+[task:two]
+start = 0:20
+dest = 10:30
+seeds = 0,1
+"""
+        assert main(["run", "--config", str(write_config(tmp_path, config))]) == 0
+        out = tmp_path / "out"
+        assert capsys.readouterr().out == f"suite mixed: 3/6 successes, output in {out}\n"
+        std = float(np.std([11, 12], ddof=1))
+        summary = json.loads((out / "summary.json").read_text())
+        keys = ("successes", "trials", "loops", "loops_mean", "loops_std")
+        got = {t["name"]: tuple(t[k] for k in keys) for t in summary["tasks"]}
+        assert got == {
+            "none": (0, 2, [20, 20], None, None),
+            "one": (1, 2, [20, 17], 17.0, 0.0),
+            "two": (2, 2, [11, 12], 11.5, std),
+        }
+        assert (summary["total_successes"], summary["total_trials"]) == (3, 6)
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[0] == "suite mixed" and lines[-1] == "total 3/6"
+        assert lines[1].split() == ["task", "start", "dest", "success", "loops_mean", "loops_std"]
+        assert [line.split() for line in lines[2:-1]] == [
+            ["none", "0:20", "11:33", "0/2", "-", "-"],
+            ["one", "0:20", "7:25", "1/2", "17.0", "0.0"],
+            ["two", "0:20", "10:30", "2/2", "11.5", repr(std)],
+        ]
+
     def test_unsuccessful_episode_is_data_not_error(self, tmp_path):
         config = ORACLE_SMALL.replace("[solver]", "[solver]\nmax_loops = 1")
         suite = parse_suite(write_config(tmp_path, config))
-        results = run_suite(suite)
-        assert all(res.successes == 0 for res in results)
+        assert all(task["successes"] == 0 for task in run_suite(suite)["tasks"])
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "0/2" in summary
         assert summary.endswith("total 0/4\n")

@@ -9,10 +9,8 @@ import pytest
 from scipy.linalg import expm
 
 from vesselnav.geometry import (
-    BehindCameraError,
     CameraModel,
     Pose,
-    project,
     project_points,
     se3_exp,
     so3_exp,
@@ -106,14 +104,8 @@ class TestProjection:
         cam = CameraModel.standard()
         pose = Pose(np.eye(3), np.array([0.0, 0.0, 500.0]))
         point = np.array([10.0, -20.0, 100.0])
-        pix = project(point, pose, cam)
+        pix = project_points(point, pose, cam)[0][0]
         assert pix == pytest.approx([2500 * 10 / 600 + 256, 2500 * -20 / 600 + 256])
-
-    def test_behind_camera(self):
-        cam = CameraModel.standard()
-        pose = Pose(np.eye(3), np.zeros(3))
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.0, 0.0, -1.0]), pose, cam)
 
     def test_vectorized_matches_scalar(self):
         cam = CameraModel.standard()
@@ -123,7 +115,7 @@ class TestProjection:
         pix, depth = project_points(pts, pose, cam)
         for i in range(len(pts)):
             if depth[i] > 0:
-                assert np.allclose(pix[i], project(pts[i], pose, cam), atol=1e-12)
+                assert np.allclose(pix[i], project_points(pts[i], pose, cam)[0][0], atol=1e-12)
 
     def test_negative_depth_rows_are_nan(self):
         cam = CameraModel.standard()

@@ -50,7 +50,7 @@ def view_pose():
 
 def problem_for(tree, pose):
     # Lifting reads no frame, so none is bound.
-    return RegistrationProblem.from_tree(tree, None, CAM, pose)
+    return RegistrationProblem.from_tree(tree, CAM, pose)
 
 
 def rigid_state(prob):
@@ -129,7 +129,7 @@ class TestEpisodeBound:
         spacing = 0.5
         model = resample_centerlines(tree, spacing)
         pose = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]))
-        prob = RegistrationProblem.from_tree(model, None, CAM, pose)
+        prob = RegistrationProblem.from_tree(model, CAM, pose)
         state = rigid_state(prob)
         wire = initial_wire(tree, (0, 2))
         rng = np.random.default_rng(3)

@@ -16,7 +16,7 @@ import pytest
 from scipy import ndimage
 
 from vesselnav import perception
-from vesselnav.geometry import CameraModel, project
+from vesselnav.geometry import CameraModel, project_points
 from vesselnav.perception import (
     BACKGROUND_VALUE,
     LUMEN_TOLERANCE_MM,
@@ -434,7 +434,7 @@ class TestRenderer:
 
     def test_view_pose_centres_tree(self):
         centroid = self.tree.flat_points()[0].mean(axis=0)
-        assert np.allclose(project(centroid, self.pose, self.cam), [256.0, 256.0])
+        assert np.allclose(project_points(centroid, self.pose, self.cam)[0][0], [256.0, 256.0])
 
     def test_wire_must_stay_in_lumen(self):
         wire = self.tree.flat_points()[0][:3] + np.array([40.0, 0.0, 0.0])
@@ -599,5 +599,5 @@ class TestRenderer:
         assert t2 is not None
         ends = endpoint_candidates(thin(wire_mask))
         assert len(ends) >= 2
-        tip_px = project(wire[-1], self.pose, self.cam)
+        tip_px = project_points(wire[-1], self.pose, self.cam)[0][0]
         assert np.linalg.norm(ends - tip_px, axis=1).min() <= 3.0

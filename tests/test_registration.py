@@ -202,7 +202,7 @@ def scene():
     dense = resample_centerlines(tree, 0.25)
     pts, _ = dense.flat_points()
     world = Pose(np.eye(3), np.array([0.0, 0.0, 820.0]) - pts.mean(axis=0))
-    prob0 = RegistrationProblem.from_tree(dense, None, cam, world)
+    prob0 = RegistrationProblem.from_tree(dense, cam, world)
     true_c = prob0.pose_from_world(world)
     pix, depth = project_points(prob0.points3, true_c, cam)
     assert np.all(depth > 0)
@@ -434,7 +434,7 @@ class TestProblemConstruction:
         tree = generate_phantom(PhantomSpec(depth=3), seed=5)
         cam = CameraModel.standard()
         world = Pose(np.eye(3), np.array([0.0, 0.0, 800.0]))
-        prob = RegistrationProblem.from_tree(tree, None, cam, world)
+        prob = RegistrationProblem.from_tree(tree, cam, world)
         assert prob.dist_map is None
         assert np.allclose(prob.points3.mean(axis=0), 0.0, atol=1e-9)
         pts, _ = tree.flat_points()
@@ -444,7 +444,7 @@ class TestProblemConstruction:
         tree = generate_phantom(PhantomSpec(depth=3), seed=5)
         cam = CameraModel.standard()
         world = Pose(np.eye(3), np.array([1.0, -2.0, 800.0]))
-        prob = RegistrationProblem.from_tree(tree, None, cam, world)
+        prob = RegistrationProblem.from_tree(tree, cam, world)
         back = prob.pose_to_world(prob.pose_from_world(world))
         assert np.allclose(pose_matrix(back), pose_matrix(world), atol=1e-12)
         # centered and world poses must project a given tree point identically
@@ -463,7 +463,7 @@ class TestProblemConstruction:
         tree = generate_phantom(PhantomSpec(depth=3), seed=5)
         cam = CameraModel.standard()
         world = Pose(np.eye(3), np.array([0.0, 0.0, 800.0]))
-        prob = RegistrationProblem.from_tree(tree, None, cam, world)
+        prob = RegistrationProblem.from_tree(tree, cam, world)
         with pytest.raises(ValueError, match="no frame"):
             solve(prob)
         q = np.random.default_rng(1).uniform(0, 512, (200, 2))

@@ -210,6 +210,22 @@ class TestStepMotion:
         out = step(tree, wire_at(tree, (0, 1), phase=2), ControlCommand(1.0, 0), rng, ActuationNoise(0.0, 0.0))
         assert out.tip == (1, 0)
 
+    def test_jitter_overflow_to_infinity_moves_the_whole_way(self):
+        # At seed 3 the default jitter factor carries a finite +-1.7e308
+        # past the float range; the step is as long as any command that
+        # outruns every path: to the leaf, or back to the insertion point.
+        tree = generate_phantom(PhantomSpec(), seed=11)
+        jitter = np.random.default_rng(3).standard_normal()
+        assert np.isinf(1.7e308 * (1.0 + ActuationNoise().translation_jitter * jitter))
+        for translate, tip, length in [(1.7e308, (7, 25), 105), (-1.7e308, (0, 0), 1)]:
+            rng = np.random.default_rng(3)
+            out = step(tree, initial_wire(tree, (0, 5)), ControlCommand(translate, 0), rng)
+            assert out.tip == tip and len(out.body) == length
+            twin = np.random.default_rng(3)
+            twin.standard_normal()
+            twin.random()
+            assert rng.random() == twin.random()
+
 
 class TestRandomStream:
     def test_two_variates_per_call_in_fixed_order(self):

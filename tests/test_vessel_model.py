@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from vesselnav.vessel_model import (
+    MIN_RADIUS_MM,
+    ROOT_RADIUS_MM,
     Branch,
     PhantomSpec,
     TreeFormatError,
@@ -185,8 +187,8 @@ class TestPhantom:
                 gaps = np.linalg.norm(np.diff(br.positions, axis=0), axis=1)
                 assert np.all(gaps <= spec.step_mm + 1e-9)
                 radii = br.radii
-                assert np.all(radii >= spec.min_radius - 1e-12)
-                assert np.all(radii <= spec.root_radius + 1e-12)
+                assert np.all(radii >= MIN_RADIUS_MM - 1e-12)
+                assert np.all(radii <= ROOT_RADIUS_MM + 1e-12)
                 assert np.all(np.diff(radii) <= 1e-12)
 
     def test_spec_validation(self):
@@ -195,10 +197,6 @@ class TestPhantom:
             dict(branching=-1),
             dict(segment_length=(0.0, 5.0)),
             dict(segment_length=(10.0, 5.0)),
-            dict(min_radius=0.0),
-            dict(min_radius=5.0, root_radius=2.0),
-            dict(radius_decay=0.0),
-            dict(radius_decay=1.5),
             dict(step_mm=0.0),
         ]
         for kwargs in bad:
