@@ -35,29 +35,6 @@ def _skew(v: np.ndarray) -> np.ndarray:
     )
 
 
-def so3_exp(omega: np.ndarray) -> np.ndarray:
-    """Rotation matrix for an axis-angle vector."""
-    omega = np.asarray(omega, dtype=float)
-    theta = float(np.linalg.norm(omega))
-    k = _skew(omega)
-    if theta < _SMALL_ANGLE:
-        # Second order Taylor expansion keeps orthonormality to machine precision.
-        return np.eye(3) + k + 0.5 * (k @ k)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * k + b * (k @ k)
-
-
-def _so3_left_jacobian(omega: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(omega))
-    k = _skew(omega)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) + 0.5 * k + (k @ k) / 6.0
-    b = (1.0 - np.cos(theta)) / (theta * theta)
-    c = (theta - np.sin(theta)) / (theta ** 3)
-    return np.eye(3) + b * k + c * (k @ k)
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform with a 3x3 rotation and a 3-vector translation."""
@@ -85,10 +62,24 @@ class Pose:
 
 
 def se3_exp(xi: np.ndarray) -> Pose:
-    """Pose for a twist ``[translation, rotation]``."""
+    """Pose for a twist ``[translation, rotation]``: the rotation's Rodrigues
+    formula and the translation through the SO(3) left Jacobian, both from
+    one angle, skew matrix and its square."""
     xi = np.asarray(xi, dtype=float).reshape(6)
     upsilon, omega = xi[:3], xi[3:]
-    return Pose(so3_exp(omega), _so3_left_jacobian(omega) @ upsilon)
+    theta = float(np.linalg.norm(omega))
+    k = _skew(omega)
+    kk = k @ k
+    if theta < _SMALL_ANGLE:
+        # Second order Taylor expansions keep orthonormality to machine precision.
+        rotation = np.eye(3) + k + 0.5 * kk
+        jacobian = np.eye(3) + 0.5 * k + kk / 6.0
+    else:
+        sin = np.sin(theta)
+        b = (1.0 - np.cos(theta)) / (theta * theta)
+        rotation = np.eye(3) + (sin / theta) * k + b * kk
+        jacobian = np.eye(3) + b * k + ((theta - sin) / (theta ** 3)) * kk
+    return Pose(rotation, jacobian @ upsilon)
 
 
 @dataclass(frozen=True)
@@ -136,12 +127,15 @@ def project_points(points3: np.ndarray, pose: Pose, cam: CameraModel) -> tuple[n
     """Project world points to pixel coordinates; a single point is row 0.
 
     Returns (pixels (N,2), depth (N,)). Rows with depth <= 0 hold NaN pixels;
-    callers filter on depth instead of catching exceptions.
+    callers filter on depth instead of catching exceptions. When every point
+    is in front, the same division runs on all rows without the mask.
     """
     z = pose.apply(np.asarray(points3, dtype=float).reshape(-1, 3))
     h = z @ cam.intrinsics[:, :3].T + cam.intrinsics[:, 3]
     depth = h[:, 2].copy()
-    pix = np.full((len(h), 2), np.nan)
     ok = depth > 0.0
+    if ok.all():
+        return h[:, :2] / depth[:, None], depth
+    pix = np.full((len(h), 2), np.nan)
     pix[ok] = h[ok, :2] / depth[ok, None]
     return pix, depth

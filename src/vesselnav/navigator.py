@@ -225,6 +225,9 @@ class PerceptionEstimator:
         cam = config.camera
         self.view = frame_view_pose(tree, depth_mm=config.view_depth_mm)
         self.renderer = FrameRenderer(tree, self.view, cam)
+        # every wire point is a centerline point: its flat_points() row, by address
+        self._rows, addresses = tree.flat_points()
+        self._row_of = {a: i for i, a in enumerate(addresses)}
         self.model = resample_centerlines(tree, config.spacing_mm)
         self.base_problem = base = RegistrationProblem.from_tree(self.model, cam, self.view)
         self.reference_px, _ = project_points(base.points3, base.pose_from_world(self.view), cam)
@@ -242,7 +245,7 @@ class PerceptionEstimator:
         self.position = tree.position(start)
 
     def estimate(self, wire: GuidewireState) -> TipEstimate:
-        polyline = np.array([self.tree.position(a) for a in wire.body])
+        polyline = self._rows[[self._row_of[a] for a in wire.body]]
         frame = self.renderer.render(polyline, noise=self.imaging_noise, seed=self.rng)
         vessel_mask, wire_mask, _, _ = segment_layers(frame)
         # Camera and tree are static: frames are registered, each solved

@@ -16,10 +16,6 @@ from .geometry import CameraModel, Pose, project_points
 from .vessel_model import VesselTree
 
 
-class SimulationIntegrityError(RuntimeError):
-    """The instrument polyline left every vessel lumen."""
-
-
 class ConstantImageError(ValueError):
     """Otsu thresholding is undefined for a constant image."""
 
@@ -42,7 +38,6 @@ VESSEL_VALUE = 150
 WIRE_VALUE = 30
 WIRE_RADIUS_MM = 0.3
 MIN_HALFWIDTH_PX = 0.7
-LUMEN_TOLERANCE_MM = 1.5
 
 
 @dataclass
@@ -133,23 +128,11 @@ def _draw_polyline(
     _draw_capsules(canvas, pix, widths, value)
 
 
-def _check_wire_in_lumen(tree: VesselTree, wire: np.ndarray) -> None:
-    dist, idx = tree.nearest_points(wire)
-    radii = np.concatenate([tree.branches[bid].radii for bid in sorted(tree.branches)])[idx]
-    bad = dist > radii + LUMEN_TOLERANCE_MM
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise SimulationIntegrityError(
-            f"instrument point {wire[k]} lies {dist[k]:.2f} mm from the nearest centerline, outside the lumen"
-        )
-
-
 class FrameRenderer:
     """Renders frames for a fixed scene; the static vessel layer is cached. Each
     branch and the wire is one ``_draw_polyline`` pass, byte-identical to a per-segment loop."""
 
     def __init__(self, tree: VesselTree, pose: Pose, cam: CameraModel):
-        self.tree = tree
         self.pose = pose
         self.cam = cam
         w, h = cam.image_size
@@ -166,8 +149,6 @@ class FrameRenderer:
     ) -> FluoroFrame:
         canvas = self._vessel_layer.copy()
         if wire is not None and len(wire) > 0:
-            wire = np.asarray(wire, dtype=float).reshape(-1, 3)
-            _check_wire_in_lumen(self.tree, wire)
             _draw_polyline(canvas, wire, WIRE_RADIUS_MM, self.pose, self.cam, WIRE_VALUE)
         if noise is not None and noise.imaging_std > 0.0:
             rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -225,28 +225,39 @@ class _Reading(NamedTuple):
 
 def _read(prob: RegistrationProblem, pose: Pose) -> _Reading:
     pix, depth = project_points(prob.points3, pose, prob.cam)
-    dist, grad = _bilinear(prob.dist_map, np.where(depth[:, None] > 0, pix, 0.0))
-    return _Reading(pix, depth, np.where(depth > 0, dist, 0.0), np.where(depth[:, None] > 0, grad, 0.0))
+    front = depth > 0
+    if front.all():
+        return _Reading(pix, depth, *_bilinear(prob.dist_map, pix))
+    dist, grad = _bilinear(prob.dist_map, np.where(front[:, None], pix, 0.0))
+    return _Reading(pix, depth, np.where(front, dist, 0.0), np.where(front[:, None], grad, 0.0))
 
 
 def _bilinear(dist_map: np.ndarray, pix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear value of the map at each (x, y) pixel and the exact gradient
     of that interpolant. A pixel off the map reads the value at the nearest
     map point plus its distance to that point, which keeps the value
-    continuous and an upper bound of the distance to the nearest image point."""
+    continuous and an upper bound of the distance to the nearest image point.
+    When every pixel is on the map, the same arithmetic runs without the
+    clip and the off-map terms."""
     h, w = dist_map.shape
-    near = np.clip(pix, 0.0, (w - 1.0, h - 1.0))
+    on_map = bool(np.all((pix >= 0.0) & (pix <= (w - 1.0, h - 1.0))))
+    near = pix if on_map else np.clip(pix, 0.0, (w - 1.0, h - 1.0))
     # floor of a non-negative value, with the last row and column read as
     # the far side of the cell before them
     x0 = np.minimum(near[:, 0].astype(np.intp), max(w - 2, 0))
     y0 = np.minimum(near[:, 1].astype(np.intp), max(h - 2, 0))
-    x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
     fx, fy = near[:, 0] - x0, near[:, 1] - y0
-    d00, d01 = dist_map[y0, x0], dist_map[y0, x1]
-    d10, d11 = dist_map[y1, x0], dist_map[y1, x1]
+    # the four corners as flat indices; a map one pixel wide (or high) reads
+    # its one column (or row) on both sides
+    flat, i = dist_map.ravel(), y0 * w + x0
+    right, down = int(w > 1), w * (h > 1)
+    d00, d01 = flat[i], flat[i + right]
+    d10, d11 = flat[i + down], flat[i + (down + right)]
     top = d00 + fx * (d01 - d00)
     bottom = d10 + fx * (d11 - d10)
     grad = np.column_stack((d01 - d00 + fy * (d11 - d10 - d01 + d00), bottom - top))
+    if on_map:
+        return top + fy * (bottom - top), grad
     off = pix - near
     extra = np.hypot(off[:, 0], off[:, 1])
     grad = np.where(off != 0.0, off / np.where(extra > 0.0, extra, 1.0)[:, None], grad)
@@ -282,31 +293,23 @@ def _surrogate_cost(cur: _Reading, weights: np.ndarray) -> float:
     return 0.5 * float(np.sum(weights * cur.dist * cur.dist, where=cur.depth > 0))
 
 
-def _pixel_jacobians(prob: RegistrationProblem, pose: Pose, cur: _Reading) -> np.ndarray:
-    """2x6 pose (twist) Jacobian of every pixel.
-
-    Rows behind the camera get zero blocks.
-    """
+def _distance_jacobian(prob: RegistrationProblem, pose: Pose, cur: _Reading) -> np.ndarray:
+    """(n, 6) C-ordered pose (twist) Jacobian of every point's map distance:
+    its pixel gradient times its 2x6 pixel Jacobian, built column by column;
+    zero rows behind the camera."""
     ok = cur.depth > 0
     m = prob.cam.intrinsics[:, :3] @ pose.rotation
-    pix = np.where(ok[:, None], cur.pix, 0.0)
+    pix = np.where(ok[:, None], cur.pix, 0.0).T
     inv_depth = np.divide(1.0, cur.depth, out=np.zeros(len(ok)), where=ok)
-    # d(pix)/dy = (M[:2] - pix outer M[2]) / depth with M = A R
-    h_blocks = (m[:2] - pix[:, :, None] * m[2]) * inv_depth[:, None, None]
-    g_blocks = np.empty((len(ok), 2, 6))
-    g_blocks[:, :, :3] = h_blocks
-    # rotation columns: -H skew(y), i.e. y x (each row of H)
-    y = prob.points3[:, None, :]
-    g_blocks[:, :, 3] = y[..., 1] * h_blocks[..., 2] - y[..., 2] * h_blocks[..., 1]
-    g_blocks[:, :, 4] = y[..., 2] * h_blocks[..., 0] - y[..., 0] * h_blocks[..., 2]
-    g_blocks[:, :, 5] = y[..., 0] * h_blocks[..., 1] - y[..., 1] * h_blocks[..., 0]
-    return g_blocks
-
-
-def _distance_jacobian(prob: RegistrationProblem, pose: Pose, cur: _Reading) -> np.ndarray:
-    """(n, 6) pose (twist) Jacobian of every point's map distance: its pixel
-    gradient times its pixel Jacobian; zero rows behind the camera."""
-    return np.einsum("nk,nkj->nj", cur.grad, _pixel_jacobians(prob, pose, cur))
+    y0, y1, y2 = prob.points3.T
+    blocks = []
+    for a in range(2):
+        # d(pix_a)/dy = (M[a] - pix_a M[2]) / depth with M = A R
+        h = [(m[a, b] - pix[a] * m[2, b]) * inv_depth for b in range(3)]
+        # rotation columns: -h skew(y), i.e. y x h
+        blocks.append([*h, y1 * h[2] - y2 * h[1], y2 * h[0] - y0 * h[2], y0 * h[1] - y1 * h[0]])
+    gx, gy = cur.grad.T
+    return np.column_stack([gx * jx + gy * jy for jx, jy in zip(*blocks)])
 
 
 def _normal_equations(prob, pose, cur, weights):

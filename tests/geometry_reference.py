@@ -1,5 +1,6 @@
 """Reference path for the geometry tests: the homogeneous 4x4 matrix of a
-pose."""
+pose, and a frozen SE(3) exponential that builds the rotation and the left
+Jacobian in two passes, each with its own angle and skew matrix."""
 
 import numpy as np
 
@@ -12,3 +13,33 @@ def pose_matrix(pose: Pose) -> np.ndarray:
     out[:3, :3] = pose.rotation
     out[:3, 3] = pose.translation
     return out
+
+
+def _skew(v):
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def _so3_exp(omega):
+    theta = float(np.linalg.norm(omega))
+    k = _skew(omega)
+    if theta < 1e-6:
+        return np.eye(3) + k + 0.5 * (k @ k)
+    a = np.sin(theta) / theta
+    b = (1.0 - np.cos(theta)) / (theta * theta)
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def _so3_left_jacobian(omega):
+    theta = float(np.linalg.norm(omega))
+    k = _skew(omega)
+    if theta < 1e-6:
+        return np.eye(3) + 0.5 * k + (k @ k) / 6.0
+    b = (1.0 - np.cos(theta)) / (theta * theta)
+    c = (theta - np.sin(theta)) / (theta ** 3)
+    return np.eye(3) + b * k + c * (k @ k)
+
+
+def two_pass_se3_exp(xi) -> tuple[np.ndarray, np.ndarray]:
+    """(rotation, translation) of the twist ``[translation, rotation]``."""
+    xi = np.asarray(xi, dtype=float).reshape(6)
+    return _so3_exp(xi[3:]), _so3_left_jacobian(xi[3:]) @ xi[:3]

@@ -12,6 +12,12 @@ solver's analytic Jacobian (``_dense_jacobian``) to be checked against.
 state, which the solver itself never evaluates. ``brute_force_transform``
 is the distance transform itself by brute force, for the exactness tests of
 the separable one.
+
+``masked_project_points``, ``masked_bilinear``, ``masked_read`` and
+``masked_distance_jacobian`` are frozen copies of the projection, map reading
+and Jacobian that apply every behind-camera and off-map mask to every row:
+the bit-exactness tests check that the solver's routines give the same
+floats, bit for bit.
 """
 
 import math
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vesselnav.geometry import project_points, se3_exp
+from vesselnav.geometry import CameraModel, Pose, project_points, se3_exp
 from vesselnav.registration import RegistrationProblem, RegistrationState, _distance_jacobian, _read
 
 
@@ -131,3 +137,59 @@ def _fd_jacobian(prob, pose, weights, eps=1e-6):
         j[:, c] = (hi - residual_at(tw)) / (2 * eps)
         same &= np.all(cell(tw) == base, axis=1)
     return j, same
+
+
+def masked_project_points(points3: np.ndarray, pose: Pose, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels and depths; every row goes through the NaN buffer and the
+    in-front gather."""
+    z = pose.apply(np.asarray(points3, dtype=float).reshape(-1, 3))
+    h = z @ cam.intrinsics[:, :3].T + cam.intrinsics[:, 3]
+    depth = h[:, 2].copy()
+    pix = np.full((len(h), 2), np.nan)
+    ok = depth > 0.0
+    pix[ok] = h[ok, :2] / depth[ok, None]
+    return pix, depth
+
+
+def masked_bilinear(dist_map: np.ndarray, pix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear value and gradient, every pixel clipped to the map and
+    charged its (possibly zero) distance off it."""
+    h, w = dist_map.shape
+    near = np.clip(pix, 0.0, (w - 1.0, h - 1.0))
+    x0 = np.minimum(near[:, 0].astype(np.intp), max(w - 2, 0))
+    y0 = np.minimum(near[:, 1].astype(np.intp), max(h - 2, 0))
+    x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+    fx, fy = near[:, 0] - x0, near[:, 1] - y0
+    d00, d01 = dist_map[y0, x0], dist_map[y0, x1]
+    d10, d11 = dist_map[y1, x0], dist_map[y1, x1]
+    top = d00 + fx * (d01 - d00)
+    bottom = d10 + fx * (d11 - d10)
+    grad = np.column_stack((d01 - d00 + fy * (d11 - d10 - d01 + d00), bottom - top))
+    off = pix - near
+    extra = np.hypot(off[:, 0], off[:, 1])
+    grad = np.where(off != 0.0, off / np.where(extra > 0.0, extra, 1.0)[:, None], grad)
+    return top + fy * (bottom - top) + extra, grad
+
+
+def masked_read(prob: RegistrationProblem, pose: Pose):
+    """(pix, depth, dist, grad) with the behind-camera masks on every row."""
+    pix, depth = masked_project_points(prob.points3, pose, prob.cam)
+    dist, grad = masked_bilinear(prob.dist_map, np.where(depth[:, None] > 0, pix, 0.0))
+    return pix, depth, np.where(depth > 0, dist, 0.0), np.where(depth[:, None] > 0, grad, 0.0)
+
+
+def masked_distance_jacobian(prob: RegistrationProblem, pose: Pose, pix, depth, grad) -> np.ndarray:
+    """(n, 6) distance Jacobian from (n, 2, 6) pixel Jacobian blocks contracted
+    with the pixel gradients by ``einsum``."""
+    ok = depth > 0
+    m = prob.cam.intrinsics[:, :3] @ pose.rotation
+    pix = np.where(ok[:, None], pix, 0.0)
+    inv_depth = np.divide(1.0, depth, out=np.zeros(len(ok)), where=ok)
+    h_blocks = (m[:2] - pix[:, :, None] * m[2]) * inv_depth[:, None, None]
+    g_blocks = np.empty((len(ok), 2, 6))
+    g_blocks[:, :, :3] = h_blocks
+    y = prob.points3[:, None, :]
+    g_blocks[:, :, 3] = y[..., 1] * h_blocks[..., 2] - y[..., 2] * h_blocks[..., 1]
+    g_blocks[:, :, 4] = y[..., 2] * h_blocks[..., 0] - y[..., 0] * h_blocks[..., 2]
+    g_blocks[:, :, 5] = y[..., 0] * h_blocks[..., 1] - y[..., 1] * h_blocks[..., 0]
+    return np.einsum("nk,nkj->nj", grad, g_blocks)

@@ -13,10 +13,9 @@ from vesselnav.geometry import (
     Pose,
     project_points,
     se3_exp,
-    so3_exp,
 )
 
-from geometry_reference import pose_matrix
+from geometry_reference import pose_matrix, two_pass_se3_exp
 
 
 def hat4(xi):
@@ -43,7 +42,7 @@ class TestSo3:
             for _ in range(20):
                 w = rng.normal(size=3) * scale
                 k = np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]])
-                assert np.allclose(so3_exp(w), expm(k), atol=1e-12)
+                assert np.allclose(se3_exp(np.r_[0.0, 0.0, 0.0, w]).rotation, expm(k), atol=1e-12)
 
 
 class TestSe3:
@@ -52,6 +51,19 @@ class TestSe3:
         for xi in random_twists(rng, 40):
             expected = expm(hat4(xi))
             assert np.allclose(pose_matrix(se3_exp(xi)), expected, atol=1e-10)
+
+    def test_exp_is_bit_identical_to_two_pass_exp(self):
+        # One angle, skew matrix and square serve both the rotation and the
+        # left Jacobian; the floats equal those of building each on its own,
+        # on both sides of the small-angle switch.
+        rng = np.random.default_rng(4)
+        for scale in [1.0, 1e-3, 1e-6, 1e-9]:
+            for xi in random_twists(rng, 20):
+                xi[3:] *= scale
+                pose = se3_exp(xi)
+                rotation, translation = two_pass_se3_exp(xi)
+                assert np.array_equal(pose.rotation, rotation)
+                assert np.array_equal(pose.translation, translation)
 
 
 class TestPose:

@@ -9,8 +9,6 @@ and the vectorized capsule rasterizer pixel for pixel with the per-segment
 loop it replaced (render_reference).
 """
 
-import re
-
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -19,14 +17,12 @@ from vesselnav import perception
 from vesselnav.geometry import CameraModel, project_points
 from vesselnav.perception import (
     BACKGROUND_VALUE,
-    LUMEN_TOLERANCE_MM,
     VESSEL_VALUE,
     WIRE_VALUE,
     ConstantImageError,
     FluoroFrame,
     FrameRenderer,
     NoiseSpec,
-    SimulationIntegrityError,
     TrackedEndpoint,
     endpoint_candidates,
     frame_view_pose,
@@ -436,11 +432,6 @@ class TestRenderer:
         centroid = self.tree.flat_points()[0].mean(axis=0)
         assert np.allclose(project_points(centroid, self.pose, self.cam)[0][0], [256.0, 256.0])
 
-    def test_wire_must_stay_in_lumen(self):
-        wire = self.tree.flat_points()[0][:3] + np.array([40.0, 0.0, 0.0])
-        with pytest.raises(SimulationIntegrityError):
-            self.renderer.render(wire)
-
     def test_single_point_wire_renders(self):
         wire = self.tree.position((0, 5)).reshape(1, 3)
         frame = self.renderer.render(wire)
@@ -560,29 +551,6 @@ class TestRenderer:
                 assert np.all(drawn == BACKGROUND_VALUE)
         drawn = assert_draw_matches_loop(shape, [(-1e12, 15.0), (1e12, 15.0)], [1.0, 1.0], VESSEL_VALUE)
         assert np.all(drawn[15] == VESSEL_VALUE) and np.all(drawn[[0, -1]] == BACKGROUND_VALUE)
-
-    def test_lumen_check_matches_nearest_point_scan(self):
-        # A point is outside when it lies farther than the nearest centerline
-        # point's radius plus the tolerance; the error names the first one.
-        points = self.tree.flat_points()[0]
-        radii = np.concatenate([self.tree.branches[b].radii for b in sorted(self.tree.branches)])
-        rng = np.random.default_rng(43)
-        offsets = rng.normal(size=(300, 3))
-        offsets *= rng.uniform(0.0, 6.0, size=(300, 1)) / np.linalg.norm(offsets, axis=1, keepdims=True)
-        wire = points[rng.integers(len(points), size=300)] + offsets
-        dist = np.linalg.norm(wire[:, None, :] - points[None, :, :], axis=2)
-        nearest = np.argmin(dist, axis=1)
-        outside = dist[np.arange(300), nearest] > radii[nearest] + LUMEN_TOLERANCE_MM
-        assert 0 < outside.sum() < 300
-        for point, out in zip(wire, outside):
-            if out:
-                with pytest.raises(SimulationIntegrityError):
-                    perception._check_wire_in_lumen(self.tree, point[None])
-            else:
-                perception._check_wire_in_lumen(self.tree, point[None])
-        k = int(np.argmax(outside))
-        with pytest.raises(SimulationIntegrityError, match=f"instrument point {re.escape(str(wire[k]))} lies"):
-            perception._check_wire_in_lumen(self.tree, wire)
 
     def test_frame_validation(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,8 @@ from vesselnav.perception import segment_layers, skeleton_points, thin
 from vesselnav.registration import (
     RegistrationProblem,
     RegistrationState,
+    _bilinear,
+    _distance_jacobian,
     _distance_transform,
     _normal_equations,
     _read,
@@ -38,6 +40,9 @@ from registration_reference import (
     _fd_jacobian,
     brute_force_transform,
     eval_objective,
+    masked_bilinear,
+    masked_distance_jacobian,
+    masked_read,
     rasterized,
     reference_distance,
 )
@@ -126,6 +131,92 @@ class TestJacobian:
             app, gp = _normal_equations(prob, pose, cur, weights)
             assert np.allclose(app, j.T @ j, atol=1e-9)
             assert np.allclose(gp, j.T @ rho, atol=1e-9)
+
+
+def assert_bit_exact(prob, pose, sigma=6.0):
+    """The solver's reading, Jacobian and normal equations at the pose equal,
+    bit for bit, those of the copies that mask every row."""
+    cur = _read(prob, pose)
+    pix, depth, dist, grad = masked_read(prob, pose)
+    for got, want in ((cur.pix, pix), (cur.depth, depth), (cur.dist, dist), (cur.grad, grad)):
+        assert np.array_equal(got, want, equal_nan=True)
+    rows = masked_distance_jacobian(prob, pose, pix, depth, grad)
+    got = _distance_jacobian(prob, pose, cur)
+    assert got.flags.c_contiguous and np.array_equal(got, rows)
+    weights = _weights(cur, sigma)
+    weighted = rows * weights[:, None]
+    app, gp = _normal_equations(prob, pose, cur, weights)
+    assert np.array_equal(app, weighted.T @ rows)
+    assert np.array_equal(gp, weighted.T @ dist)
+    return cur
+
+
+@pytest.fixture(scope="module")
+def phantom_frame():
+    """Frame 0 of the clean standard suite on phantom 11, bound to the
+    estimator's start pose, and its solve."""
+    tree = generate_phantom(PhantomSpec(), seed=11)
+    estimator = PerceptionEstimator(tree, (0, 20), EpisodeConfig(), np.random.default_rng(0))
+    polyline = np.array([tree.position(a) for a in initial_wire(tree, (0, 20)).body])
+    frame = estimator.renderer.render(polyline, noise=None, seed=estimator.rng)
+    q = skeleton_points(thin(segment_layers(frame)[0]))
+    prob = estimator.base_problem.with_frame(q, estimator.pose_world)
+    return prob, solve(prob)
+
+
+class TestBitExact:
+    def test_rows_behind_the_camera(self):
+        rng = np.random.default_rng(61)
+        behind = 0
+        for _ in range(20):
+            prob = small_problem(rng, n=30)
+            prob.points3[rng.choice(30, 5, replace=False), 2] = rng.uniform(-3000.0, -900.0, 5)
+            cur = assert_bit_exact(prob, random_state(prob, rng).pose)
+            behind += int(np.sum(cur.depth <= 0))
+        assert behind == 100
+
+    def test_pixels_off_the_map(self):
+        rng = np.random.default_rng(62)
+        off = 0
+        for _ in range(20):
+            prob = small_problem(rng, n=30)
+            prob.points3[:] = rng.uniform(-200.0, 200.0, (30, 3))
+            cur = assert_bit_exact(prob, random_state(prob, rng).pose)
+            off += int(np.sum(np.any((cur.pix < 0.0) | (cur.pix > 511.0), axis=1)))
+        assert 0 < off < 600
+
+    def test_pixels_on_the_last_row_and_column(self):
+        # At depth 2500 mm a point (X, Y, 0) projects exactly onto pixel
+        # (X + 256, Y + 256): these model points land on the map's corners
+        # and edges, where the bilinear cell is the one before the last.
+        cam = CameraModel.standard()
+        xy = [(255, 255), (255, -256), (-256, 255), (-256, -256), (255, 0), (0, 255), (100.5, 255), (255, -3.25)]
+        pts = np.array([[x, y, 0.0] for x, y in xy])
+        q = np.array([[10.0, 20.0], [300.0, 500.0], [511.0, 3.0]])
+        prob = RegistrationProblem(pts, q, cam, Pose(np.eye(3), np.array([0.0, 0.0, 2500.0])))
+        cur = assert_bit_exact(prob, prob.init_pose)
+        assert np.array_equal(cur.pix, pts[:, :2] + 256.0)
+        assert np.all((cur.pix >= 0.0) & (cur.pix <= 511.0))
+        # and one point just off the last column
+        prob.points3[0, 0] = 255.5
+        assert_bit_exact(prob, prob.init_pose)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2)])
+    def test_maps_one_or_two_pixels_across(self, shape):
+        rng = np.random.default_rng(63)
+        dist_map = rng.uniform(0.0, 9.0, shape)
+        h, w = shape
+        on = rng.uniform(0.0, 1.0, (50, 2)) * (w - 1.0, h - 1.0)
+        for pix in (on, on + rng.normal(0.0, 3.0, (50, 2))):
+            got, want = _bilinear(dist_map, pix), masked_bilinear(dist_map, pix)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_phantom_frame_at_start_and_solved_pose(self, phantom_frame):
+        prob, st = phantom_frame
+        assert len(prob.points3) > 800 and st.converged
+        for pose, sigma in ((prob.init_pose, 40.0), (st.pose, st.bandwidth_px)):
+            cur = assert_bit_exact(prob, pose, sigma)
+            assert np.all(cur.depth > 0) and np.all((cur.pix >= 0.0) & (cur.pix <= 511.0))
 
 
 class TestSurrogate:
@@ -544,15 +635,11 @@ class TestDistanceTransform:
         self._assert_exact(feature)
         self._assert_exact(np.vstack([feature, feature[:, ::-1]]))
 
-    def test_phantom_frame_matches_scipy(self):
-        tree = generate_phantom(PhantomSpec(), seed=11)
-        estimator = PerceptionEstimator(tree, (0, 20), EpisodeConfig(), np.random.default_rng(0))
-        polyline = np.array([tree.position(a) for a in initial_wire(tree, (0, 20)).body])
-        frame = estimator.renderer.render(polyline, noise=None, seed=estimator.rng)
-        q = skeleton_points(thin(segment_layers(frame)[0]))
+    def test_phantom_frame_matches_scipy(self, phantom_frame):
+        q = phantom_frame[0].points2
         cells = np.rint(q).astype(np.intp)
         free = np.ones((512, 512), dtype=bool)
         free[cells[:, 1], cells[:, 0]] = False
-        got = registration._distance_map(q, estimator.base_problem.cam.image_size)
+        got = registration._distance_map(q, phantom_frame[0].cam.image_size)
         assert len(q) > 1000
         assert np.array_equal(got.view(np.int64), ndimage.distance_transform_edt(free).view(np.int64))
