@@ -10,19 +10,18 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 _SMALL_ANGLE = 1e-6
 
-# Pose accepts R when every entry of R R^T is within these bounds of the
-# identity: np.allclose(R R^T, I, atol=1e-9) written out, whose per-entry
-# tolerance is atol + rtol * |I| with rtol = 1e-5. NaN entries fail.
-_EYE3 = np.eye(3)
-_ORTHONORMAL_TOL = 1e-9 + 1e-5 * _EYE3
-_EYE3.setflags(write=False)
-_ORTHONORMAL_TOL.setflags(write=False)
+# Pose accepts R when each of the six distinct entries of R R^T is within
+# these bounds of the identity: np.allclose(R R^T, I, atol=1e-9) written out,
+# whose per-entry tolerance is atol + rtol * |I| with rtol = 1e-5. A NaN fails.
+_DIAG_TOL = 1e-9 + 1e-5
+_OFF_DIAG_TOL = 1e-9
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -37,7 +36,7 @@ def _skew(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform with a 3x3 rotation and a 3-vector translation."""
+    """Rigid transform with a 3x3 rotation and a finite 3-vector translation."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -47,18 +46,20 @@ class Pose:
         tra = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)
-        if not (np.abs(rot @ rot.T - _EYE3) <= _ORTHONORMAL_TOL).all():
-            raise ValueError("rotation is not orthonormal")
         (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
+        if not (
+            abs(a * a + b * b + c * c - 1.0) <= _DIAG_TOL and abs(d * d + e * e + f * f - 1.0) <= _DIAG_TOL
+            and abs(g * g + h * h + i * i - 1.0) <= _DIAG_TOL and abs(a * d + b * e + c * f) <= _OFF_DIAG_TOL
+            and abs(a * g + b * h + c * i) <= _OFF_DIAG_TOL and abs(d * g + e * h + f * i) <= _OFF_DIAG_TOL
+        ):
+            raise ValueError("rotation is not orthonormal")
         if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > 1e-9:
             raise ValueError("rotation determinant is not +1")
+        if not all(map(math.isfinite, tra.tolist())):
+            raise ValueError("translation is not finite")
 
     def compose(self, other: "Pose") -> "Pose":
         return Pose(self.rotation @ other.rotation, self.rotation @ other.translation + self.translation)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
 
 
 def se3_exp(xi: np.ndarray) -> Pose:
@@ -127,15 +128,16 @@ def project_points(points3: np.ndarray, pose: Pose, cam: CameraModel) -> tuple[n
     """Project world points to pixel coordinates; a single point is row 0.
 
     Returns (pixels (N,2), depth (N,)). Rows with depth <= 0 hold NaN pixels;
-    callers filter on depth instead of catching exceptions. When every point
-    is in front, the same division runs on all rows without the mask.
+    callers filter on depth instead of catching exceptions. Each offset is
+    added, and the depth divided out, by a C-order pass over transposed
+    views: one long loop per coordinate, with the floats of a broadcast over
+    rows of three or two.
     """
-    z = pose.apply(np.asarray(points3, dtype=float).reshape(-1, 3))
-    h = z @ cam.intrinsics[:, :3].T + cam.intrinsics[:, 3]
+    z = np.asarray(points3, dtype=float).reshape(-1, 3) @ pose.rotation.T
+    np.add(z.T, pose.translation[:, None], out=z.T, order="C")
+    h = z @ cam.intrinsics[:, :3].T
+    np.add(h.T, cam.intrinsics[:, 3:], out=h.T, order="C")
     depth = h[:, 2].copy()
-    ok = depth > 0.0
-    if ok.all():
-        return h[:, :2] / depth[:, None], depth
     pix = np.full((len(h), 2), np.nan)
-    pix[ok] = h[ok, :2] / depth[ok, None]
+    np.divide(h[:, :2].T, depth, out=pix.T, where=depth > 0.0, order="C")
     return pix, depth

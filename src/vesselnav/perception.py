@@ -1,9 +1,9 @@
 """Synthetic fluoroscopy rendering and the classical 2D perception stack.
 
-Images are uint8 arrays of shape (height, width). Pixel coordinates are
-(x, y) with x along columns; the pixel at array cell [r, c] is centred at
-(x=c, y=r). Fluoroscopy convention: bright background, vessels as
-low-contrast dark tubes, the instrument as a high-contrast dark curve.
+Images are uint8 arrays of shape (height, width); the pixel (x, y), x along
+columns, is centred on array cell [y, x]. Fluoroscopy convention: bright
+background, vessels as low-contrast dark tubes, the instrument as a
+high-contrast dark curve. Both Otsu thresholds read one histogram per frame.
 """
 
 from __future__ import annotations
@@ -165,6 +165,30 @@ class FrameRenderer:
 # segmentation
 
 
+def _histogram(values: np.ndarray) -> np.ndarray:
+    """``np.bincount`` of uint8 values, counted two bytes at a time as uint16 pairs."""
+    flat = np.ascontiguousarray(values).reshape(-1)
+    even = flat.size & ~1
+    pairs = np.bincount(flat[:even].view(np.uint16), minlength=65536).reshape(256, 256)
+    return pairs.sum(axis=0) + pairs.sum(axis=1) + np.bincount(flat[even:], minlength=256)
+
+
+def _otsu(hist: np.ndarray) -> int:
+    """Otsu threshold of a histogram whose bin k counts gray level k."""
+    p = hist / hist.sum()
+    w0 = np.cumsum(p)
+    m0 = np.cumsum(p * np.arange(len(hist), dtype=float))
+    w1 = 1.0 - w0
+    valid = (w0 > 0.0) & (w1 > 0.0)
+    if not np.any(valid):
+        raise ConstantImageError("image has a single gray level")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu0 = m0 / w0
+        mu1 = (m0[-1] - m0) / w1
+    sigma_b = np.where(valid, w0 * w1 * (mu0 - mu1) ** 2, -np.inf)
+    return int(np.argmax(sigma_b))
+
+
 def otsu_threshold(values: np.ndarray) -> tuple[int, np.ndarray]:
     """Threshold maximizing between-class variance over the 256-bin histogram.
 
@@ -176,22 +200,7 @@ def otsu_threshold(values: np.ndarray) -> tuple[int, np.ndarray]:
         raise ValueError("otsu_threshold expects uint8 values")
     if values.size == 0:
         raise ConstantImageError("empty input")
-    hist = np.bincount(values.ravel(), minlength=256).astype(float)
-    total = hist.sum()
-    p = hist / total
-    levels = np.arange(256, dtype=float)
-    w0 = np.cumsum(p)
-    m0 = np.cumsum(p * levels)
-    mu_total = m0[-1]
-    w1 = 1.0 - w0
-    valid = (w0 > 0.0) & (w1 > 0.0)
-    if not np.any(valid):
-        raise ConstantImageError("image has a single gray level")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu0 = m0 / w0
-        mu1 = (mu_total - m0) / w1
-    sigma_b = np.where(valid, w0 * w1 * (mu0 - mu1) ** 2, -np.inf)
-    t = int(np.argmax(sigma_b))
+    t = _otsu(_histogram(values))
     return t, values <= t
 
 
@@ -204,24 +213,24 @@ def segment_layers(frame: FluoroFrame) -> tuple[np.ndarray, np.ndarray, int, int
     """Split a frame into vessel and instrument masks.
 
     The first Otsu pass separates the dark foreground from the background; the
-    second pass runs on the foreground population only. When the foreground is
-    effectively unimodal (mean separation below ``MIN_WIRE_CONTRAST`` gray
-    levels) no instrument is reported and the wire mask is all False.
+    second splits the foreground, whose histogram is the frame histogram's bins
+    up to ``threshold1``. When the foreground is effectively unimodal (mean
+    separation below ``MIN_WIRE_CONTRAST`` gray levels, from exact integer
+    sums) no instrument is reported and the wire mask is all False; otherwise
+    it is ``pixels <= threshold2``, inside the vessel mask.
 
     Returns (vessel_mask, wire_mask, threshold1, threshold2-or-None).
     """
-    t1, fg = otsu_threshold(frame.pixels)
-    wire_mask = np.zeros_like(fg)
-    t2: int | None = None
-    fg_values = frame.pixels[fg]
-    if fg_values.size >= 2 and fg_values.min() != fg_values.max():
-        t2_cand, dark_sel = otsu_threshold(fg_values)
-        dark = fg_values[dark_sel]
-        bright = fg_values[~dark_sel]
-        if bright.size and dark.size and float(bright.mean() - dark.mean()) >= MIN_WIRE_CONTRAST:
-            t2 = int(t2_cand)
-            wire_mask = fg & (frame.pixels <= t2)
-    return fg, wire_mask, t1, t2
+    hist = _histogram(frame.pixels)
+    t1 = _otsu(hist)
+    fg, t2 = hist[: t1 + 1], None
+    if np.count_nonzero(fg) >= 2:
+        cand = _otsu(fg)
+        n, s = fg.cumsum().tolist(), (fg * np.arange(t1 + 1)).cumsum().tolist()  # counts, level sums
+        if 0 < n[cand] < n[-1] and (s[-1] - s[cand]) / (n[-1] - n[cand]) - s[cand] / n[cand] >= MIN_WIRE_CONTRAST:
+            t2 = cand
+    wire_mask = np.zeros(frame.pixels.shape, dtype=bool) if t2 is None else frame.pixels <= t2
+    return frame.pixels <= t1, wire_mask, t1, t2
 
 
 # ---------------------------------------------------------------------------

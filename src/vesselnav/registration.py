@@ -238,29 +238,28 @@ def _bilinear(dist_map: np.ndarray, pix: np.ndarray) -> tuple[np.ndarray, np.nda
     map point plus its distance to that point, which keeps the value
     continuous and an upper bound of the distance to the nearest image point.
     When every pixel is on the map, the same arithmetic runs without the
-    clip and the off-map terms."""
+    clip and the off-map terms, and the gradient's columns are contiguous."""
     h, w = dist_map.shape
-    on_map = bool(np.all((pix >= 0.0) & (pix <= (w - 1.0, h - 1.0))))
+    on_map = bool(pix.min() >= 0.0 and pix[:, 0].max() <= w - 1.0 and pix[:, 1].max() <= h - 1.0)
     near = pix if on_map else np.clip(pix, 0.0, (w - 1.0, h - 1.0))
     # floor of a non-negative value, with the last row and column read as
     # the far side of the cell before them
     x0 = np.minimum(near[:, 0].astype(np.intp), max(w - 2, 0))
     y0 = np.minimum(near[:, 1].astype(np.intp), max(h - 2, 0))
     fx, fy = near[:, 0] - x0, near[:, 1] - y0
-    # the four corners as flat indices; a map one pixel wide (or high) reads
-    # its one column (or row) on both sides
+    # the four corners from shifted views of the flat map; a map one pixel
+    # wide (or high) reads its one column (or row) on both sides
     flat, i = dist_map.ravel(), y0 * w + x0
     right, down = int(w > 1), w * (h > 1)
-    d00, d01 = flat[i], flat[i + right]
-    d10, d11 = flat[i + down], flat[i + (down + right)]
+    d00, d01, d10, d11 = flat[i], flat[right:][i], flat[down:][i], flat[down + right :][i]
     top = d00 + fx * (d01 - d00)
     bottom = d10 + fx * (d11 - d10)
-    grad = np.column_stack((d01 - d00 + fy * (d11 - d10 - d01 + d00), bottom - top))
+    grad = np.array((d01 - d00 + fy * (d11 - d10 - d01 + d00), bottom - top))
     if on_map:
-        return top + fy * (bottom - top), grad
+        return top + fy * grad[1], grad.T
     off = pix - near
     extra = np.hypot(off[:, 0], off[:, 1])
-    grad = np.where(off != 0.0, off / np.where(extra > 0.0, extra, 1.0)[:, None], grad)
+    grad = np.where(off != 0.0, off / np.where(extra > 0.0, extra, 1.0)[:, None], grad.T)
     return top + fy * (bottom - top) + extra, grad
 
 
@@ -299,9 +298,10 @@ def _distance_jacobian(prob: RegistrationProblem, pose: Pose, cur: _Reading) -> 
     zero rows behind the camera."""
     ok = cur.depth > 0
     m = prob.cam.intrinsics[:, :3] @ pose.rotation
-    pix = np.where(ok[:, None], cur.pix, 0.0).T
+    pix = cur.pix.T.copy()  # contiguous columns, as the gradient's are
+    np.copyto(pix, 0.0, where=~ok)
     inv_depth = np.divide(1.0, cur.depth, out=np.zeros(len(ok)), where=ok)
-    y0, y1, y2 = prob.points3.T
+    y0, y1, y2 = prob.points3.T.copy()
     blocks = []
     for a in range(2):
         # d(pix_a)/dy = (M[a] - pix_a M[2]) / depth with M = A R
@@ -324,11 +324,11 @@ def _solve_step(app, gp, damping, rotation_locked=False):
 
     With ``rotation_locked`` the rotation half of the step stays zero.
     """
-    dp_diag = np.maximum(np.diag(app), _DIAG_FLOOR)
-    app_d = app + damping * np.diag(dp_diag)
-    free = slice(0, 3 if rotation_locked else 6)
+    n = 3 if rotation_locked else 6
+    app_d = app[:n, :n] + 0.0  # a copy, with -0.0 made 0.0 as a damping matrix's zeros would
+    app_d.ravel()[:: n + 1] += damping * np.maximum(app.diagonal()[:n], _DIAG_FLOOR)
     delta_p = np.zeros(6)
-    delta_p[free] = np.linalg.solve(app_d[free, free], -gp[free])
+    delta_p[:n] = np.linalg.solve(app_d, -gp[:n])
     return delta_p
 
 

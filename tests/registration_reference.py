@@ -15,9 +15,10 @@ the separable one.
 
 ``masked_project_points``, ``masked_bilinear``, ``masked_read`` and
 ``masked_distance_jacobian`` are frozen copies of the projection, map reading
-and Jacobian that apply every behind-camera and off-map mask to every row:
-the bit-exactness tests check that the solver's routines give the same
-floats, bit for bit.
+and Jacobian that apply every behind-camera and off-map mask to every row,
+and ``two_diag_solve_step`` is a frozen copy of the damped step that builds
+the damping as a matrix from two ``np.diag``: the bit-exactness tests check
+that the solver's routines give the same floats, bit for bit.
 """
 
 import math
@@ -142,7 +143,7 @@ def _fd_jacobian(prob, pose, weights, eps=1e-6):
 def masked_project_points(points3: np.ndarray, pose: Pose, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
     """Pixels and depths; every row goes through the NaN buffer and the
     in-front gather."""
-    z = pose.apply(np.asarray(points3, dtype=float).reshape(-1, 3))
+    z = np.asarray(points3, dtype=float).reshape(-1, 3) @ pose.rotation.T + pose.translation
     h = z @ cam.intrinsics[:, :3].T + cam.intrinsics[:, 3]
     depth = h[:, 2].copy()
     pix = np.full((len(h), 2), np.nan)
@@ -193,3 +194,14 @@ def masked_distance_jacobian(prob: RegistrationProblem, pose: Pose, pix, depth, 
     g_blocks[:, :, 4] = y[..., 2] * h_blocks[..., 0] - y[..., 0] * h_blocks[..., 2]
     g_blocks[:, :, 5] = y[..., 0] * h_blocks[..., 1] - y[..., 1] * h_blocks[..., 0]
     return np.einsum("nk,nkj->nj", grad, g_blocks)
+
+
+def two_diag_solve_step(app, gp, damping, rotation_locked=False):
+    """The LM step from A + damping * diag(max(diag(A), 1e-12)), solved on
+    the free block (the translation alone when rotation-locked)."""
+    dp_diag = np.maximum(np.diag(app), 1e-12)
+    app_d = app + damping * np.diag(dp_diag)
+    free = slice(0, 3 if rotation_locked else 6)
+    delta_p = np.zeros(6)
+    delta_p[free] = np.linalg.solve(app_d[free, free], -gp[free])
+    return delta_p

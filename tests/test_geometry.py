@@ -15,7 +15,7 @@ from vesselnav.geometry import (
     se3_exp,
 )
 
-from geometry_reference import pose_matrix, two_pass_se3_exp
+from geometry_reference import matrix_rotation_check, pose_matrix, two_pass_se3_exp
 
 
 def hat4(xi):
@@ -75,7 +75,11 @@ class TestPose:
         assert np.allclose(pose_matrix(Pose(np.eye(3), np.zeros(3))), np.eye(4))
         pts = rng.normal(size=(7, 3))
         by_matrix = (pose_matrix(a) @ np.c_[pts, np.ones(7)].T).T[:, :3]
-        assert np.allclose(a.apply(pts), by_matrix, atol=1e-12)
+        # through the unit pinhole, depth is the camera z and a pixel is (x, y) / z
+        pix, depth = project_points(pts, a, CameraModel(np.eye(3, 4), (1, 1)))
+        front = depth > 0
+        assert np.allclose(depth, by_matrix[:, 2], atol=1e-12) and 0 < front.sum() < 7
+        assert np.allclose(pix[front], by_matrix[front, :2] / by_matrix[front, 2:], atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -109,6 +113,56 @@ class TestPose:
             Pose(nan_rotation, np.zeros(3))
         with pytest.raises(ValueError):
             Pose(np.diag([1.0, -1.0, 1.0]), np.zeros(3))
+
+    def test_one_pass_check_matches_matrix_check(self):
+        # The same verdict, and the same message, as forming R R^T as a
+        # matrix: on rotations, on rotations perturbed around the 1e-9
+        # off-diagonal and 1e-5 on-diagonal tolerances, on reflections, and
+        # with a NaN or an infinity in any entry.
+        rng = np.random.default_rng(12)
+        verdicts = []
+
+        def check(rotation):
+            try:
+                Pose(rotation, np.zeros(3))
+                got = None
+            except ValueError as err:
+                got = str(err)
+            want = matrix_rotation_check(rotation)
+            assert got == want
+            verdicts.append(want)
+
+        for xi in random_twists(rng, 30):
+            r = se3_exp(xi).rotation
+            check(r)
+            for scale in np.geomspace(1e-11, 1e-4, 29):
+                check(r + scale * rng.normal(size=(3, 3)))
+                shear = np.eye(3)
+                shear[tuple(rng.choice(3, 2, replace=False))] = scale * rng.uniform(0.5, 2.0)
+                check(r @ shear)
+            check(r * rng.uniform(1.0 - 1e-5, 1.0 + 1e-5))
+            check(r @ np.diag([1.0, 1.0, -1.0]))
+            for bad in (np.nan, np.inf, -np.inf):
+                for k in range(9):
+                    broken = r.copy()
+                    broken.flat[k] = bad
+                    check(broken)
+        assert verdicts.count(None) > 300
+        assert verdicts.count("rotation is not orthonormal") > 1000
+        assert verdicts.count("rotation determinant is not +1") > 30
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_translation_raises(self, bad):
+        for k in range(3):
+            translation = np.zeros(3)
+            translation[k] = bad
+            with pytest.raises(ValueError, match="translation is not finite"):
+                Pose(np.eye(3), translation)
+
+    def test_exp_of_a_non_finite_twist_raises(self):
+        # inf * 0 in the left Jacobian makes the translation [inf, nan, nan]
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="translation is not finite"):
+            se3_exp([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 class TestProjection:

@@ -17,6 +17,7 @@ import pytest
 
 from vesselnav import cli, navigator
 from vesselnav.cli import parse_suite, standard_config_text
+from vesselnav.geometry import project_points
 from vesselnav.lifting import OffVesselError
 from vesselnav.navigator import (
     EpisodeConfig,
@@ -370,7 +371,8 @@ class TestPerceptionEstimator:
         est = estimator.estimate(initial_wire(tree, (0, 20)))
         assert estimator.reg_state.converged
         center = estimator.base_problem.center
-        depth_shift = est.pose_world.apply(center[None])[0, 2] - estimator.view.apply(center[None])[0, 2]
+        depth = [project_points(center, pose, config.camera)[1][0] for pose in (est.pose_world, estimator.view)]
+        depth_shift = depth[0] - depth[1]
         assert est.rmse_px < 0.5
         assert abs(depth_shift) < 3.5
 

@@ -5,16 +5,21 @@ thinner against a literal per-pixel reimplementation of the two-subiteration
 rule, and endpoint detection against an exhaustive neighbor count. The
 table-driven thinner and endpoint finder must also agree bit for bit, and
 row for row, with the whole-array rule they replaced (thinning_reference),
-and the vectorized capsule rasterizer pixel for pixel with the per-segment
-loop it replaced (render_reference).
+the vectorized capsule rasterizer pixel for pixel with the per-segment
+loop it replaced (render_reference), and the one-histogram segmentation
+with the two-pass one it replaced (perception_reference).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from vesselnav import perception
+from vesselnav.cli import parse_suite, standard_config_text
 from vesselnav.geometry import CameraModel, project_points
+from vesselnav.navigator import run_episode
 from vesselnav.perception import (
     BACKGROUND_VALUE,
     VESSEL_VALUE,
@@ -34,6 +39,7 @@ from vesselnav.perception import (
 )
 from vesselnav.vessel_model import PhantomSpec, generate_phantom
 
+from perception_reference import two_pass_segment_layers
 from render_reference import reference_draw_capsules
 from thinning_reference import reference_endpoints, reference_thin
 
@@ -388,6 +394,74 @@ class TestSegmentLayers:
         monkeypatch.setattr(perception, "MIN_WIRE_CONTRAST", 5.0)
         _, wire, _, t2 = segment_layers(flat_frame(img))
         assert t2 is not None and wire.sum() == 10 * 2
+
+
+@pytest.fixture(scope="module")
+def standard_frames(tmp_path_factory):
+    """Every frame of the ten seed-0 standard-suite episodes, clean and at
+    imaging noise std 10."""
+    cfg = tmp_path_factory.mktemp("suite") / "standard.ini"
+    cfg.write_text(standard_config_text(oracle=False))
+    suite = parse_suite(cfg)
+    frames = []
+
+    def keep(loop_index, frame, info):
+        frames.append(frame)
+
+    for noise in (None, NoiseSpec(10.0)):
+        config = dataclasses.replace(suite.episode, imaging_noise=noise)
+        for task in suite.tasks:
+            run_episode(suite.tree, task.start, task.dest, seed=0, config=config, frame_sink=keep)
+    return frames
+
+
+def assert_segments_like_two_pass(frame):
+    got = segment_layers(frame)
+    want = two_pass_segment_layers(frame.pixels, perception.MIN_WIRE_CONTRAST)
+    assert got[2:] == want[2:]
+    for g, w in zip(got[:2], want[:2]):
+        assert g.dtype == bool and np.array_equal(g, w)
+    return got
+
+
+class TestOneHistogram:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 5), (4, 6), (7, 7), (512, 512)])
+    def test_pair_counts_equal_bincount(self, shape):
+        rng = np.random.default_rng(30)
+        img = rng.integers(0, 256, shape, dtype=np.uint8)
+        big = rng.integers(0, 256, (2 * shape[0] + 1, 3 * shape[1] + 2), dtype=np.uint8)
+        blank, full = np.zeros(shape, np.uint8), np.full(shape, 255, np.uint8)
+        for values in (img, img.T, big[::2, 1::3], big[1:, :-1], blank, full):
+            assert np.array_equal(perception._histogram(values), np.bincount(values.ravel(), minlength=256))
+
+    def test_standard_suite_frames_match_two_pass(self, standard_frames):
+        assert len(standard_frames) > 150
+        wires = sum(assert_segments_like_two_pass(frame)[3] is not None for frame in standard_frames)
+        # the second pass splits off a wire on most frames
+        assert len(standard_frames) // 2 < wires
+
+    def test_random_frames_match_two_pass(self):
+        rng = np.random.default_rng(31)
+        unimodal = 0
+        for _ in range(300):
+            img = random_image(rng)
+            if img.min() == img.max():
+                continue
+            unimodal += assert_segments_like_two_pass(flat_frame(img))[3] is None
+        # a foreground of one level, and one too flat to split
+        img = np.full((9, 11), 220, dtype=np.uint8)
+        img[2:6, 3:8] = 150
+        assert assert_segments_like_two_pass(flat_frame(img))[3] is None
+        img[3, 4] = 140
+        assert assert_segments_like_two_pass(flat_frame(img))[3] is None
+        assert unimodal > 10
+
+    def test_constant_frame_raises_like_two_pass(self):
+        frame = flat_frame(np.full((6, 5), 77))
+        with pytest.raises(ConstantImageError):
+            segment_layers(frame)
+        with pytest.raises(ConstantImageError):
+            two_pass_segment_layers(frame.pixels, perception.MIN_WIRE_CONTRAST)
 
 
 def recorded_draws(monkeypatch, build):

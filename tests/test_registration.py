@@ -7,6 +7,7 @@ Jacobians are validated against central finite differences of the stacked
 residual vector, with steps kept inside one bilinear cell.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy import ndimage
 from vesselnav import registration
 from vesselnav.geometry import CameraModel, Pose, project_points, se3_exp
 from vesselnav.navigator import EpisodeConfig, PerceptionEstimator
-from vesselnav.perception import segment_layers, skeleton_points, thin
+from vesselnav.perception import NoiseSpec, segment_layers, skeleton_points, thin
 from vesselnav.registration import (
     RegistrationProblem,
     RegistrationState,
@@ -25,6 +26,7 @@ from vesselnav.registration import (
     _distance_transform,
     _normal_equations,
     _read,
+    _solve_step,
     _surrogate_cost,
     _weights,
     reprojection_rmse,
@@ -45,6 +47,7 @@ from registration_reference import (
     masked_read,
     rasterized,
     reference_distance,
+    two_diag_solve_step,
 )
 
 
@@ -151,16 +154,21 @@ def assert_bit_exact(prob, pose, sigma=6.0):
     return cur
 
 
-@pytest.fixture(scope="module")
-def phantom_frame():
-    """Frame 0 of the clean standard suite on phantom 11, bound to the
-    estimator's start pose, and its solve."""
+def phantom_frame_problem(noise=None):
+    """Frame 0 of the standard suite on phantom 11 (its imaging noise drawn
+    from generator seed 0), bound to the estimator's start pose."""
     tree = generate_phantom(PhantomSpec(), seed=11)
     estimator = PerceptionEstimator(tree, (0, 20), EpisodeConfig(), np.random.default_rng(0))
     polyline = np.array([tree.position(a) for a in initial_wire(tree, (0, 20)).body])
-    frame = estimator.renderer.render(polyline, noise=None, seed=estimator.rng)
+    frame = estimator.renderer.render(polyline, noise=noise, seed=estimator.rng)
     q = skeleton_points(thin(segment_layers(frame)[0]))
-    prob = estimator.base_problem.with_frame(q, estimator.pose_world)
+    return estimator.base_problem.with_frame(q, estimator.pose_world)
+
+
+@pytest.fixture(scope="module")
+def phantom_frame():
+    """The clean frame-0 problem on phantom 11 and its solve."""
+    prob = phantom_frame_problem()
     return prob, solve(prob)
 
 
@@ -217,6 +225,96 @@ class TestBitExact:
         for pose, sigma in ((prob.init_pose, 40.0), (st.pose, st.bandwidth_px)):
             cur = assert_bit_exact(prob, pose, sigma)
             assert np.all(cur.depth > 0) and np.all((cur.pix >= 0.0) & (cur.pix <= 511.0))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (2, 9), (48, 64)])
+    def test_bilinear_on_non_square_maps(self, shape):
+        # On-map pixels, pixels on the last row and column and at the
+        # corners, and pixels off every side, read with the on-map
+        # arithmetic or through the clip.
+        rng = np.random.default_rng(64)
+        h, w = shape
+        dist_map = rng.uniform(0.0, 9.0, shape)
+        on = rng.uniform(0.0, 1.0, (80, 2)) * (w - 1.0, h - 1.0)
+        on[:20] = np.round(on[:20])
+        on[20:30, 0], on[30:40, 1] = w - 1.0, h - 1.0
+        on[40:44] = [(0.0, 0.0), (w - 1.0, 0.0), (0.0, h - 1.0), (w - 1.0, h - 1.0)]
+        for pix in (on, on + rng.normal(0.0, 2.0, on.shape), on * (1.0, -1.0), on + (w, 0.0), on + (0.0, h)):
+            (value, grad), (want_value, want_grad) = _bilinear(dist_map, pix), masked_bilinear(dist_map, pix)
+            assert np.array_equal(value, want_value) and np.array_equal(grad, want_grad)
+        # the on-map gradient's x and y columns are contiguous
+        assert _bilinear(dist_map, on)[1].T.flags.c_contiguous
+
+
+class TestSolveStep:
+    """The damped step adds the damping to the diagonal of one copy of A;
+    its bytes equal those of adding the damping as a diagonal matrix."""
+
+    def assert_same_step(self, app, gp, damping, rotation_locked):
+        got = _solve_step(app, gp, damping, rotation_locked)
+        want = two_diag_solve_step(app, gp, damping, rotation_locked)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rotation_locked", [True, False])
+    def test_phantom_and_random_systems(self, phantom_frame, rotation_locked):
+        prob, st = phantom_frame
+        rng = np.random.default_rng(65)
+        systems = []
+        for pose, sigma in ((prob.init_pose, 40.0), (st.pose, st.bandwidth_px)):
+            cur = _read(prob, pose)
+            systems.append(_normal_equations(prob, pose, cur, _weights(cur, sigma)))
+        for _ in range(20):
+            j = rng.normal(size=(30, 6)) * rng.uniform(1e-3, 1e3, 6)
+            systems.append((j.T @ j, rng.normal(size=6)))
+        for app, gp in systems:
+            for damping in (1e-12, 1e-3, 1.0, 1e8):
+                self.assert_same_step(app, gp, damping, rotation_locked)
+
+    @pytest.mark.parametrize("rotation_locked", [True, False])
+    def test_singular_systems(self, rotation_locked):
+        # A zero column of J (a direction the distances do not see) gives a
+        # singular A with zero, and negative zero, entries and a diagonal
+        # entry below the floor; a rank-one A is singular in every block.
+        # Damped, both solve to the same bytes; undamped, both raise.
+        rng = np.random.default_rng(66)
+        j = rng.normal(size=(12, 6))
+        j[:, 1] = 0.0
+        zero_column = j.T @ j
+        zero_column[1, 2] = zero_column[2, 1] = -0.0
+        v = rng.normal(size=6)
+        gp = rng.normal(size=6)
+        for app in (zero_column, np.outer(v, v)):
+            for damping in (1e-12, 1e-3, 1e8):
+                self.assert_same_step(app, gp, damping, rotation_locked)
+        for step in (_solve_step, two_diag_solve_step):
+            with pytest.raises(np.linalg.LinAlgError):
+                step(zero_column, gp, 0.0, rotation_locked)
+        self.assert_same_step(np.full((6, 6), np.nan), gp, 1e-3, rotation_locked)
+
+
+class TestPinnedSolves:
+    # Phantom 11's frame-0 solve, clean and at imaging noise std 10, read
+    # before the segmentation and the LM trial were rewritten: (outer
+    # iterations, accepted LM steps, LM trials, converged, sha256 of the
+    # rotation's then the translation's bytes). A rounding change fails here.
+    PINNED = {
+        None: (27, 53, 128, True, "fa372831021ca8191e7a4638777bf1504d8834504677166e0ea6c115d7ec5641"),
+        10.0: (30, 59, 136, True, "b8cbf6b699b134241fa1fd5d0247a91de51d29852da69de8d3dfd1c99a974c6d"),
+    }
+
+    @pytest.mark.parametrize("std", [None, 10.0])
+    def test_frame_zero_solve_is_pinned(self, std, monkeypatch):
+        prob = phantom_frame_problem(None if std is None else NoiseSpec(std))
+        trials = []
+        step = registration._solve_step
+
+        def counted_step(*args):
+            trials.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(registration, "_solve_step", counted_step)
+        st = solve(prob)
+        pose_hash = hashlib.sha256(st.pose.rotation.tobytes() + st.pose.translation.tobytes()).hexdigest()
+        assert (st.iteration, len(st.diagnostics["history"]), len(trials), st.converged, pose_hash) == self.PINNED[std]
 
 
 class TestSurrogate:
@@ -541,7 +639,8 @@ class TestProblemConstruction:
         # centered and world poses must project a given tree point identically
         pts, _ = tree.flat_points()
         pc = prob.pose_from_world(world)
-        assert np.allclose(pc.apply(pts[7] - prob.center), world.apply(pts[7]), atol=1e-9)
+        for got, want in zip(project_points(pts[7] - prob.center, pc, cam), project_points(pts[7], world, cam)):
+            assert np.allclose(got, want, atol=1e-9)
 
     def test_rejects_tiny_problems(self):
         cam = CameraModel.standard()
