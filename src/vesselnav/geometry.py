@@ -85,16 +85,18 @@ def se3_exp(xi: np.ndarray) -> Pose:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera with a 3x4 intrinsic matrix.
+    """Pinhole camera with a 3x4 intrinsic matrix, held as a read-only copy.
 
-    ``image_size`` is (width, height) in pixels.
+    ``image_size`` is (width, height) in pixels. Cameras of equal image
+    sizes and intrinsic values are equal and hash alike.
     """
 
     intrinsics: np.ndarray
     image_size: tuple[int, int]
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.intrinsics, dtype=float).reshape(3, 4)
+        k = np.array(self.intrinsics, dtype=float).reshape(3, 4)
+        k.flags.writeable = False
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "image_size", (int(self.image_size[0]), int(self.image_size[1])))
         if not np.isfinite(k).all():
@@ -103,6 +105,15 @@ class CameraModel:
             raise ValueError("intrinsic matrix must have full row rank")
         if self.image_size[0] <= 0 or self.image_size[1] <= 0:
             raise ValueError("image size must be positive")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CameraModel) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())  # float hashes agree with ==: hash(-0.0) == hash(0.0)
+
+    def _values(self) -> tuple:
+        return (self.image_size, *self.intrinsics.ravel().tolist())
 
     @staticmethod
     def standard(focal_px: float = 2500.0, width: int = 512, height: int = 512) -> "CameraModel":

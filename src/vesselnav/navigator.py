@@ -211,54 +211,78 @@ class OracleEstimator:
         return TipEstimate(wire.tip, true_tip(self.tree, wire))
 
 
+class PerceptionScene(NamedTuple):
+    """What every full-perception episode on one tree and view shares: a pure
+    function of the tree, camera, view depth and model spacing, which the tree
+    keeps in one slot keyed by those values (``VesselTree.scene``). Its arrays
+    are read-only; ``row_of`` maps each address to its row of ``rows``, the
+    tree's ``flat_points()``, and ``base_problem`` is bound to no frame."""
+
+    view: Pose
+    renderer: FrameRenderer
+    rows: np.ndarray
+    row_of: dict[Address, int]
+    model: VesselTree
+    base_problem: RegistrationProblem
+    reference_px: np.ndarray
+    introducer_px: np.ndarray
+
+    @staticmethod
+    def build(tree: VesselTree, cam: CameraModel, depth_mm: float, spacing_mm: float) -> "PerceptionScene":
+        view = frame_view_pose(tree, depth_mm=depth_mm)
+        renderer = FrameRenderer(tree, view, cam)
+        rows, addresses = tree.flat_points()
+        model = resample_centerlines(tree, spacing_mm)
+        base = RegistrationProblem.from_tree(model, cam, view)
+        reference_px, _ = project_points(base.points3, base.pose_from_world(view), cam)
+        introducer_px = project_points(tree.position(INSERTION), view, cam)[0][0]
+        for shared in (base.points3, reference_px, introducer_px):
+            shared.flags.writeable = False
+        row_of = {a: i for i, a in enumerate(addresses)}
+        return PerceptionScene(view, renderer, rows, row_of, model, base, reference_px, introducer_px)
+
+
 class PerceptionEstimator:
     """Tip estimates from the rendered frames alone; the wire's tip is never read.
 
-    The tracker starts at the projected ``start`` address, and a failed lift
-    keeps the last estimate, which starts at ``start``. Frames are registered
-    until a solve converges; later frames lift through that held pose."""
+    It holds one episode's state over the tree's shared ``scene``. The tracker
+    starts at the projected ``start`` address, and a failed lift keeps the
+    last estimate, which starts at ``start``. Frames are registered until a
+    solve converges; later frames lift through that held pose."""
 
     def __init__(self, tree: VesselTree, start: Address, config: EpisodeConfig, rng: np.random.Generator):
         self.tree = tree
+        self.scene = scene = tree.scene(PerceptionScene.build, config.camera, config.view_depth_mm, config.spacing_mm)
         self.imaging_noise = config.imaging_noise
         self.rng = rng
-        cam = config.camera
-        self.view = frame_view_pose(tree, depth_mm=config.view_depth_mm)
-        self.renderer = FrameRenderer(tree, self.view, cam)
-        # every wire point is a centerline point: its flat_points() row, by address
-        self._rows, addresses = tree.flat_points()
-        self._row_of = {a: i for i, a in enumerate(addresses)}
-        self.model = resample_centerlines(tree, config.spacing_mm)
-        self.base_problem = base = RegistrationProblem.from_tree(self.model, cam, self.view)
-        self.reference_px, _ = project_points(base.points3, base.pose_from_world(self.view), cam)
-        self.introducer_px = project_points(tree.position(INSERTION), self.view, cam)[0][0]
         # The last solve's problem (bound to its frame), state, registered
         # pose and RMSE; estimate() holds them once a solve converges.
-        self.problem = base
+        self.problem = scene.base_problem
         self.reg_state: RegistrationState | None = None
-        self.pose_world = self.view
+        self.pose_world = scene.view
         self.rmse = float("nan")
-        self.tip_track = TrackedEndpoint(project_points(tree.position(start), self.view, cam)[0][0], 1.0)
+        self.tip_track = TrackedEndpoint(project_points(tree.position(start), scene.view, config.camera)[0][0], 1.0)
         # The last lifted tip breaks lift's near-ties; the last estimate is
         # what a failed lift reports.
         self.previous3: np.ndarray | None = None
         self.position = tree.position(start)
 
     def estimate(self, wire: GuidewireState) -> TipEstimate:
-        polyline = self._rows[[self._row_of[a] for a in wire.body]]
-        frame = self.renderer.render(polyline, noise=self.imaging_noise, seed=self.rng)
+        scene = self.scene
+        polyline = scene.rows[[scene.row_of[a] for a in wire.body]]
+        frame = scene.renderer.render(polyline, noise=self.imaging_noise, seed=self.rng)
         vessel_mask, wire_mask, _, _ = segment_layers(frame)
         # Camera and tree are static: frames are registered, each solved
         # cold from the last registered pose, until a solve converges; every
         # later frame holds that pose.
         if self.reg_state is None or not self.reg_state.converged:
             q = skeleton_points(thin(vessel_mask))
-            self.problem = self.base_problem.with_frame(q, self.pose_world)
+            self.problem = scene.base_problem.with_frame(q, self.pose_world)
             self.reg_state = solve(self.problem)
             self.pose_world = self.problem.pose_to_world(self.reg_state.pose)
-            self.rmse = reprojection_rmse(self.problem, self.reg_state, self.reference_px)
+            self.rmse = reprojection_rmse(self.problem, self.reg_state, scene.reference_px)
         candidates = endpoint_candidates(thin(wire_mask))
-        away = np.linalg.norm(candidates - self.introducer_px, axis=1) > INTRODUCER_MASK_PX
+        away = np.linalg.norm(candidates - scene.introducer_px, axis=1) > INTRODUCER_MASK_PX
         self.tip_track = track(candidates[away], self.tip_track)
         tip_px = (float(self.tip_track.position2[0]), float(self.tip_track.position2[1]))
         try:
@@ -267,7 +291,7 @@ class PerceptionEstimator:
             address = nearest_tree_address(self.tree, self.position)
             lift_err = float("nan")
         else:
-            address = model_to_tree_address(self.tree, self.model, lifted.address)
+            address = model_to_tree_address(self.tree, scene.model, lifted.address)
             self.position = self.previous3 = lifted.position3
             lift_err = lifted.pixel_error
         return TipEstimate(address, self.position, self.rmse, lift_err, tip_px, frame, self.pose_world)
@@ -313,14 +337,14 @@ def run_episode(
         # An oracle estimate is the true tip itself.
         tip_pos_true = est.position if config.oracle_perception else true_tip(tree, wire)
         if frame_sink is not None and est.frame is not None:
-            cam = est.frame.cam
-            route_pts = np.array([tree.position(a) for a in nav.route])
+            cam, scene = est.frame.cam, estimator.scene
+            route_pts = scene.rows[[scene.row_of[a] for a in nav.route]]
             route_px, route_depth = project_points(route_pts, est.pose_world, cam)
             frame_sink(
                 loop_index,
                 est.frame,
                 {
-                    "true_tip_px": project_points(tip_pos_true, estimator.view, cam)[0][0],
+                    "true_tip_px": project_points(tip_pos_true, scene.view, cam)[0][0],
                     "lifted_tip_px": np.asarray(est.tip_px, dtype=float),
                     "lifted_tip_mm": np.asarray(est.position, dtype=float),
                     "registration_rmse_px": float(est.rmse_px),

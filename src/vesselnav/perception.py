@@ -129,7 +129,8 @@ def _draw_polyline(
 
 
 class FrameRenderer:
-    """Renders frames for a fixed scene; the static vessel layer is cached. Each
+    """Renders frames for a fixed scene. The static vessel layer is drawn once,
+    here, and kept read-only; each frame copies it and draws the wire. Each
     branch and the wire is one ``_draw_polyline`` pass, byte-identical to a per-segment loop."""
 
     def __init__(self, tree: VesselTree, pose: Pose, cam: CameraModel):
@@ -140,6 +141,7 @@ class FrameRenderer:
         for bid in sorted(tree.branches):
             br = tree.branches[bid]
             _draw_polyline(self._vessel_layer, br.positions, br.radii, pose, cam, VESSEL_VALUE)
+        self._vessel_layer.flags.writeable = False
 
     def render(
         self,

@@ -1,4 +1,4 @@
-"""Vessel centerline trees: phantom generation, resampling, serialization.
+"""Vessel centerline trees: phantom generation, resampling, the text format.
 
 A tree is a set of branches with parent links. A child branch attaches at a
 specific point index on its parent and shares that point, so branch
@@ -74,6 +74,7 @@ class VesselTree:
         self.root = root
         self._flat: tuple[np.ndarray, list[tuple[int, int]]] | None = None
         self._graph: AddressGraph | None = None
+        self._scene: tuple[object, object] | None = None
         validate_tree(self)
 
     def position(self, address: tuple[int, int]) -> np.ndarray:
@@ -85,6 +86,7 @@ class VesselTree:
         if self._flat is None:
             ids = sorted(self.branches)
             rows = np.concatenate([self.branches[bid].positions for bid in ids])
+            rows.flags.writeable = False
             self._flat = (rows, [(bid, i) for bid in ids for i in range(len(self.branches[bid]))])
         return self._flat
 
@@ -111,6 +113,14 @@ class VesselTree:
                 stack.extend(br.child_links)
             self._graph = graph
         return self._graph
+
+    def scene(self, build, *args):
+        """``build(self, *args)``, kept in one slot: a call with the same ``build``
+        and equal ``args`` reuses it, any other call replaces it."""
+        key = (build, *args)
+        if self._scene is None or self._scene[0] != key:
+            self._scene = (key, build(self, *args))
+        return self._scene[1]
 
     def nearest_points(self, points3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance from each (m, 3) point to its nearest centerline point, and
@@ -310,28 +320,12 @@ def resample_centerlines(tree: VesselTree, spacing: float) -> VesselTree:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def serialize_tree(tree: VesselTree) -> bytes:
-    """Text serialization; identical trees produce identical bytes."""
-    lines = [FORMAT_HEADER, f"root {tree.root}"]
-    for bid in sorted(tree.branches):
-        br = tree.branches[bid]
-        parent = "-" if br.parent_link is None else str(br.parent_link)
-        attach = "-" if br.attach_index is None else str(br.attach_index)
-        children = ",".join(str(c) for c in br.child_links) or "-"
-        lines.append(f"branch {bid} parent {parent} attach {attach} children {children}")
-        for p, r in zip(br.positions, br.radii):
-            x, y, z = (repr(float(v)) for v in p)
-            lines.append(f"point {x} {y} {z} {repr(float(r))}")
-        lines.append("end")
-    lines.append("endtree")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+# the text format
 
 
 def deserialize_tree(data: bytes) -> VesselTree:
-    """Inverse of serialize_tree. Raises TreeFormatError with a line offset."""
+    """Parse a tree in the text format of ``[map]`` files (see the README).
+    Raises TreeFormatError with a line offset."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

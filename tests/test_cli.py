@@ -23,7 +23,9 @@ from vesselnav.cli import (
     write_pgm,
 )
 from vesselnav.navigator import EpisodeConfig
-from vesselnav.vessel_model import PhantomSpec, generate_phantom, serialize_tree
+from vesselnav.vessel_model import PhantomSpec, generate_phantom
+
+from tree_text import serialize_tree
 
 ORACLE_SMALL = """\
 [suite]

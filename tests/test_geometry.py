@@ -209,3 +209,33 @@ class TestCameraModel:
     def test_non_finite_intrinsics_fail_on_their_own_message(self, focal_px):
         with pytest.raises(ValueError, match="intrinsic matrix must be finite"):
             CameraModel.standard(focal_px=focal_px)
+
+    def test_equality_and_hash_are_by_value(self):
+        a, b = CameraModel.standard(), CameraModel.standard()
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a == CameraModel(a.intrinsics.tolist(), [512.0, 512.0])
+        for other in (
+            CameraModel.standard(focal_px=2400.0),
+            CameraModel.standard(width=640),
+            CameraModel.standard(height=480),
+            CameraModel(a.intrinsics + np.array([[0.0, 0.0, 0.5, 0.0], [0.0] * 4, [0.0] * 4]), (512, 512)),
+        ):
+            assert a != other and not a == other
+        assert a != a.intrinsics and a != (a.intrinsics, a.image_size)
+        assert len({a, b, CameraModel.standard(focal_px=2400.0)}) == 2
+
+    def test_signed_zeros_compare_and_hash_equal(self):
+        k = CameraModel.standard().intrinsics.copy()
+        assert k[0, 1] == 0.0 and not np.signbit(k[0, 1])
+        k[0, 1] = k[1, 0] = k[0, 3] = -0.0
+        signed = CameraModel(k, (512, 512))
+        assert np.signbit(signed.intrinsics[0, 1])
+        assert signed == CameraModel.standard() and hash(signed) == hash(CameraModel.standard())
+
+    def test_intrinsics_are_a_read_only_copy(self):
+        k = CameraModel.standard().intrinsics.copy()
+        cam = CameraModel(k, (512, 512))
+        k[0, 0] = 1.0
+        assert cam.intrinsics[0, 0] == 2500.0 and cam == CameraModel.standard()
+        with pytest.raises(ValueError, match="read-only"):
+            cam.intrinsics[0, 0] = 1.0

@@ -15,18 +15,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vesselnav import cli, navigator
+from vesselnav import cli, navigator, perception
 from vesselnav.cli import parse_suite, standard_config_text
-from vesselnav.geometry import project_points
+from vesselnav.geometry import CameraModel, project_points
 from vesselnav.lifting import OffVesselError
 from vesselnav.navigator import (
     EpisodeConfig,
     Navigator,
     NavigatorParams,
     PerceptionEstimator,
+    PerceptionScene,
     run_episode,
 )
-from vesselnav.perception import NoiseSpec
+from vesselnav.perception import VESSEL_VALUE, WIRE_VALUE, NoiseSpec
 from vesselnav.simulator import ActuationNoise, ControlCommand, initial_wire
 from vesselnav.vessel_model import (
     Branch,
@@ -83,6 +84,13 @@ class TestEpisodeConfig:
     def test_checks_run_at_construction(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             EpisodeConfig(**kwargs)
+
+    def test_equality_and_hash_are_by_value(self):
+        assert EpisodeConfig() == EpisodeConfig() and hash(EpisodeConfig()) == hash(EpisodeConfig())
+        assert EpisodeConfig() == EpisodeConfig(camera=CameraModel.standard(focal_px=2500, width=512, height=512))
+        assert EpisodeConfig() != EpisodeConfig(camera=CameraModel.standard(focal_px=2400.0))
+        assert EpisodeConfig() != EpisodeConfig(view_depth_mm=780.0)
+        assert len({EpisodeConfig(), EpisodeConfig(), EpisodeConfig(spacing_mm=0.75)}) == 2
 
 
 class TestDecisionRule:
@@ -370,11 +378,130 @@ class TestPerceptionEstimator:
         estimator = PerceptionEstimator(tree, (0, 20), config, np.random.default_rng(0))
         est = estimator.estimate(initial_wire(tree, (0, 20)))
         assert estimator.reg_state.converged
-        center = estimator.base_problem.center
-        depth = [project_points(center, pose, config.camera)[1][0] for pose in (est.pose_world, estimator.view)]
+        center = estimator.scene.base_problem.center
+        depth = [project_points(center, pose, config.camera)[1][0] for pose in (est.pose_world, estimator.scene.view)]
         depth_shift = depth[0] - depth[1]
         assert est.rmse_px < 0.5
         assert abs(depth_shift) < 3.5
+
+
+def _episode(tree, config, task=0, seed=0, frame_sink=None):
+    """(success, loops, replans, records) of one episode between one of three
+    start and destination pairs (the first is the standard suite's t1)."""
+    start, dest = [((0, 20), (7, 25)), ((0, 10), (13, 20)), ((0, 5), (10, 30))][task]
+    r = run_episode(tree, start, dest, seed=seed, config=config, frame_sink=frame_sink)
+    return r.success, r.loops, r.replans, repr(r.records)
+
+
+class TestSharedScene:
+    """Every full-perception episode on one tree and view shares one scene,
+    which the tree keeps in one slot keyed by camera, view depth and spacing."""
+
+    def test_suite_draws_the_vessel_layer_once(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "standard.ini"
+        cfg.write_text(standard_config_text(oracle=False))
+        suite = parse_suite(cfg)
+        assert suite.tree._scene is None
+        values, frames = [], []
+        real_draw = perception._draw_polyline
+
+        def draw(canvas, points3, radius_mm, pose, cam, value):
+            values.append(value)
+            real_draw(canvas, points3, radius_mm, pose, cam, value)
+
+        monkeypatch.setattr(perception, "_draw_polyline", draw)
+        config = dataclasses.replace(suite.episode, max_loops=2)
+        for task in suite.tasks:
+            run_episode(suite.tree, task.start, task.dest, seed=0, config=config, frame_sink=lambda *a: frames.append(a))
+        assert len(suite.tasks) == 5 and len(suite.tree.branches) == 15
+        assert values.count(VESSEL_VALUE) == 15
+        assert values.count(WIRE_VALUE) == len(frames) == 10 == len(values) - 15
+
+    def test_equal_configs_share_one_scene_and_others_replace_it(self, monkeypatch):
+        builds = []
+        real_resample = navigator.resample_centerlines
+
+        def resample_centerlines(tree, spacing):
+            builds.append(spacing)
+            return real_resample(tree, spacing)
+
+        monkeypatch.setattr(navigator, "resample_centerlines", resample_centerlines)
+        tree = generate_phantom(PhantomSpec(), seed=11)
+        rng = np.random.default_rng(0)
+        scene = PerceptionEstimator(tree, (0, 20), EpisodeConfig(), rng).scene
+        for same in (EpisodeConfig(max_loops=3), EpisodeConfig(imaging_noise=NoiseSpec(10.0), spacing_mm=1 / 2)):
+            assert PerceptionEstimator(tree, (0, 5), same, rng).scene is scene
+        other = PerceptionEstimator(tree, (0, 20), EpisodeConfig(view_depth_mm=780.0), rng).scene
+        assert other is not scene and other.view.translation[2] == scene.view.translation[2] - 40.0
+        assert tree._scene == ((PerceptionScene.build, CameraModel.standard(), 780.0, 0.5), other)
+        again = PerceptionEstimator(tree, (0, 20), EpisodeConfig(), rng).scene
+        assert again is not scene and builds == [0.5, 0.5, 0.5]
+        assert np.array_equal(again.renderer.render(None).pixels, scene.renderer.render(None).pixels)
+
+    def test_changing_the_view_between_episodes_matches_a_fresh_tree(self):
+        tree = generate_phantom(PhantomSpec(), seed=11)
+        base = EpisodeConfig(max_loops=4)
+        configs = [
+            base,
+            dataclasses.replace(base, view_depth_mm=780.0),
+            dataclasses.replace(base, spacing_mm=0.75),
+            dataclasses.replace(base, camera=CameraModel.standard(focal_px=2300.0)),
+            dataclasses.replace(base, camera=CameraModel.standard(width=480, height=400)),
+            base,
+        ]
+        for k, config in enumerate(configs):
+            got = _episode(tree, config, task=k % 3, seed=k)
+            assert got == _episode(generate_phantom(PhantomSpec(), seed=11), config, task=k % 3, seed=k), config
+            assert tree._scene[0][1:] == (config.camera, config.view_depth_mm, config.spacing_mm)
+
+    def test_episodes_after_other_episodes_match_a_fresh_tree(self):
+        # The rerun contract: an episode's records do not depend on what ran
+        # on its tree before it, oracle episodes included.
+        tree = generate_phantom(PhantomSpec(), seed=11)
+        clean = EpisodeConfig(max_loops=8)
+        std10 = dataclasses.replace(clean, imaging_noise=NoiseSpec(10.0))
+        oracle = dataclasses.replace(clean, oracle_perception=True)
+        runs = [(oracle, 0, 0), (clean, 0, 0), (std10, 1, 1), (oracle, 2, 3), (clean, 2, 2), (std10, 0, 0), (clean, 0, 0)]
+        for k, (config, task, seed) in enumerate(runs):
+            got = _episode(tree, config, task, seed)
+            assert got == _episode(generate_phantom(PhantomSpec(), seed=11), config, task, seed), (config, task, seed)
+            assert (tree._scene is None) == (k == 0)
+        assert got[3].count("LoopRecord") == 8
+
+    def test_shared_arrays_are_read_only(self):
+        tree = generate_phantom(PhantomSpec(), seed=11)
+        scene = PerceptionEstimator(tree, (0, 20), EpisodeConfig(), np.random.default_rng(0)).scene
+        shared = {
+            "vessel layer": scene.renderer._vessel_layer,
+            "rows": scene.rows,
+            "model points": scene.base_problem.points3,
+            "model rows": scene.model.flat_points()[0],
+            "reference": scene.reference_px,
+            "introducer": scene.introducer_px,
+            "intrinsics": scene.renderer.cam.intrinsics,
+        }
+        for name, array in shared.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+            assert not array.flags.writeable, name
+        frame = scene.base_problem.with_frame(scene.reference_px, scene.view)
+        assert frame.points3 is scene.base_problem.points3
+
+    def test_mutating_a_frame_leaves_the_next_frame_unchanged(self):
+        tree = generate_phantom(PhantomSpec(), seed=11)
+        shown = []
+
+        def sink(loop_index, frame, info):
+            shown.append(frame.pixels.copy())
+            frame.pixels[:] = 0
+            info["route_px"][:] = 0
+
+        mutated = _episode(tree, EpisodeConfig(max_loops=4), frame_sink=sink)
+        clean = []
+        want = _episode(generate_phantom(PhantomSpec(), seed=11), EpisodeConfig(max_loops=4),
+                        frame_sink=lambda i, frame, info: clean.append(frame.pixels))
+        assert mutated == want and len(shown) == len(clean) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(shown, clean))
 
 
 def _tracing():

@@ -518,6 +518,18 @@ class TestRenderer:
         fresh = FrameRenderer(self.tree, self.pose, self.cam).render(None)
         assert np.array_equal(a.pixels, fresh.pixels)
 
+    def test_frames_own_their_pixels(self):
+        # Each frame is a copy of the read-only vessel layer, so writing into
+        # one frame changes neither the layer nor the next frame.
+        wire = self.tree.branches[0].positions[:10]
+        want = self.renderer.render(wire).pixels.copy()
+        for noise in (None, NoiseSpec(0.0)):
+            frame = self.renderer.render(wire, noise=noise)
+            frame.pixels[:] = 0
+            assert np.array_equal(self.renderer.render(wire).pixels, want)
+        with pytest.raises(ValueError, match="read-only"):
+            self.renderer._vessel_layer[0, 0] = 0
+
     def test_noise_determinism(self):
         wire = self.tree.branches[0].positions[:10]
         spec = NoiseSpec(2.0)

@@ -160,9 +160,9 @@ def phantom_frame_problem(noise=None):
     tree = generate_phantom(PhantomSpec(), seed=11)
     estimator = PerceptionEstimator(tree, (0, 20), EpisodeConfig(), np.random.default_rng(0))
     polyline = np.array([tree.position(a) for a in initial_wire(tree, (0, 20)).body])
-    frame = estimator.renderer.render(polyline, noise=noise, seed=estimator.rng)
+    frame = estimator.scene.renderer.render(polyline, noise=noise, seed=estimator.rng)
     q = skeleton_points(thin(segment_layers(frame)[0]))
-    return estimator.base_problem.with_frame(q, estimator.pose_world)
+    return estimator.scene.base_problem.with_frame(q, estimator.pose_world)
 
 
 @pytest.fixture(scope="module")

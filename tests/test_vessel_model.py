@@ -1,4 +1,4 @@
-"""Vessel tree structure, generation, resampling, and serialization tests.
+"""Vessel tree structure, generation, resampling, and text format tests.
 
 The array-based resampler must agree bit for bit with the per-point loop it
 replaced (vessel_model_reference).
@@ -18,9 +18,9 @@ from vesselnav.vessel_model import (
     deserialize_tree,
     generate_phantom,
     resample_centerlines,
-    serialize_tree,
 )
 
+from tree_text import serialize_tree
 from vessel_model_reference import reference_resample_centerlines
 
 
